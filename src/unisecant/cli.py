@@ -16,7 +16,8 @@ Curve files carry a form plus optional metadata claims:
     }
 
 Claims are re-verified on load (a flex must actually be a flex, a torsion
-order is recomputed by scalar multiplication); any failure aborts the run.
+order is recomputed by scalar multiplication with some rational flex as the
+origin); any failure aborts the run.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, InputError, UnisecantError
+from .errors import DomainError, InputError, UnisecantError, UnsupportedFieldError
 from .exactalg import (
     HomogeneousForm,
     ProjectivePoint,
@@ -75,8 +76,6 @@ from .singular import (
 )
 from .torsion import contact_count, enumerate_contact_classes, level_census
 
-DEFAULT_CACHE = "./nk-cache.json"
-
 
 # ---------------------------------------------------------------------------
 # Input parsing
@@ -103,14 +102,25 @@ def load_curve_file(path: str) -> tuple[HomogeneousForm, dict]:
         p = ProjectivePoint.from_json_list(claim)
         if form.evaluate(p.coords) != 0 or cubic_mod.hessian(form).evaluate(p.coords) != 0:
             raise DomainError(f"curve file claims {p} is a flex, but it is not")
-    for claim in data.get("torsion_points", []):
+    claims = data.get("torsion_points", [])
+    rational = flexes(form)[1] if claims else []
+    if claims and not rational:
+        raise UnsupportedFieldError("curve has no rational flex to normalize at")
+    for claim in claims:
         p = ProjectivePoint.from_json_list(claim["point"])
         order = int(str(claim["order"]), 10)
-        w, ec_pt = normalized_curve_with_point(form, p)
-        actual = point_order(w, ec_pt, max(order, 1))
-        if actual != order:
+        bound = max(order, 1)
+        found = []
+        for flex in rational:
+            w, ec_pt = normalized_curve_with_point(form, p, flex)
+            found.append(point_order(w, ec_pt, bound))
+            if found[-1] == order:
+                break
+        else:
+            orders = ", ".join(f">{bound}" if n is None else str(n) for n in found)
             raise DomainError(
-                f"curve file claims order {order} at {p}, recomputed {actual}")
+                f"curve file claims order {order} at {p}, recomputed {orders} "
+                "at the rational flexes")
     return form, data
 
 
@@ -137,7 +147,7 @@ def _emit(payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_nk(args) -> int:
-    table = nk_table(args.max, args.cache)
+    table = nk_table(args.max)
     _emit({"entries": [[str(k), str(v)] for k, v in table.entries]})
     return 0
 
@@ -364,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nk", help="table of rational plane curve counts N_k")
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--cache", default=DEFAULT_CACHE)
     p.set_defaults(func=_cmd_nk)
 
     p = sub.add_parser("torsion", help="contact-class census at level k")

@@ -46,11 +46,7 @@ def hessian(f: HomogeneousForm) -> HomogeneousForm:
         raise DomainError("hessian requires degree >= 2")
     second = [[f.partial_derivative(i).partial_derivative(j) for j in range(3)]
               for i in range(3)]
-    return (
-        second[0][0] * (second[1][1] * second[2][2] - second[1][2] * second[2][1])
-        - second[0][1] * (second[1][0] * second[2][2] - second[1][2] * second[2][0])
-        + second[0][2] * (second[1][0] * second[2][1] - second[1][1] * second[2][0])
-    )
+    return mat3_det(second)
 
 
 def is_smooth_cubic(f: HomogeneousForm) -> bool:

@@ -37,7 +37,3 @@ class DegeneratePencilError(DomainError):
 
 class ResolutionDepthError(DomainError):
     """Blow-up resolution exceeded the depth bound (non-reduced input?)."""
-
-
-class CacheInvalidError(UnisecantError):
-    """A value cache failed validation; callers recompute, never crash."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DomainError
-from .unipoly import UnivariatePoly, interpolate
+from .unipoly import UnivariatePoly, interpolate, resultant
 
 
 class BivariatePoly:
@@ -231,9 +231,6 @@ class BivariatePoly:
         size = max(out) + 1
         return UnivariatePoly([out.get(j, Fraction(0)) for j in range(size)])
 
-    def restrict_y(self, y0) -> UnivariatePoly:
-        return self.swap().restrict_x(y0)
-
     def coeffs_in_y(self) -> list[UnivariatePoly]:
         """Coefficients of y^0, y^1, ... as polynomials in x."""
         dy = self.degree_y()
@@ -250,10 +247,6 @@ class BivariatePoly:
             else:
                 out.append(UnivariatePoly.zero())
         return out
-
-    @classmethod
-    def from_univariate_x(cls, p: UnivariatePoly) -> "BivariatePoly":
-        return cls({(i, 0): c for i, c in enumerate(p.coeffs)})
 
     @classmethod
     def from_affine_dict(cls, d: dict[tuple[int, int], Fraction]) -> "BivariatePoly":
@@ -295,19 +288,11 @@ def resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
                 continue
             fu = f.restrict_x(x0)
             gu = g.restrict_x(x0)
-            points.append((x0, _sylvester_value(fu, gu, m, n)))
+            # The leading y-coefficients are nonzero at x0, so the degrees
+            # (hence the Sylvester matrix shape) are the generic ones.
+            assert fu.degree == m and gu.degree == n
+            points.append((x0, resultant(fu, gu)))
             seen += 1
         a += 1
     return interpolate(points)
 
-
-def _sylvester_value(f: UnivariatePoly, g: UnivariatePoly, m: int, n: int) -> Fraction:
-    """Sylvester determinant of f (degree m) and g (degree n) after evaluation.
-
-    Degrees are forced to (m, n): evaluation points were chosen so the
-    leading coefficients stay nonzero.
-    """
-    from .unipoly import resultant
-
-    assert f.degree == m and g.degree == n
-    return resultant(f, g)

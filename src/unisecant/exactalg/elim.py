@@ -39,6 +39,7 @@ from .unipoly import (
     poly_gcd,
     rational_roots,
     squarefree_part,
+    to_sympy_poly,
 )
 from .bipoly import BivariatePoly, resultant_y
 
@@ -53,10 +54,14 @@ class MacaulayDegenerate(UnisecantError):
 
 
 def unimodular_matrices(seed: int = 20231115):
-    """Deterministic stream of unimodular 3x3 integer matrices, identity first."""
+    """Deterministic stream of _MAX_ATTEMPTS unimodular 3x3 integer matrices.
+
+    The identity comes first; every retry loop over coordinate changes draws
+    from this stream, so each is bounded by the same budget.
+    """
     yield mat3_identity()
     rng = random.Random(seed)
-    while True:
+    for _ in range(_MAX_ATTEMPTS - 1):
         m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         for _ in range(rng.randint(2, 4)):
             i = rng.randrange(3)
@@ -171,22 +176,11 @@ class IntersectionData:
     eliminant_squarefree: bool = False
 
 
-def _slice_poly(f: HomogeneousForm, x0: Fraction) -> UnivariatePoly:
-    """f(x0, 1, z) as a univariate polynomial in z."""
+def _slice_poly(f: HomogeneousForm, x0, x1=1) -> UnivariatePoly:
+    """f(x0, x1, z) as a univariate polynomial in z."""
     out: dict[int, Fraction] = {}
     for (a, b, c), q in f.coeffs.items():
-        out[c] = out.get(c, Fraction(0)) + q * x0**a
-    if not out:
-        return UnivariatePoly.zero()
-    return UnivariatePoly([out.get(i, Fraction(0)) for i in range(max(out) + 1)])
-
-
-def _line_slice(f: HomogeneousForm) -> UnivariatePoly:
-    """f(1, 0, z) as a univariate polynomial in z (the X1 = 0 fiber)."""
-    out: dict[int, Fraction] = {}
-    for (a, b, c), q in f.coeffs.items():
-        if b == 0:
-            out[c] = out.get(c, Fraction(0)) + q
+        out[c] = out.get(c, Fraction(0)) + q * x0**a * x1**b
     if not out:
         return UnivariatePoly.zero()
     return UnivariatePoly([out.get(i, Fraction(0)) for i in range(max(out) + 1)])
@@ -218,17 +212,13 @@ def plane_intersection(f: HomogeneousForm, g: HomogeneousForm, *,
         raise CommonComponentError("curves share a component")
     d1, d2 = f.degree, g.degree
     best: IntersectionData | None = None
-    attempts = 0
     for m in unimodular_matrices():
-        attempts += 1
-        if attempts > _MAX_ATTEMPTS:
-            break
         ft = f.substitute(m)
         gt = g.substitute(m)
         if ft.coefficient((0, 0, d1)) == 0 or gt.coefficient((0, 0, d2)) == 0:
             continue
         # No common zeros over the projection point (1 : 0).
-        gcd_inf = poly_gcd(_line_slice(ft), _line_slice(gt))
+        gcd_inf = poly_gcd(_slice_poly(ft, 1, 0), _slice_poly(gt, 1, 0))
         if gcd_inf.degree > 0:
             continue
         try:
@@ -268,30 +258,18 @@ def plane_intersection(f: HomogeneousForm, g: HomogeneousForm, *,
     raise UnisecantError("no good projection found for the intersection")
 
 
-def _sympy_expr(f: HomogeneousForm, xs):
-    expr = sympy.Integer(0)
-    for (a, b, c), q in f.coeffs.items():
-        expr += sympy.Rational(q.numerator, q.denominator) * xs[0]**a * xs[1]**b * xs[2]**c
-    return expr
-
-
 def forms_share_component(f: HomogeneousForm, g: HomogeneousForm) -> bool:
     """True iff the two curves have a common component (nontrivial gcd)."""
     xs = sympy.symbols("X0 X1 X2")
-    h = sympy.gcd(sympy.Poly(_sympy_expr(f, xs), *xs, domain="QQ"),
-                  sympy.Poly(_sympy_expr(g, xs), *xs, domain="QQ"))
-    return sympy.Poly(h, *xs).total_degree() >= 1
+    h = sympy.gcd(to_sympy_poly(f.coeffs, xs), to_sympy_poly(g.coeffs, xs))
+    return h.total_degree() >= 1
 
 
 def form_factorization(f: HomogeneousForm) -> list[tuple[HomogeneousForm, int]]:
     """Irreducible factorization of a ternary form over Q (sympy backend)."""
     if f.is_zero():
         raise DomainError("cannot factor the zero form")
-    xs = sympy.symbols("X0 X1 X2")
-    expr = sympy.Integer(0)
-    for (a, b, c), q in f.coeffs.items():
-        expr += sympy.Rational(q.numerator, q.denominator) * xs[0]**a * xs[1]**b * xs[2]**c
-    _, factors = sympy.factor_list(sympy.Poly(expr, *xs, domain="QQ"))
+    _, factors = sympy.factor_list(to_sympy_poly(f.coeffs, sympy.symbols("X0 X1 X2")))
     out = []
     for poly, mult in factors:
         coeffs: dict[tuple[int, int, int], Fraction] = {}
@@ -328,11 +306,7 @@ def rational_singular_points(f: HomogeneousForm) -> list[ProjectivePoint]:
         return []
     g = list(f.gradient())
     combos = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2)]
-    attempts = 0
     for m in unimodular_matrices():
-        attempts += 1
-        if attempts > _MAX_ATTEMPTS:
-            break
         gt = [gi.substitute(m) for gi in g]
         for r1, r2 in combos:
             c0 = gt[0] + gt[2].scale(r1)
@@ -342,7 +316,7 @@ def rational_singular_points(f: HomogeneousForm) -> list[ProjectivePoint]:
             d = f.degree - 1
             if c0.coefficient((0, 0, d)) == 0 or c1.coefficient((0, 0, d)) == 0:
                 continue
-            if poly_gcd(_line_slice(c0), _line_slice(c1)).degree > 0:
+            if poly_gcd(_slice_poly(c0, 1, 0), _slice_poly(c1, 1, 0)).degree > 0:
                 continue
             try:
                 elim = resultant_y(_as_bivariate_x1(c0), _as_bivariate_x1(c1))

@@ -24,7 +24,6 @@ from .rationals import (
     rational_from_string,
     rational_to_string,
 )
-from .unipoly import UnivariatePoly
 
 Triple = tuple[int, int, int]
 
@@ -108,6 +107,14 @@ class HomogeneousForm:
 
     def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
         return self + (-other)
+
+    def is_proportional_to(self, other: "HomogeneousForm") -> bool:
+        """True iff self = lambda * other for a nonzero scalar lambda."""
+        if self.is_zero() or other.is_zero() or set(self.coeffs) != set(other.coeffs):
+            return False
+        expo = next(iter(self.coeffs))
+        lam = self.coeffs[expo] / other.coeffs[expo]
+        return all(c == lam * other.coeffs[e] for e, c in self.coeffs.items())
 
     def scale(self, q) -> "HomogeneousForm":
         q = Fraction(q)
@@ -204,14 +211,6 @@ class HomogeneousForm:
             key = (expo[others[0]], expo[others[1]])
             out[key] = out.get(key, Fraction(0)) + c
         return {k: v for k, v in out.items() if v != 0}
-
-    def restrict_line_x2(self) -> UnivariatePoly:
-        """Restriction to X2 = 0 and X1 = 1 as a polynomial in X0 (helper)."""
-        out = [Fraction(0)] * (self.degree + 1)
-        for (a, b, c), q in self.coeffs.items():
-            if c == 0:
-                out[a] += q
-        return UnivariatePoly(out)
 
     def to_json_dict(self) -> dict:
         return {

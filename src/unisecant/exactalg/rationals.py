@@ -10,6 +10,7 @@ machinery.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..errors import DomainError, InputError
@@ -61,6 +62,7 @@ def mat3_vec(a: Mat3, v) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def mat3_det(a: Mat3) -> Fraction:
+    """Cofactor expansion; entries may be any ring elements (forms too)."""
     return (
         a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
         - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
@@ -135,20 +137,10 @@ def det_fractions(m) -> Fraction:
     int_rows: list[list[int]] = []
     for row in m:
         row = [Fraction(x) for x in row]
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
+        lcm = math.lcm(*(x.denominator for x in row))
         scale *= lcm
         int_rows.append([int(x * lcm) for x in row])
     return Fraction(bareiss_det_int(int_rows)) / scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -198,15 +190,9 @@ def rank(rows: list[list[Fraction]], ncols: int) -> int:
 def clear_denominators(values) -> tuple[list[int], int]:
     """Scale a list of Fractions to coprime integers; returns (ints, lcm)."""
     values = [Fraction(v) for v in values]
-    lcm = 1
-    for v in values:
-        d = v.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
+    lcm = math.lcm(*(v.denominator for v in values))
     ints = [int(v * lcm) for v in values]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
+    g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return ints, lcm

@@ -344,6 +344,13 @@ def yun_decomposition(f: UnivariatePoly) -> list[tuple[UnivariatePoly, int]]:
     return out
 
 
+def to_sympy_poly(coeffs: dict[tuple[int, ...], Fraction], gens) -> sympy.Poly:
+    """The sympy polynomial over QQ with the given {exponents: coefficient} map."""
+    return sympy.Poly.from_dict(
+        {e: sympy.QQ(c.numerator, c.denominator) for e, c in coeffs.items() if c != 0},
+        *gens, domain=sympy.QQ)
+
+
 def factor_over_q(f: UnivariatePoly) -> tuple[Fraction, list[tuple[UnivariatePoly, int]]]:
     """Irreducible factorization over Q (sympy backend).
 
@@ -352,10 +359,8 @@ def factor_over_q(f: UnivariatePoly) -> tuple[Fraction, list[tuple[UnivariatePol
     """
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
-    x = sympy.Symbol("x")
-    expr = sympy.Add(*[sympy.Rational(c.numerator, c.denominator) * x**i
-                       for i, c in enumerate(f.coeffs)])
-    const, factors = sympy.factor_list(sympy.Poly(expr, x, domain="QQ"))
+    poly = to_sympy_poly({(i,): c for i, c in enumerate(f.coeffs)}, [sympy.Symbol("x")])
+    const, factors = sympy.factor_list(poly)
     const = sympy.Rational(const)
     c = Fraction(int(const.p), int(const.q))
     result = []

@@ -12,44 +12,56 @@ factorial ratios, so each term is accumulated as an exact rational and the
 final value is checked to be an integer; a non-integral result can only
 mean the formula was transcribed wrong and raises immediately.
 
-A small JSON cache (versioned, atomically written) makes table reuse safe:
-cached values for k <= 4 are re-verified against the hardcoded anchors
-before anything is trusted.
+Arguments are bounded by ``MAX_K``: the cost grows roughly tenfold with
+each doubling of k, so a larger request is refused rather than left to run.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CacheInvalidError, DomainError, UnisecantError
+from .errors import DomainError, UnisecantError
 
-CACHE_VERSION = 1
-
-#: Anchor values; any cache or recomputation disagreeing with these is rejected.
+#: Anchor values; any recomputation disagreeing with these is rejected.
 KNOWN_VALUES = {1: 1, 2: 1, 3: 12, 4: 620}
 
+#: Largest k accepted by compute_nk and nk_table.
+MAX_K = 200
 
-def compute_nk(k: int, _table: dict[int, int] | None = None) -> int:
-    """N_k as an exact integer.
+
+@dataclass
+class NkTable:
+    """Contiguous table of (k, N_k) values from k = 1 up to max_k."""
+
+    entries: list[tuple[int, int]]
+
+    @property
+    def max_k(self) -> int:
+        return self.entries[-1][0] if self.entries else 0
+
+    def value(self, k: int) -> int:
+        if not 1 <= k <= self.max_k:
+            raise DomainError(f"k={k} outside table range 1..{self.max_k}")
+        return self.entries[k - 1][1]
+
+
+def compute_nk(k: int) -> int:
+    """N_k as an exact integer."""
+    return nk_table(k).value(k)
+
+
+def nk_table(max_k: int) -> NkTable:
+    """Table of N_1..N_max_k.
 
     The recursion is evaluated with exact factorials and rationals; the 1/2
     and the factorial divisions must cancel to an integer.
     """
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    table = _table if _table is not None else {}
-    if k in table:
-        return table[k]
-    if 1 not in table:
-        table[1] = 1
-    for n in range(2, k + 1):
-        if n in table:
-            continue
+    if not isinstance(max_k, int) or not 1 <= max_k <= MAX_K:
+        raise DomainError(f"k must be an integer in 1..{MAX_K}, got {max_k!r}")
+    table = {1: 1}
+    for n in range(2, max_k + 1):
         total = Fraction(0)
         for k1 in range(1, n):
             k2 = n - k1
@@ -69,86 +81,4 @@ def compute_nk(k: int, _table: dict[int, int] | None = None) -> int:
             raise UnisecantError(
                 f"recursion value N_{n} = {value} contradicts the known {KNOWN_VALUES[n]}")
         table[n] = value
-    return table[k]
-
-
-@dataclass
-class NkTable:
-    """Contiguous table of (k, N_k) values from k = 1 up to max_k."""
-
-    entries: list[tuple[int, int]]
-
-    @property
-    def max_k(self) -> int:
-        return self.entries[-1][0] if self.entries else 0
-
-    def value(self, k: int) -> int:
-        if not 1 <= k <= self.max_k:
-            raise DomainError(f"k={k} outside table range 1..{self.max_k}")
-        return self.entries[k - 1][1]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "version": CACHE_VERSION,
-            "entries": [[k, str(v)] for k, v in self.entries],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "NkTable":
-        try:
-            if data["version"] != CACHE_VERSION:
-                raise CacheInvalidError(f"cache version {data['version']!r} != {CACHE_VERSION}")
-            entries = []
-            for i, (k, v) in enumerate(data["entries"], start=1):
-                k = int(k)
-                value = int(str(v), 10)
-                if k != i or value <= 0:
-                    raise CacheInvalidError("cache entries not contiguous/positive")
-                entries.append((k, value))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CacheInvalidError(f"malformed cache: {exc}") from exc
-        table = cls(entries)
-        for k, known in KNOWN_VALUES.items():
-            if table.max_k >= k and table.value(k) != known:
-                raise CacheInvalidError(f"cache value N_{k} contradicts known anchor")
-        return table
-
-
-def nk_table(max_k: int, cache_path: str | os.PathLike | None = None) -> NkTable:
-    """Memoized table of N_1..N_max_k, optionally backed by a JSON cache file.
-
-    A corrupt or stale cache is silently recomputed (and rewritten) —
-    a bad cache must never poison downstream counts.
-    """
-    if not isinstance(max_k, int) or max_k < 1:
-        raise DomainError(f"max_k must be a positive integer, got {max_k!r}")
-    if cache_path is not None and os.path.exists(cache_path):
-        try:
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                cached = NkTable.from_json_dict(json.load(fh))
-            if cached.max_k >= max_k:
-                return NkTable(cached.entries[:max_k])
-            seed = {k: v for k, v in cached.entries}
-        except (CacheInvalidError, json.JSONDecodeError, OSError):
-            seed = {}
-    else:
-        seed = {}
-    table_dict = dict(seed)
-    compute_nk(max_k, table_dict)
-    table = NkTable([(k, table_dict[k]) for k in range(1, max_k + 1)])
-    if cache_path is not None:
-        _atomic_write_json(cache_path, table.to_json_dict())
-    return table
-
-
-def _atomic_write_json(path, payload) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=0, sort_keys=False)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    return NkTable(list(table.items()))

@@ -44,6 +44,7 @@ from .exactalg import (
     factor_over_q,
     interpolate,
     is_reduced_form,
+    mat3_det,
     nullspace,
     rational_to_string,
     ternary_discriminant,
@@ -254,7 +255,7 @@ def pencil_at(system: ContactSystem) -> Pencil:
     if not system.is_contact_point() or system.dimension != 2:
         raise DomainError("contact system is not a pencil")
     f = system.curve
-    candidates = [v for v in system.basis if not _proportional(v, f)]
+    candidates = [v for v in system.basis if not v.is_proportional_to(f)]
     if not candidates:
         raise UnisecantError("kernel basis degenerated to multiples of the cubic")
     g = candidates[0]
@@ -267,16 +268,6 @@ def pencil_at(system: ContactSystem) -> Pencil:
     ints, _ = clear_denominators([g.coefficient(m) for m in sorted(g.coeffs)])
     g = HomogeneousForm(3, {m: Fraction(c) for m, c in zip(sorted(g.coeffs), ints)})
     return Pencil(g, f, system.point)
-
-
-def _proportional(a: HomogeneousForm, b: HomogeneousForm) -> bool:
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
-    if set(a.coeffs) != set(b.coeffs):
-        return False
-    expo = next(iter(a.coeffs))
-    lam = a.coeffs[expo] / b.coeffs[expo]
-    return all(c == lam * b.coeffs[e] for e, c in a.coeffs.items())
 
 
 @dataclass
@@ -637,10 +628,7 @@ def contact_conic_check(curve: HomogeneousForm, p: ProjectivePoint) -> str:
         raise UnisecantError("contact conic system has unexpected dimension")
     q = system.basis[0]
     m = _conic_matrix(q)
-    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    if det != 0:
+    if mat3_det(m) != 0:
         return IRREDUCIBLE_CONIC
     minors = [m[i][j] * m[k][l] - m[i][l] * m[k][j]
               for i, k in ((0, 1), (0, 2), (1, 2))

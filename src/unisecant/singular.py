@@ -633,17 +633,6 @@ class CurveFamily:
                                {e: p.derivative().evaluate(t) for e, p in self.coeffs.items()})
 
 
-def _is_scalar_multiple(a: HomogeneousForm, b: HomogeneousForm) -> bool:
-    """True iff a = lambda * b for a nonzero scalar lambda."""
-    if a.is_zero() or b.is_zero():
-        return False
-    if set(a.coeffs) != set(b.coeffs):
-        return False
-    expo = next(iter(a.coeffs))
-    lam = a.coeffs[expo] / b.coeffs[expo]
-    return all(c == lam * b.coeffs[e] for e, c in a.coeffs.items())
-
-
 _SAMPLE_OFFSETS = [Fraction(1, 5), Fraction(-1, 5), Fraction(2, 5), Fraction(-2, 5),
                    Fraction(3, 7), Fraction(-3, 7), Fraction(1, 2), Fraction(-1, 2),
                    Fraction(4, 7), Fraction(-4, 7), Fraction(5, 9), Fraction(-5, 9)]
@@ -686,7 +675,7 @@ def family_derivative_check(fam: CurveFamily, t0, *, samples: int = 5) -> bool:
     deriv = fam.derivative_form(t0)
     if deriv.is_zero():
         raise DegenerateFamilyError("parameter derivative vanishes identically at t0")
-    if _is_scalar_multiple(deriv, f0):
+    if deriv.is_proportional_to(f0):
         raise DegenerateFamilyError("parameter derivative is proportional to the fiber")
     required = [(pr.point, mu_minus_one(pr.tree))
                 for pr in profile.points if pr.tree is not None]

@@ -4,6 +4,8 @@ import json
 import os
 
 from unisecant.cli import main
+from unisecant.cubic import kubert_z6_curve
+from unisecant.exactalg import mat3
 from conftest import fixture_path
 
 
@@ -14,18 +16,27 @@ def run_cli(capsys, *argv):
 
 
 class TestNk:
-    def test_table_shape(self, capsys, tmp_path):
-        cache = os.fspath(tmp_path / "cache.json")
-        code, out, _ = run_cli(capsys, "nk", "--max", "4", "--cache", cache)
+    def test_table_shape(self, capsys):
+        code, out, _ = run_cli(capsys, "nk", "--max", "4")
         assert code == 0
         assert json.loads(out) == {
             "entries": [["1", "1"], ["2", "1"], ["3", "12"], ["4", "620"]]}
 
-    def test_byte_identical_reruns(self, capsys, tmp_path):
-        cache = os.fspath(tmp_path / "cache.json")
-        _, first, _ = run_cli(capsys, "nk", "--max", "6", "--cache", cache)
-        _, second, _ = run_cli(capsys, "nk", "--max", "6", "--cache", cache)
+    def test_byte_identical_reruns(self, capsys):
+        code1, first, _ = run_cli(capsys, "nk", "--max", "6")
+        code2, second, _ = run_cli(capsys, "nk", "--max", "6")
+        assert code1 == code2 == 0
         assert first == second
+
+    def test_writes_no_files(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(capsys, "nk", "--max", "5")
+        assert code == 0
+        assert os.listdir(tmp_path) == []
+
+    def test_max_above_bound_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "nk", "--max", "201")
+        assert code == 1 and out == "" and "200" in err
 
 
 class TestTorsion:
@@ -130,6 +141,27 @@ class TestVerificationAndErrors:
         bad.write_text(json.dumps(data))
         code, _, err = run_cli(capsys, "flexes", "--cubic", os.fspath(bad))
         assert code == 1 and "order" in err
+
+    def _moved_z6_file(self, tmp_path, order: str) -> str:
+        # (1 : 1 : 0) is the order-6 point of the Kubert curve after the
+        # coordinate change; its orders at the three rational flexes are 2, 6, 6.
+        form, _ = kubert_z6_curve(1)
+        moved = form.substitute(mat3([[1, -1, -1], [0, 1, 1], [-1, 0, 1]]))
+        path = tmp_path / f"z6_moved_{order}.json"
+        path.write_text(json.dumps({
+            "form": moved.to_json_dict(),
+            "torsion_points": [{"point": ["1", "1", "0"], "order": order}]}))
+        return os.fspath(path)
+
+    def test_torsion_claim_at_any_rational_flex(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "flexes", "--cubic", self._moved_z6_file(tmp_path, "6"))
+        assert code == 0, err
+
+    def test_false_torsion_claim_on_moved_curve_aborts(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "flexes", "--cubic",
+                                 self._moved_z6_file(tmp_path, "5"))
+        assert code == 1 and out == ""
+        assert "recomputed 2, >5, >5" in err
 
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from unisecant.errors import CommonComponentError, UnsupportedFieldError
+from unisecant.errors import CommonComponentError, UnisecantError, UnsupportedFieldError
+from unisecant.exactalg import elim
 from unisecant.exactalg import (
     BivariatePoly,
     HomogeneousForm,
@@ -48,6 +49,18 @@ class TestMacaulay:
             d = ternary_discriminant(weierstrass_normal_form(a, b))
             ratios.add(d / (F(a) ** 3 + 27 * F(b) ** 2))
         assert len(ratios) == 1
+
+    def test_retry_budget_is_bounded(self, fermat, monkeypatch):
+        calls = []
+
+        def always_degenerate(*quadrics):
+            calls.append(quadrics)
+            raise elim.MacaulayDegenerate("forced")
+
+        monkeypatch.setattr(elim, "macaulay_resultant_quadrics", always_degenerate)
+        with pytest.raises(UnisecantError, match="no usable coordinates"):
+            ternary_discriminant(fermat)
+        assert len(calls) == 64
 
     def test_smoothness_calls(self, fermat, nodal_cubic, cuspidal_cubic):
         assert is_smooth_form(fermat)

@@ -1,13 +1,10 @@
-"""Rational plane curve counts: anchors, integrality, symmetry, cache."""
-
-import json
-import os
+"""Rational plane curve counts: anchors, integrality, symmetry, bounds."""
 
 import pytest
 import sympy
 
 from unisecant.errors import DomainError
-from unisecant.kontsevich import compute_nk, nk_table
+from unisecant.kontsevich import MAX_K, compute_nk, nk_table
 
 
 def nk_oracle(kmax: int) -> dict[int, int]:
@@ -62,34 +59,8 @@ class TestTable:
     def test_table_ends_at_620(self):
         assert nk_table(4).entries[-1] == (4, 620)
 
-    def test_cache_roundtrip(self, tmp_path):
-        path = os.fspath(tmp_path / "cache.json")
-        first = nk_table(6, path)
-        second = nk_table(6, path)
-        assert first.entries == second.entries
-
-    def test_cache_extends(self, tmp_path):
-        path = os.fspath(tmp_path / "cache.json")
-        nk_table(3, path)
-        extended = nk_table(5, path)
-        assert extended.value(5) == 87304
-
-    def test_corrupt_cache_recomputed(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{not json")
-        table = nk_table(4, os.fspath(path))
-        assert table.value(4) == 620
-        # The rewrite must leave a valid cache behind.
-        assert json.loads(path.read_text())["version"] == 1
-
-    def test_poisoned_cache_rejected(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps(
-            {"version": 1, "entries": [[1, "1"], [2, "1"], [3, "999"]]}))
-        table = nk_table(3, os.fspath(path))
-        assert table.value(3) == 12
-
-    def test_stale_version_recomputed(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"version": 0, "entries": [[1, "1"]]}))
-        assert nk_table(2, os.fspath(path)).entries == [(1, 1), (2, 1)]
+    def test_above_bound_rejected(self):
+        with pytest.raises(DomainError):
+            nk_table(MAX_K + 1)
+        with pytest.raises(DomainError):
+            compute_nk(MAX_K + 1)
