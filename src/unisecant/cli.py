@@ -28,9 +28,10 @@ import random
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, InputError, UnisecantError, UnsupportedFieldError
+from .errors import DomainError, InputError, UnisecantError
 from .exactalg import (
     HomogeneousForm,
+    IntersectionData,
     ProjectivePoint,
     UnivariatePoly,
     euler_combination,
@@ -47,7 +48,7 @@ from .cubic import (
     AffineECPoint,
     ec_add,
     ec_scalar_mul,
-    flex_intersection_data,
+    first_rational_flex,
     flexes,
     j_invariant,
     normalized_curve_with_point,
@@ -88,8 +89,12 @@ def _parse_point(text: str) -> ProjectivePoint:
     return ProjectivePoint(*[rational_from_string(p) for p in parts])
 
 
-def load_curve_file(path: str) -> tuple[HomogeneousForm, dict]:
-    """Read a curve file and re-verify every metadata claim it makes."""
+def load_curve_file(path: str) -> tuple[HomogeneousForm, IntersectionData | None]:
+    """Read a curve file and re-verify every metadata claim it makes.
+
+    Returns the form and, when the file makes a torsion claim, the flex
+    data (``flexes``) computed to check it, else None.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -98,30 +103,34 @@ def load_curve_file(path: str) -> tuple[HomogeneousForm, dict]:
     if not isinstance(data, dict) or "form" not in data:
         raise InputError(f"curve file {path} lacks a form")
     form = HomogeneousForm.from_json_dict(data["form"])
-    for claim in data.get("flexes", []):
-        p = ProjectivePoint.from_json_list(claim)
-        if form.evaluate(p.coords) != 0 or cubic_mod.hessian(form).evaluate(p.coords) != 0:
+    try:
+        flex_claims = [ProjectivePoint.from_json_list(c) for c in data.get("flexes", [])]
+        torsion_claims = [(ProjectivePoint.from_json_list(c["point"]), int(str(c["order"]), 10))
+                          for c in data.get("torsion_points", [])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed claim in curve file {path}: {exc!r}") from exc
+    if any(order < 1 for _, order in torsion_claims):
+        raise InputError(f"curve file {path} claims a torsion order below 1")
+    for p in flex_claims:
+        if not cubic_mod.is_flex(form, p):
             raise DomainError(f"curve file claims {p} is a flex, but it is not")
-    claims = data.get("torsion_points", [])
-    rational = flexes(form)[1] if claims else []
-    if claims and not rational:
-        raise UnsupportedFieldError("curve has no rational flex to normalize at")
-    for claim in claims:
-        p = ProjectivePoint.from_json_list(claim["point"])
-        order = int(str(claim["order"]), 10)
-        bound = max(order, 1)
+    if not torsion_claims:
+        return form, None
+    flex_data = flexes(form)
+    first_rational_flex(flex_data)  # an order is measured from a rational flex
+    for p, order in torsion_claims:
         found = []
-        for flex in rational:
+        for flex in flex_data.points:
             w, ec_pt = normalized_curve_with_point(form, p, flex)
-            found.append(point_order(w, ec_pt, bound))
+            found.append(point_order(w, ec_pt, order))
             if found[-1] == order:
                 break
         else:
-            orders = ", ".join(f">{bound}" if n is None else str(n) for n in found)
+            orders = ", ".join(f">{order}" if n is None else str(n) for n in found)
             raise DomainError(
                 f"curve file claims order {order} at {p}, recomputed {orders} "
                 "at the rational flexes")
-    return form, data
+    return form, flex_data
 
 
 def load_family_file(path: str) -> CurveFamily:
@@ -167,26 +176,22 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_flexes(args) -> int:
-    form, _ = load_curve_file(args.cubic)
-    data = flex_intersection_data(form)
+    form, flex_data = load_curve_file(args.cubic)
+    data = flex_data or flexes(form)
     _emit({
         "count_with_multiplicity": str(data.eliminant.degree),
         "eliminant_squarefree": data.eliminant_squarefree,
-        "rational_flexes": [p.to_json_list()
-                            for p in sorted(data.points, key=lambda q: q.coords)],
+        "rational_flexes": [p.to_json_list() for p in data.points],
     })
     return 0
 
 
 def _cmd_jinv(args) -> int:
-    form, _ = load_curve_file(args.cubic)
+    form, flex_data = load_curve_file(args.cubic)
     if args.flex:
         flex = _parse_point(args.flex)
     else:
-        _, rational = flexes(form)
-        if not rational:
-            raise DomainError("curve has no rational flex; pass --flex explicitly")
-        flex = rational[0]
+        flex = first_rational_flex(flex_data or flexes(form))
     w = weierstrass_at_flex(form, flex)
     out = w.to_json_dict()
     out["j"] = rational_to_string(j_invariant(w))

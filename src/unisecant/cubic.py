@@ -26,6 +26,7 @@ from fractions import Fraction
 from .errors import DomainError, UnsupportedFieldError
 from .exactalg import (
     HomogeneousForm,
+    IntersectionData,
     Mat3,
     ProjectivePoint,
     is_smooth_form,
@@ -56,27 +57,26 @@ def is_smooth_cubic(f: HomogeneousForm) -> bool:
     return is_smooth_form(f)
 
 
-def flexes(f: HomogeneousForm) -> tuple[int, list[ProjectivePoint]]:
-    """Flex count with multiplicity (always 9) and the rational flexes.
+def flexes(f: HomogeneousForm) -> IntersectionData:
+    """The curve-Hessian intersection of a smooth cubic: its flexes.
 
-    Flexes are the intersection of the curve with its Hessian; the count is
-    the eliminant degree in good position, and the rational flexes are the
-    rational intersection points.  Irrational flexes are counted, never
-    represented.
+    The flex count with multiplicity (always 9) is the eliminant degree in
+    good position; ``points`` are the rational flexes, sorted in canonical
+    order.  A squarefree eliminant is sought, which certifies that the nine
+    flexes are distinct.  Irrational flexes are counted, never represented.
     """
     if not is_smooth_cubic(f):
         raise DomainError("flexes are computed for smooth cubics only")
     data = plane_intersection(f, hessian(f), want_squarefree_eliminant=True)
-    count = data.eliminant.degree
-    pts = sorted(data.points, key=lambda p: p.coords)
-    return count, pts
+    data.points.sort(key=lambda p: p.coords)
+    return data
 
 
-def flex_intersection_data(f: HomogeneousForm):
-    """The full curve-Hessian intersection bookkeeping (for distinctness tests)."""
-    if not is_smooth_cubic(f):
-        raise DomainError("smooth cubics only")
-    return plane_intersection(f, hessian(f), want_squarefree_eliminant=True)
+def first_rational_flex(data: IntersectionData) -> ProjectivePoint:
+    """The first rational flex of ``flexes`` output; unsupported-field error if none."""
+    if not data.points:
+        raise UnsupportedFieldError("curve has no rational flex to normalize at")
+    return data.points[0]
 
 
 def weierstrass_normal_form(alpha, beta) -> HomogeneousForm:
@@ -124,7 +124,7 @@ class WeierstrassData:
         }
 
 
-def _is_flex(f: HomogeneousForm, p: ProjectivePoint) -> bool:
+def is_flex(f: HomogeneousForm, p: ProjectivePoint) -> bool:
     return f.evaluate(p.coords) == 0 and hessian(f).evaluate(p.coords) == 0
 
 
@@ -138,7 +138,7 @@ def weierstrass_at_flex(f: HomogeneousForm, p: ProjectivePoint) -> WeierstrassDa
     """
     if not is_smooth_cubic(f):
         raise DomainError("weierstrass normalization needs a smooth cubic")
-    if not _is_flex(f, p):
+    if not is_flex(f, p):
         raise DomainError(f"{p} is not a flex of the cubic")
     grad = [g.evaluate(p.coords) for g in f.gradient()]
     t1 = _flex_frame(p, grad)
@@ -414,10 +414,7 @@ def normalized_curve_with_point(form: HomogeneousForm, p: ProjectivePoint,
     raise an unsupported-field error.
     """
     if flex is None:
-        _, rational = flexes(form)
-        if not rational:
-            raise UnsupportedFieldError("curve has no rational flex to normalize at")
-        flex = rational[0]
+        flex = first_rational_flex(flexes(form))
     w = weierstrass_at_flex(form, flex)
     if form.evaluate(p.coords) != 0:
         raise DomainError(f"marked point {p} is not on the curve")

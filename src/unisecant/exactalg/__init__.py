@@ -27,6 +27,7 @@ from .unipoly import (
     UnivariatePoly,
     discriminant,
     factor_over_q,
+    integer_nodes,
     interpolate,
     poly_gcd,
     rational_roots,
@@ -69,6 +70,7 @@ __all__ = [
     "UnivariatePoly",
     "discriminant",
     "factor_over_q",
+    "integer_nodes",
     "interpolate",
     "poly_gcd",
     "rational_roots",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DomainError
-from .unipoly import UnivariatePoly, interpolate, resultant
+from .unipoly import UnivariatePoly, integer_nodes, interpolate, resultant
 
 
 class BivariatePoly:
@@ -248,10 +248,6 @@ class BivariatePoly:
                 out.append(UnivariatePoly.zero())
         return out
 
-    @classmethod
-    def from_affine_dict(cls, d: dict[tuple[int, int], Fraction]) -> "BivariatePoly":
-        return cls(dict(d))
-
 
 def resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
     """Resultant of f and g with respect to y: a polynomial in x.
@@ -277,22 +273,16 @@ def resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
     lcf, lcg = fc[-1], gc[-1]
     deg_bound = n * f.degree_x() + m * g.degree_x()
     points: list[tuple[Fraction, Fraction]] = []
-    a = 0
-    seen = 0
-    while seen <= deg_bound:
-        for cand in (a, -a) if a else (0,):
-            if seen > deg_bound:
-                break
-            x0 = Fraction(cand)
-            if lcf.evaluate(x0) == 0 or lcg.evaluate(x0) == 0:
-                continue
-            fu = f.restrict_x(x0)
-            gu = g.restrict_x(x0)
-            # The leading y-coefficients are nonzero at x0, so the degrees
-            # (hence the Sylvester matrix shape) are the generic ones.
-            assert fu.degree == m and gu.degree == n
-            points.append((x0, resultant(fu, gu)))
-            seen += 1
-        a += 1
+    for x0 in integer_nodes():
+        if len(points) > deg_bound:
+            break
+        if lcf.evaluate(x0) == 0 or lcg.evaluate(x0) == 0:
+            continue
+        fu = f.restrict_x(x0)
+        gu = g.restrict_x(x0)
+        # The leading y-coefficients are nonzero at x0, so the degrees
+        # (hence the Sylvester matrix shape) are the generic ones.
+        assert fu.degree == m and gu.degree == n
+        points.append((x0, resultant(fu, gu)))
     return interpolate(points)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import sympy
 
@@ -188,7 +189,39 @@ def _slice_poly(f: HomogeneousForm, x0, x1=1) -> UnivariatePoly:
 
 def _as_bivariate_x1(f: HomogeneousForm) -> BivariatePoly:
     """Chart X1 = 1, variables (x, y) = (X0, X2)."""
-    return BivariatePoly.from_affine_dict(f.dehomogenize(1))
+    return BivariatePoly(f.dehomogenize(1))
+
+
+def _projection_eliminant(f: HomogeneousForm, g: HomogeneousForm) -> UnivariatePoly | None:
+    """res_X2 of f and g on X1 = 1, or None when projecting from (0:0:1) is unusable.
+
+    Usable means: neither curve passes through (0:0:1) (nonzero X2-leading
+    coefficients), no common zero lies over the projection point (1:0), and
+    the resultant evaluation succeeds.
+    """
+    if f.coefficient((0, 0, f.degree)) == 0 or g.coefficient((0, 0, g.degree)) == 0:
+        return None
+    if poly_gcd(_slice_poly(f, 1, 0), _slice_poly(g, 1, 0)).degree > 0:
+        return None
+    try:
+        return resultant_y(_as_bivariate_x1(f), _as_bivariate_x1(g))
+    except DomainError:
+        return None
+
+
+def _lift_fiber(forms: list[HomogeneousForm], back: Mat3, x0: Fraction
+                ) -> tuple[list[ProjectivePoint], bool]:
+    """Common rational zeros of ``forms`` over X0 = x0 (chart X1 = 1), mapped by ``back``.
+
+    The flag says whether they account for the whole gcd of the slices,
+    i.e. whether the fiber holds no irrational common zero.
+    """
+    h = reduce(poly_gcd, [_slice_poly(f, x0) for f in forms])
+    if h.degree <= 0:
+        return [], True
+    roots = rational_roots(h)
+    points = [ProjectivePoint(*mat3_vec(back, (x0, Fraction(1), z0))) for z0, _ in roots]
+    return points, sum(mult for _, mult in roots) == h.degree
 
 
 def plane_intersection(f: HomogeneousForm, g: HomogeneousForm, *,
@@ -210,45 +243,25 @@ def plane_intersection(f: HomogeneousForm, g: HomogeneousForm, *,
         raise DomainError("cannot intersect with the zero curve")
     if forms_share_component(f, g):
         raise CommonComponentError("curves share a component")
-    d1, d2 = f.degree, g.degree
+    product = f.degree * g.degree
     best: IntersectionData | None = None
     for m in unimodular_matrices():
         ft = f.substitute(m)
         gt = g.substitute(m)
-        if ft.coefficient((0, 0, d1)) == 0 or gt.coefficient((0, 0, d2)) == 0:
-            continue
-        # No common zeros over the projection point (1 : 0).
-        gcd_inf = poly_gcd(_slice_poly(ft, 1, 0), _slice_poly(gt, 1, 0))
-        if gcd_inf.degree > 0:
-            continue
-        try:
-            elim = resultant_y(_as_bivariate_x1(ft), _as_bivariate_x1(gt))
-        except DomainError:
+        elim = _projection_eliminant(ft, gt)
+        if elim is None:
             continue
         if elim.is_zero():
             raise CommonComponentError("curves share a component")
-        if elim.degree != d1 * d2:
+        if elim.degree != product:
             continue
-        sf = squarefree_part(elim)
-        is_squarefree = sf.degree == elim.degree
-        fibers = []
-        points = []
-        irrational = 0
+        is_squarefree = squarefree_part(elim).degree == elim.degree
         back = mat3_transpose(m)
+        fibers = []
         for x0, mult in rational_roots(elim):
-            pf = _slice_poly(ft, x0)
-            pg = _slice_poly(gt, x0)
-            h = poly_gcd(pf, pg)
-            fiber_points = []
-            rational_degree = 0
-            for z0, zmult in rational_roots(h):
-                fiber_points.append(ProjectivePoint(*mat3_vec(back, (x0, Fraction(1), z0))))
-                rational_degree += zmult
-            complete = rational_degree == h.degree
-            fibers.append(FiberData(x0, mult, fiber_points, complete))
-            points.extend(fiber_points)
-        covered = sum(fb.multiplicity for fb in fibers)
-        irrational = d1 * d2 - covered
+            fibers.append(FiberData(x0, mult, *_lift_fiber([ft, gt], back, x0)))
+        irrational = product - sum(fb.multiplicity for fb in fibers)
+        points = [p for fb in fibers for p in fb.points]
         data = IntersectionData(m, elim, fibers, irrational, points, is_squarefree)
         if not want_squarefree_eliminant or is_squarefree:
             return data
@@ -305,6 +318,7 @@ def rational_singular_points(f: HomogeneousForm) -> list[ProjectivePoint]:
     if f.degree <= 1:
         return []
     g = list(f.gradient())
+    d = f.degree - 1
     combos = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2)]
     for m in unimodular_matrices():
         gt = [gi.substitute(m) for gi in g]
@@ -313,16 +327,8 @@ def rational_singular_points(f: HomogeneousForm) -> list[ProjectivePoint]:
             c1 = gt[1] + gt[2].scale(r2)
             if c0.is_zero() or c1.is_zero():
                 continue
-            d = f.degree - 1
-            if c0.coefficient((0, 0, d)) == 0 or c1.coefficient((0, 0, d)) == 0:
-                continue
-            if poly_gcd(_slice_poly(c0, 1, 0), _slice_poly(c1, 1, 0)).degree > 0:
-                continue
-            try:
-                elim = resultant_y(_as_bivariate_x1(c0), _as_bivariate_x1(c1))
-            except DomainError:
-                continue
-            if elim.is_zero() or elim.degree != d * d:
+            elim = _projection_eliminant(c0, c1)
+            if elim is None or elim.is_zero() or elim.degree != d * d:
                 continue
             return _singular_points_from_eliminant(gt, m, elim)
     raise UnisecantError("could not locate the singular locus")
@@ -334,18 +340,11 @@ def _singular_points_from_eliminant(gt, m, elim) -> list[ProjectivePoint]:
     _, factors = factor_over_q(elim)
     for factor, _mult in factors:
         if factor.degree == 1:
-            x0 = -factor.coeffs[0] / factor.coeffs[1]
-            slices = [_slice_poly(gi, x0) for gi in gt]
-            h = poly_gcd(slices[0], poly_gcd(slices[1], slices[2]))
-            if h.degree <= 0:
-                continue
-            rat_deg = 0
-            for z0, zmult in rational_roots(h):
-                points.append(ProjectivePoint(*mat3_vec(back, (x0, Fraction(1), z0))))
-                rat_deg += zmult
-            if rat_deg != h.degree:
+            fiber_points, complete = _lift_fiber(gt, back, -factor.coeffs[0] / factor.coeffs[1])
+            if not complete:
                 raise UnsupportedFieldError(
                     "singular point with irrational coordinates over a rational fiber")
+            points.extend(fiber_points)
         else:
             # Roots of this factor are irrational; the fiber test runs in
             # the extension field Q[x]/(factor), where a non-constant gcd
@@ -353,14 +352,7 @@ def _singular_points_from_eliminant(gt, m, elim) -> list[ProjectivePoint]:
             if _extension_fiber_gcd_degree(gt, factor) > 0:
                 raise UnsupportedFieldError(
                     "singular point with irrational coordinates")
-    # Deduplicate while keeping deterministic order.
-    seen = set()
-    unique = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    return unique
+    return list(dict.fromkeys(points))
 
 
 def _symbolic_slice(f: HomogeneousForm, modulus: UnivariatePoly) -> list[UnivariatePoly]:

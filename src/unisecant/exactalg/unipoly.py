@@ -13,6 +13,7 @@ to sympy (Zassenhaus/LLL); everything else is self-contained.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 import sympy
 
@@ -384,6 +385,14 @@ def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
             roots.append((-p.coeffs[0] / p.coeffs[1], mult))
     roots.sort(key=lambda t: t[0])
     return roots
+
+
+def integer_nodes():
+    """Interpolation nodes 0, 1, -1, 2, -2, ... (unbounded; callers take what they need)."""
+    yield Fraction(0)
+    for a in count(1):
+        yield Fraction(a)
+        yield Fraction(-a)
 
 
 def interpolate(points: list[tuple[Fraction, Fraction]]) -> UnivariatePoly:

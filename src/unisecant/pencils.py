@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import (
     DegeneratePencilError,
@@ -42,6 +43,7 @@ from .exactalg import (
     UnivariatePoly,
     clear_denominators,
     factor_over_q,
+    integer_nodes,
     interpolate,
     is_reduced_form,
     mat3_det,
@@ -52,6 +54,7 @@ from .exactalg import (
 )
 from .cubic import (
     WeierstrassData,
+    first_rational_flex,
     flexes,
     is_smooth_cubic,
     j_invariant,
@@ -302,15 +305,8 @@ def pencil_discriminant(pencil: Pencil) -> PencilDiscriminant:
     the interpolation.  Degree 12 is forced by homogenization: the deficit
     of the affine slice is exactly the vanishing order at the member g.
     """
-    values = []
-    u = 0
-    while len(values) < DISC_DEGREE + 1:
-        for cand in (u, -u) if u else (0,):
-            if len(values) > DISC_DEGREE:
-                break
-            member = pencil.member(cand, 1)
-            values.append((Fraction(cand), ternary_discriminant(member)))
-        u += 1
+    values = [(u, ternary_discriminant(pencil.member(u, 1)))
+              for u in islice(integer_nodes(), DISC_DEGREE + 1)]
     affine = interpolate(values)
     if affine.is_zero():
         raise DegeneratePencilError("pencil discriminant vanishes identically")
@@ -595,10 +591,7 @@ def unisecant_count_k3(curve: HomogeneousForm) -> UnisecantCount:
     """
     if not is_smooth_cubic(curve):
         raise DomainError("unisecant counting needs a smooth cubic")
-    _, rational_flexes = flexes(curve)
-    if not rational_flexes:
-        raise UnsupportedFieldError("no rational flex to normalize at")
-    w = weierstrass_at_flex(curve, rational_flexes[0])
+    w = weierstrass_at_flex(curve, first_rational_flex(flexes(curve)))
     count, _kinds = flex_pencil_count(w)
     primitives = primitive_contact_count(3)
     total = 9 * count + 4 * primitives

@@ -68,7 +68,7 @@ def curve_germ(f: HomogeneousForm, p: ProjectivePoint) -> BivariatePoly:
         raise DomainError("zero form has no germ")
     chart = p.first_nonzero_index()
     others = [i for i in range(3) if i != chart]
-    aff = BivariatePoly.from_affine_dict(f.dehomogenize(chart))
+    aff = BivariatePoly(f.dehomogenize(chart))
     u0 = p.coords[others[0]] / p.coords[chart]
     v0 = p.coords[others[1]] / p.coords[chart]
     return aff.translate(u0, v0)
@@ -119,6 +119,33 @@ class ResolutionNode:
         return sum(n.mu * (n.mu - 1) // 2 for n in self.all_nodes())
 
 
+def _blowup(germ: BivariatePoly, mu: int, move: tuple) -> BivariatePoly:
+    """Proper transform of a germ of multiplicity mu at one exceptional-line point.
+
+    ("A", c) is the point y/x = c of chart A, moved to the origin; ("B",)
+    is the origin of chart B, the vertical direction.
+    """
+    if move == ("B",):
+        return germ.blowup_chart_b(mu)
+    return germ.blowup_chart_a(mu).translate(0, move[1])
+
+
+def _tangent_cone(germ: BivariatePoly, mu: int) -> tuple[UnivariatePoly, bool]:
+    """The transform on the exceptional line: the tangent cone in the slope y/x.
+
+    Its roots are the chart-A points the transform passes through; the
+    flag says whether it passes through the chart-B origin as well (the
+    cone lacks the y^mu term).
+    """
+    cone = UnivariatePoly([germ.coeffs.get((mu - j, j), 0) for j in range(mu + 1)])
+    return cone, cone.degree < mu
+
+
+def _moves(slopes: list[Fraction], vertical: bool) -> list[tuple]:
+    """Centers for ``_blowup``: the chart-A slopes, then the vertical direction."""
+    return [("A", c) for c in slopes] + ([("B",)] if vertical else [])
+
+
 def _resolve_germ(germ: BivariatePoly, depth: int) -> ResolutionNode | None:
     """Blow up until the proper transform is smooth at every point over the origin.
 
@@ -134,25 +161,16 @@ def _resolve_germ(germ: BivariatePoly, depth: int) -> ResolutionNode | None:
     if mu <= 1:
         return None
     node = ResolutionNode(mu, germ)
-    chart_a = germ.blowup_chart_a(mu)
-    on_e = chart_a.restrict_x(0)
-    # on_e is the dehomogenized tangent cone; nonzero of degree <= mu.
-    assert not on_e.is_zero()
-    for root, mult in _roots_with_irrational_guard(on_e):
-        child_germ = chart_a.translate(0, root)
-        child = _resolve_germ(child_germ, depth + 1)
+    cone, vertical = _tangent_cone(germ, mu)
+    for move in _moves(_roots_with_irrational_guard(cone), vertical):
+        child = _resolve_germ(_blowup(germ, mu, move), depth + 1)
         if child is not None:
-            node.moves.append((("A", root), child))
-    chart_b = germ.blowup_chart_b(mu)
-    if chart_b.evaluate(0, 0) == 0:
-        child = _resolve_germ(chart_b, depth + 1)
-        if child is not None:
-            node.moves.append((("B",), child))
+            node.moves.append((move, child))
     return node
 
 
-def _roots_with_irrational_guard(p: UnivariatePoly):
-    """Rational roots of p with multiplicities.
+def _roots_with_irrational_guard(p: UnivariatePoly) -> list[Fraction]:
+    """Rational roots of p.
 
     A simple root of the exceptional-line restriction is automatically a
     smooth point of the transform, so irrational simple roots are safely
@@ -160,14 +178,26 @@ def _roots_with_irrational_guard(p: UnivariatePoly):
     near point and raises.
     """
     _, factors = factor_over_q(p)
-    out = []
-    for fac, mult in factors:
-        if fac.degree == 1:
-            out.append((-fac.coeffs[0] / fac.coeffs[1], mult))
-        elif mult >= 2:
-            raise UnsupportedFieldError(
-                "repeated irrational tangent direction in the resolution")
-    return out
+    if any(fac.degree > 1 and mult >= 2 for fac, mult in factors):
+        raise UnsupportedFieldError("repeated irrational tangent direction in the resolution")
+    return [-fac.coeffs[0] / fac.coeffs[1] for fac, _ in factors if fac.degree == 1]
+
+
+def _shared_moves(f: BivariatePoly, mf: int, g: BivariatePoly, mg: int) -> list[tuple]:
+    """Exceptional-line points through which both proper transforms pass.
+
+    Raises UnsupportedFieldError when a shared direction is irrational.
+    """
+    cone_f, vertical_f = _tangent_cone(f, mf)
+    cone_g, vertical_g = _tangent_cone(g, mg)
+    h = poly_gcd(cone_f, cone_g)
+    slopes = []
+    if h.degree > 0:
+        roots = rational_roots(h)
+        if sum(m for _, m in roots) != h.degree:
+            raise UnsupportedFieldError("irrational common tangent direction")
+        slopes = [r for r, _ in roots]
+    return _moves(slopes, vertical_f and vertical_g)
 
 
 @dataclass
@@ -320,20 +350,9 @@ def _germ_intersection_blowup(fg: BivariatePoly, gg: BivariatePoly,
         return 0
     mf, mg = fg.multiplicity(), gg.multiplicity()
     total = mf * mg
-    fa = fg.blowup_chart_a(mf)
-    ga = gg.blowup_chart_a(mg)
-    h = poly_gcd(fa.restrict_x(0), ga.restrict_x(0))
-    if h.degree > 0:
-        rational = rational_roots(h)
-        if sum(m for _, m in rational) != h.degree:
-            raise UnsupportedFieldError("irrational common tangent direction")
-        for root, _ in rational:
-            total += _germ_intersection_blowup(
-                fa.translate(0, root), ga.translate(0, root), depth + 1)
-    fb = fg.blowup_chart_b(mf)
-    gb = gg.blowup_chart_b(mg)
-    if fb.evaluate(0, 0) == 0 and gb.evaluate(0, 0) == 0:
-        total += _germ_intersection_blowup(fb, gb, depth + 1)
+    for move in _shared_moves(fg, mf, gg, mg):
+        total += _germ_intersection_blowup(
+            _blowup(fg, mf, move), _blowup(gg, mg, move), depth + 1)
     return total
 
 
@@ -364,57 +383,35 @@ def local_intersection(f: HomogeneousForm, g: HomogeneousForm,
 # Weak types and the intersection identity
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WeakNode:
-    """Required (or observed) multiplicities along a resolution tree."""
-
-    delta: int
-    moves: list[tuple[tuple, "WeakNode"]] = field(default_factory=list)
-
-    def all_nodes(self) -> list["WeakNode"]:
-        out = [self]
-        for _, child in self.moves:
-            out.extend(child.all_nodes())
-        return out
-
-
-def companion_multiplicities(node: ResolutionNode, companion: BivariatePoly) -> WeakNode:
+def companion_multiplicities(node: ResolutionNode, companion: BivariatePoly) -> list[int]:
     """Actual multiplicities of a companion curve's transforms along a tree.
 
     Replays the blow-ups that resolve the base curve while carrying the
     companion germ: at each center the companion's multiplicity is
     recorded and its proper transform (pullback minus that multiple of the
-    exceptional line) moves on to the children.
+    exceptional line) moves on to the children.  The list is aligned with
+    ``node.all_nodes()``.
     """
-    if companion.is_zero() or companion.evaluate(0, 0) != 0:
-        delta = 0
-    else:
-        delta = companion.multiplicity()
-    out = WeakNode(delta)
+    through_center = not companion.is_zero() and companion.evaluate(0, 0) == 0
+    delta = companion.multiplicity() if through_center else 0
+    out = [delta]
     for move, child in node.moves:
-        if move[0] == "A":
-            transformed = companion.blowup_chart_a(delta).translate(0, move[1])
-        else:
-            transformed = companion.blowup_chart_b(delta)
-        out.moves.append((move, companion_multiplicities(child, transformed)))
+        out.extend(companion_multiplicities(child, _blowup(companion, delta, move)))
     return out
 
 
-def mu_minus_one(node: ResolutionNode) -> WeakNode:
-    """The requirement tree with every multiplicity lowered by one."""
-    out = WeakNode(max(node.mu - 1, 0))
-    for move, child in node.moves:
-        out.moves.append((move, mu_minus_one(child)))
-    return out
+def mu_minus_one(node: ResolutionNode) -> list[int]:
+    """The requirement list (aligned with ``node.all_nodes()``): every mu lowered by one."""
+    return [max(mu - 1, 0) for mu in node.multiplicities()]
 
 
-def weak_type_check(g: HomogeneousForm, required: list[tuple[ProjectivePoint, WeakNode]],
+def weak_type_check(g: HomogeneousForm, required: list[tuple[ProjectivePoint, list[int]]],
                     along: SingularityProfile) -> bool:
     """Does g meet the required multiplicities at every infinitely near point?
 
     Equivalent to effectivity of the successive pullbacks of g minus the
-    required multiples of the exceptional divisors.  The requirement trees
-    must be shaped like the profile's trees (same centers).
+    required multiples of the exceptional divisors.  Each requirement is a
+    list of multiplicities aligned with the tree's ``all_nodes()``.
     """
     req_by_point = {p: w for p, w in required}
     if set(req_by_point) != {pr.point for pr in along.points if pr.tree is not None}:
@@ -423,21 +420,10 @@ def weak_type_check(g: HomogeneousForm, required: list[tuple[ProjectivePoint, We
         if pr.tree is None:
             continue
         actual = companion_multiplicities(pr.tree, curve_germ(g, pr.point))
-        if not _dominates(actual, req_by_point[pr.point], pr.tree):
-            return False
-    return True
-
-
-def _dominates(actual: WeakNode, required: WeakNode, shape: ResolutionNode) -> bool:
-    if actual.delta < required.delta:
-        return False
-    actual_children = dict((move, child) for move, child in actual.moves)
-    required_children = dict((move, child) for move, child in required.moves)
-    if set(actual_children) != set(required_children):
-        raise DomainError("requirement tree shape mismatch")
-    for move, req_child in required_children.items():
-        shape_child = next(c for m, c in shape.moves if m == move)
-        if not _dominates(actual_children[move], req_child, shape_child):
+        need = req_by_point[pr.point]
+        if len(need) != len(actual):
+            raise DomainError("requirement tree shape mismatch")
+        if any(a < r for a, r in zip(actual, need)):
             return False
     return True
 
@@ -470,33 +456,14 @@ def _residual_after_tree(node: ResolutionNode, companion: BivariatePoly,
     if companion.evaluate(0, 0) != 0:
         return 0
     delta = companion.multiplicity()
-    comp_a = companion.blowup_chart_a(delta)
-    base_a = node.germ.blowup_chart_a(node.mu)
+    children = dict(node.moves)
     total = 0
-    h = poly_gcd(base_a.restrict_x(0), comp_a.restrict_x(0))
-    tree_moves = {move for move, _ in node.moves}
-    if h.degree > 0:
-        roots = rational_roots(h)
-        if sum(m for _, m in roots) != h.degree:
-            raise UnsupportedFieldError("irrational common direction in the residual")
-        for root, _ in roots:
-            move = ("A", root)
-            base_child = base_a.translate(0, root)
-            comp_child = comp_a.translate(0, root)
-            if move in tree_moves:
-                child = next(c for m, c in node.moves if m == move)
-                total += _residual_after_tree(child, comp_child, depth + 1)
-            else:
-                total += _germ_intersection_resultant(base_child, comp_child)
-    base_b = node.germ.blowup_chart_b(node.mu)
-    comp_b = companion.blowup_chart_b(delta)
-    if base_b.evaluate(0, 0) == 0 and comp_b.evaluate(0, 0) == 0:
-        move = ("B",)
-        if move in tree_moves:
-            child = next(c for m, c in node.moves if m == move)
-            total += _residual_after_tree(child, comp_b, depth + 1)
+    for move in _shared_moves(node.germ, node.mu, companion, delta):
+        comp_child = _blowup(companion, delta, move)
+        if move in children:
+            total += _residual_after_tree(children[move], comp_child, depth + 1)
         else:
-            total += _germ_intersection_resultant(base_b, comp_b)
+            total += _germ_intersection_resultant(_blowup(node.germ, node.mu, move), comp_child)
     return total
 
 
@@ -534,7 +501,7 @@ def blowup_intersection_identity(f: HomogeneousForm, g: HomogeneousForm,
                 pr = singular_points[p]
                 comp = curve_germ(g, p)
                 weak = companion_multiplicities(pr.tree, comp)
-                mu_delta = _pairing(pr.tree, weak)
+                mu_delta = sum(mu * d for mu, d in zip(pr.tree.multiplicities(), weak))
                 residual = _residual_after_tree(pr.tree, comp)
                 if ip != mu_delta + residual:
                     raise UnisecantError(
@@ -551,14 +518,6 @@ def blowup_intersection_identity(f: HomogeneousForm, g: HomogeneousForm,
     transform_term += irrational_mass + mixed_mass
     rhs = transform_term + contact_term
     return BlowupIdentity(lhs, rhs, transform_term, contact_term)
-
-
-def _pairing(tree: ResolutionNode, weak: WeakNode) -> int:
-    total = tree.mu * weak.delta
-    weak_children = dict(weak.moves)
-    for move, child in tree.moves:
-        total += _pairing(child, weak_children[move])
-    return total
 
 
 # ---------------------------------------------------------------------------

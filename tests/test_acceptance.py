@@ -27,7 +27,6 @@ from unisecant.torsion import (
 from unisecant.cubic import (
     AffineECPoint,
     ec_scalar_mul,
-    flex_intersection_data,
     flexes,
     hessian,
     kubert_z6_curve,
@@ -112,7 +111,7 @@ def test_acceptance_04_flexes():
     assert hessian(fermat) == H(3, {(1, 1, 1): 216})
     for form in fixtures:
         t1 = time.perf_counter()
-        data = flex_intersection_data(form)
+        data = flexes(form)
         assert data.eliminant.degree == 9
         assert squarefree_part(data.eliminant).degree == 9
         worst = max(worst, time.perf_counter() - t1)
@@ -288,7 +287,7 @@ def test_acceptance_13_j_invariant():
         if mat3_det(m) == 0:
             continue
         moved = form.substitute(m)
-        _, pts = flexes(moved)
+        pts = flexes(moved).points
         assert pts
         assert j_invariant(weierstrass_at_flex(moved, pts[0])) == j0
         done += 1

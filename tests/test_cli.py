@@ -3,6 +3,9 @@
 import json
 import os
 
+import pytest
+
+import unisecant.cubic as cubic_mod
 from unisecant.cli import main
 from unisecant.cubic import kubert_z6_curve
 from unisecant.exactalg import mat3
@@ -162,6 +165,41 @@ class TestVerificationAndErrors:
                                  self._moved_z6_file(tmp_path, "5"))
         assert code == 1 and out == ""
         assert "recomputed 2, >5, >5" in err
+
+    @pytest.mark.parametrize("command", ["flexes", "jinv"])
+    def test_flex_data_from_load_is_reused(self, capsys, monkeypatch, command):
+        # The torsion claim makes the loader intersect the curve with its
+        # Hessian; the command must reuse that intersection.
+        calls = []
+        original = cubic_mod.plane_intersection
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cubic_mod, "plane_intersection", counting)
+        code, _, err = run_cli(capsys, command, "--cubic", fixture_path("z9_d2.json"))
+        assert code == 0, err
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("claims", [
+        {"torsion_points": [{"order": "9"}]},
+        {"torsion_points": [{"point": ["1", "0", "0"], "order": "nine"}]},
+        {"flexes": [5]},
+        {"torsion_points": 5},
+        {"torsion_points": [{"point": ["1", "0", "0"], "order": "-3"}]},
+    ], ids=["missing-point", "order-not-a-number", "flex-not-a-list",
+            "claims-not-a-list", "negative-order"])
+    def test_malformed_claims_exit_2(self, capsys, tmp_path, claims):
+        with open(fixture_path("z9_d2.json")) as fh:
+            data = json.load(fh)
+        data.pop("torsion_points")
+        data.update(claims)
+        bad = tmp_path / "bad_claims.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "flexes", "--cubic", os.fspath(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -18,7 +18,6 @@ from unisecant.cubic import (
     WeierstrassData,
     ec_add,
     ec_scalar_mul,
-    flex_intersection_data,
     flexes,
     general_weierstrass_cubic,
     hessian,
@@ -75,20 +74,21 @@ class TestHessian:
 
 class TestFlexes:
     def test_fermat_count_and_rational_points(self, fermat):
-        count, pts = flexes(fermat)
+        data = flexes(fermat)
+        count, pts = data.eliminant.degree, data.points
         assert count == 9
         assert set(pts) == {ProjectivePoint(1, -1, 0), ProjectivePoint(1, 0, -1),
                             ProjectivePoint(0, 1, -1)}
 
     def test_normal_form_flex_at_infinity(self):
         form = weierstrass_normal_form(-4, 0)
-        _, pts = flexes(form)
+        pts = flexes(form).points
         assert ProjectivePoint(0, 0, 1) in pts
 
     def test_nine_distinct_on_fixtures(self, fermat):
         for form in (fermat, weierstrass_normal_form(-4, 0),
                      weierstrass_normal_form(0, F(-1, 4))):
-            data = flex_intersection_data(form)
+            data = flexes(form)
             assert data.eliminant.degree == 9
             assert squarefree_part(data.eliminant).degree == 9
 
@@ -143,7 +143,7 @@ class TestJInvariant:
         assert j_invariant(w) == 1728
 
     def test_equal_at_different_flexes(self, fermat):
-        _, pts = flexes(fermat)
+        pts = flexes(fermat).points
         values = {j_invariant(weierstrass_at_flex(fermat, p)) for p in pts}
         assert values == {F(0)}
 
@@ -158,7 +158,7 @@ class TestJInvariant:
             if mat3_det(m) == 0:
                 continue
             moved = form.substitute(m)
-            _, pts = flexes(moved)
+            pts = flexes(moved).points
             assert pts, "coordinate change lost all rational flexes"
             assert j_invariant(weierstrass_at_flex(moved, pts[0])) == j0
             done += 1

@@ -139,7 +139,7 @@ class TestFlexPencil:
         assert all(r.multiplicity == 1 for r in rational)
 
     def test_constant_across_flexes(self, fermat):
-        _, pts = flexes(fermat)
+        pts = flexes(fermat).points
         counts = {tuple([c, tuple(kinds)])
                   for c, kinds in (flex_pencil_count(weierstrass_at_flex(fermat, p))
                                    for p in pts)}

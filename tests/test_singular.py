@@ -9,6 +9,7 @@ from unisecant.errors import (
     CommonComponentError,
     DegenerateFamilyError,
     DomainError,
+    UnsupportedFieldError,
 )
 from unisecant.exactalg import HomogeneousForm, ProjectivePoint, UnivariatePoly
 from unisecant.singular import (
@@ -140,6 +141,22 @@ class TestLocalIntersection:
         assert local_intersection(nodal_cubic, H.linear(1, 0, 0), P(0, 0, 1)) == 2
 
 
+class TestIrrationalTangents:
+    # Two nodes at (0:0:1) sharing the irrational tangents y = +-sqrt(2) x.
+    F = H(3, {(0, 2, 1): 1, (2, 0, 1): -2, (3, 0, 0): 1})
+    G = H(3, {(0, 2, 1): 1, (2, 0, 1): -2, (0, 3, 0): 1})
+
+    def test_local_intersection_from_resultant_path(self):
+        # The blow-up path refuses the irrational common directions, so the
+        # resultant value stands: two tangent branch pairs of contact 2 plus
+        # two transversal pairs.
+        assert local_intersection(self.F, self.G, ProjectivePoint(0, 0, 1)) == 6
+
+    def test_identity_refuses_irrational_common_direction(self):
+        with pytest.raises(UnsupportedFieldError):
+            blowup_intersection_identity(self.F, self.G)
+
+
 class TestBlowupIdentity:
     def test_nodal_cubic_line_through_node(self, nodal_cubic):
         line = H.linear(1, 0, 0)
@@ -185,6 +202,12 @@ class TestWeakTypes:
         line = H.linear(1, 1, 1)           # misses the node
         assert not weak_type_check(line, required, profile)
 
+    def test_requirement_of_wrong_length_rejected(self, nodal_cubic):
+        profile = SingularityProfile.of_curve(nodal_cubic)
+        required = [(pr.point, mu_minus_one(pr.tree) + [0]) for pr in profile.points]
+        with pytest.raises(DomainError):
+            weak_type_check(H.linear(1, 0, 0), required, profile)
+
     def test_type_mu_satisfies_weak_type_mu(self, tricuspidal_quartic):
         # A curve's own transforms meet exactly its multiplicities.
         profile = SingularityProfile.of_curve(tricuspidal_quartic)
@@ -192,8 +215,7 @@ class TestWeakTypes:
             observed = companion_multiplicities(
                 pr.tree, curve_germ(tricuspidal_quartic, pr.point))
             tree_nodes = pr.tree.all_nodes()
-            weak_nodes = observed.all_nodes()
-            assert [n.mu for n in tree_nodes] == [n.delta for n in weak_nodes]
+            assert [n.mu for n in tree_nodes] == observed
 
 
 class TestBezoutRandomized:
