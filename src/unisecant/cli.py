@@ -86,7 +86,10 @@ def _parse_point(text: str) -> ProjectivePoint:
     parts = text.split(",")
     if len(parts) != 3:
         raise InputError("point must be written as x,y,z")
-    return ProjectivePoint(*[rational_from_string(p) for p in parts])
+    try:
+        return ProjectivePoint(*[rational_from_string(p) for p in parts])
+    except DomainError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def load_curve_file(path: str) -> tuple[HomogeneousForm, IntersectionData | None]:

@@ -110,9 +110,6 @@ class WeierstrassData:
         inv = mat3_inv(mat3_transpose(self.transform))
         return ProjectivePoint(*mat3_vec(inv, p.coords))
 
-    def from_normal_point(self, p: ProjectivePoint) -> ProjectivePoint:
-        return ProjectivePoint(*mat3_vec(mat3_transpose(self.transform), p.coords))
-
     def is_smooth(self) -> bool:
         return self.alpha**3 + 27 * self.beta**2 != 0
 
@@ -134,10 +131,10 @@ def weierstrass_at_flex(f: HomogeneousForm, p: ProjectivePoint) -> WeierstrassDa
     The transform is assembled in four exact steps: move the flex to
     (0:0:1) with tangent {X0 = 0}; complete the square in X2; complete the
     cube in X1; rescale X0 to make the coefficients (1, -4).  Each step is
-    a rational matrix, so the composite is exact.
+    a rational matrix, so the composite is exact.  Smoothness is decided
+    once, on the verified normal form: the cubic is smooth exactly when
+    alpha^3 + 27 beta^2 != 0, and a singular one raises DomainError there.
     """
-    if not is_smooth_cubic(f):
-        raise DomainError("weierstrass normalization needs a smooth cubic")
     if not is_flex(f, p):
         raise DomainError(f"{p} is not a flex of the cubic")
     grad = [g.evaluate(p.coords) for g in f.gradient()]
@@ -168,14 +165,18 @@ def weierstrass_at_flex(f: HomogeneousForm, p: ProjectivePoint) -> WeierstrassDa
     if f.substitute(transform) != data.normal_form().scale(scale):
         raise DomainError("normalization lost exactness; input is not a smooth cubic "
                           "with a rational flex")
+    if not data.is_smooth():
+        raise DomainError("weierstrass normalization needs a smooth cubic")
     return data
 
 
 def _flex_frame(p: ProjectivePoint, grad) -> Mat3:
     """A matrix whose row 2 is the flex and whose frame sends the tangent to X0=0.
 
-    Rows 1, 2 must annihilate the tangent covector; row 0 must not.
-    Deterministic search over a small candidate basis.
+    Rows 1 and 2 span the tangent plane l^perp (l = grad): the flex lies on
+    its tangent by Euler's identity, and row 1 is the first oriented
+    l-orthogonal candidate not proportional to it.  Row 0 is the first unit
+    vector off the tangent (l_i != 0), which completes the frame.
     """
     l = [Fraction(g) for g in grad]
     if all(x == 0 for x in l):
@@ -187,34 +188,9 @@ def _flex_frame(p: ProjectivePoint, grad) -> Mat3:
     ]
     # Orient each candidate (first nonzero entry positive) so an
     # already-normal curve normalizes with the identity transform.
-    candidates = [_orient(v) for v in candidates]
-    row2 = tuple(p.coords)
-    row1 = None
-    for v in candidates:
-        if all(x == 0 for x in v):
-            continue
-        # Independence from the flex row.
-        test = [[v[0], v[1], v[2]], [row2[0], row2[1], row2[2]], [0, 0, 0]]
-        if any(_minor2(test, j) != 0 for j in range(3)):
-            row1 = v
-            break
-    if row1 is None:
-        raise DomainError("could not build a tangent frame")
-    basis = [(Fraction(1), Fraction(0), Fraction(0)),
-             (Fraction(0), Fraction(1), Fraction(0)),
-             (Fraction(0), Fraction(0), Fraction(1))]
-    for e in basis:
-        m = mat3([list(e), list(row1), list(row2)])
-        if mat3_det(m) != 0 and sum(e[i] * l[i] for i in range(3)) != 0:
-            return m
-    # Fall back to sums of basis vectors.
-    for i in range(3):
-        for j in range(3):
-            e = tuple(Fraction(1 if k in (i, j) else 0) for k in range(3))
-            m = mat3([list(e), list(row1), list(row2)])
-            if mat3_det(m) != 0 and sum(e[k] * l[k] for k in range(3)) != 0:
-                return m
-    raise DomainError("could not complete the tangent frame")
+    row1 = next(v for v in map(_orient, candidates) if any(v) and ProjectivePoint(*v) != p)
+    i = next(i for i in range(3) if l[i] != 0)
+    return mat3([[int(k == i) for k in range(3)], list(row1), list(p.coords)])
 
 
 def _orient(v):
@@ -222,12 +198,6 @@ def _orient(v):
     if pivot is not None and pivot < 0:
         return tuple(-x for x in v)
     return v
-
-
-def _minor2(rows, drop_col: int) -> Fraction:
-    cols = [j for j in range(3) if j != drop_col]
-    return (rows[0][cols[0]] * rows[1][cols[1]]
-            - rows[0][cols[1]] * rows[1][cols[0]])
 
 
 def j_invariant(w: WeierstrassData) -> Fraction:
@@ -279,11 +249,6 @@ class AffineECPoint:
         if self.infinity:
             return self
         return AffineECPoint(self.x, -self.y)
-
-    def to_projective(self) -> ProjectivePoint:
-        if self.infinity:
-            return ProjectivePoint(0, 0, 1)
-        return ProjectivePoint(1, self.x, self.y)
 
     @classmethod
     def from_projective(cls, p: ProjectivePoint) -> "AffineECPoint":

@@ -114,13 +114,6 @@ class BivariatePoly:
         return sum((c * x**i * y**j for (i, j), c in self.coeffs.items()),
                    Fraction(0))
 
-    def partial_x(self) -> "BivariatePoly":
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if i > 0:
-                out[(i - 1, j)] = out.get((i - 1, j), Fraction(0)) + i * c
-        return BivariatePoly(out)
-
     def partial_y(self) -> "BivariatePoly":
         out = {}
         for (i, j), c in self.coeffs.items():

@@ -227,9 +227,9 @@ class HomogeneousForm:
             coeffs = {}
             for a, b, c, s in entries:
                 coeffs[(int(a), int(b), int(c))] = rational_from_string(str(s))
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(degree, coeffs)
+        except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise InputError(f"malformed form serialization: {exc}") from exc
-        return cls(degree, coeffs)
 
 
 class ProjectivePoint:
@@ -279,7 +279,10 @@ class ProjectivePoint:
     def from_json_list(cls, data) -> "ProjectivePoint":
         if len(data) != 3:
             raise InputError("projective point needs 3 coordinates")
-        return cls(*[rational_from_string(str(v)) for v in data])
+        try:
+            return cls(*[rational_from_string(str(v)) for v in data])
+        except DomainError as exc:
+            raise InputError(str(exc)) from exc
 
 
 def euler_combination(f: HomogeneousForm) -> HomogeneousForm:

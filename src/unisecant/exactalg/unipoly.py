@@ -48,10 +48,6 @@ class UnivariatePoly:
         return cls((1,))
 
     @classmethod
-    def x(cls) -> "UnivariatePoly":
-        return cls((0, 1))
-
-    @classmethod
     def constant(cls, c) -> "UnivariatePoly":
         return cls((c,))
 

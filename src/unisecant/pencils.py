@@ -46,8 +46,8 @@ from .exactalg import (
     integer_nodes,
     interpolate,
     is_reduced_form,
-    mat3_det,
     nullspace,
+    rank,
     rational_to_string,
     ternary_discriminant,
     yun_decomposition,
@@ -373,7 +373,7 @@ def _classify_at(member: HomogeneousForm, p: ProjectivePoint) -> str:
     raise DomainError("double point is neither a node nor a simple cusp")
 
 
-def member_singular_at(pencil: Pencil, p: ProjectivePoint | None = None) -> PencilParameter:
+def member_singular_at(pencil: Pencil) -> PencilParameter:
     """The unique pencil parameter whose member is singular at the contact point.
 
     Both generators osculate the cubic at the point, so their gradients
@@ -381,9 +381,7 @@ def member_singular_at(pencil: Pencil, p: ProjectivePoint | None = None) -> Penc
     the contact generator is the cube of the inflection line and is itself
     singular at the point: the parameter (1 : 0) is returned with a flag.
     """
-    p = p or pencil.point
-    if p != pencil.point:
-        raise DomainError("the singular member is computed at the pencil's contact point")
+    p = pencil.point
     grad_g = [d.evaluate(p.coords) for d in pencil.g.gradient()]
     grad_f = [d.evaluate(p.coords) for d in pencil.f.gradient()]
     if all(x == 0 for x in grad_f):
@@ -589,8 +587,6 @@ def unisecant_count_k3(curve: HomogeneousForm) -> UnisecantCount:
     of the 72 primitive third-level points contributes 4; hence 306 in
     general and 297 exactly in the j = 0 class.
     """
-    if not is_smooth_cubic(curve):
-        raise DomainError("unisecant counting needs a smooth cubic")
     w = weierstrass_at_flex(curve, first_rational_flex(flexes(curve)))
     count, _kinds = flex_pencil_count(w)
     primitives = primitive_contact_count(3)
@@ -620,13 +616,10 @@ def contact_conic_check(curve: HomogeneousForm, p: ProjectivePoint) -> str:
     if system.dimension != 1:
         raise UnisecantError("contact conic system has unexpected dimension")
     q = system.basis[0]
-    m = _conic_matrix(q)
-    if mat3_det(m) != 0:
+    r = rank(_conic_matrix(q), 3)
+    if r == 3:
         return IRREDUCIBLE_CONIC
-    minors = [m[i][j] * m[k][l] - m[i][l] * m[k][j]
-              for i, k in ((0, 1), (0, 2), (1, 2))
-              for j, l in ((0, 1), (0, 2), (1, 2))]
-    if any(x != 0 for x in minors):
+    if r == 2:
         raise UnisecantError("rank-2 contact conic: two distinct lines cannot both osculate")
     return DOUBLE_LINE
 

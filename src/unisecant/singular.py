@@ -42,7 +42,7 @@ from .exactalg import (
     ProjectivePoint,
     UnivariatePoly,
     factor_over_q,
-    is_irreducible_form,
+    form_factorization,
     is_reduced_form,
     plane_intersection,
     poly_gcd,
@@ -276,9 +276,10 @@ def geometric_genus(f: HomogeneousForm, assume_irreducible: bool = False) -> int
     """
     if f.is_zero() or f.degree < 1:
         raise DomainError("genus needs a curve of degree >= 1")
-    if not is_reduced_form(f):
+    factors = form_factorization(f)
+    if any(mult > 1 for _, mult in factors):
         raise DomainError("curve is not reduced")
-    if not assume_irreducible and not is_irreducible_form(f):
+    if not assume_irreducible and len(factors) > 1:
         raise DomainError("curve is reducible over Q (pass assume_irreducible to override)")
     d = f.degree
     profile = SingularityProfile.of_curve(f, check_reduced=False)

@@ -17,6 +17,20 @@ def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
 
 
+def count_calls(monkeypatch, name: str, *modules) -> list:
+    """Record the arguments of every call made to ``name`` through ``modules``."""
+    calls = []
+    for module in modules:
+        original = getattr(module, name)
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def load_form(name: str) -> HomogeneousForm:
     with open(fixture_path(name)) as fh:
         return HomogeneousForm.from_json_dict(json.load(fh)["form"])

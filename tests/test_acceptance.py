@@ -146,16 +146,21 @@ def test_acceptance_06_bezout_and_blowup_identity():
         return H(d, coeffs)
 
     done = 0
-    while done < 200:
+    attempts = 0
+    while done < 200 and attempts < 600:
+        attempts += 1
         f = rand_form(rng.randint(1, 4))
         g = rand_form(rng.randint(1, 4))
         if f.is_zero() or g.is_zero():
             continue
         try:
-            assert bezout_check(f, g).ok
+            check = bezout_check(f, g)
         except CommonComponentError:
             continue
+        assert check.ok, (f, g, check)
+        assert check.product == f.degree * g.degree
         done += 1
+    assert done == 200
 
     nodal = load_form("nodal_cubic.json")
     tricusp = load_form("tricuspidal_quartic.json")

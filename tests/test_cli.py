@@ -6,10 +6,12 @@ import os
 import pytest
 
 import unisecant.cubic as cubic_mod
+import unisecant.exactalg.elim as elim_mod
+import unisecant.pencils as pencils_mod
 from unisecant.cli import main
 from unisecant.cubic import kubert_z6_curve
 from unisecant.exactalg import mat3
-from conftest import fixture_path
+from conftest import count_calls, fixture_path
 
 
 def run_cli(capsys, *argv):
@@ -170,15 +172,16 @@ class TestVerificationAndErrors:
     def test_flex_data_from_load_is_reused(self, capsys, monkeypatch, command):
         # The torsion claim makes the loader intersect the curve with its
         # Hessian; the command must reuse that intersection.
-        calls = []
-        original = cubic_mod.plane_intersection
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cubic_mod, "plane_intersection", counting)
+        calls = count_calls(monkeypatch, "plane_intersection", cubic_mod)
         code, _, err = run_cli(capsys, command, "--cubic", fixture_path("z9_d2.json"))
+        assert code == 0, err
+        assert len(calls) == 1
+
+    def test_jinv_decides_smoothness_once(self, capsys, monkeypatch):
+        # Smoothness is tested once, by the loader's flexes; the
+        # normalizations read it off the normal form.
+        calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod, pencils_mod)
+        code, _, err = run_cli(capsys, "jinv", "--cubic", fixture_path("z9_d2.json"))
         assert code == 0, err
         assert len(calls) == 1
 
@@ -188,8 +191,11 @@ class TestVerificationAndErrors:
         {"flexes": [5]},
         {"torsion_points": 5},
         {"torsion_points": [{"point": ["1", "0", "0"], "order": "-3"}]},
+        {"flexes": [["0", "0", "0"]]},
+        {"form": {"degree": 3, "coeffs": [[2, 2, 0, "1"]]}},
     ], ids=["missing-point", "order-not-a-number", "flex-not-a-list",
-            "claims-not-a-list", "negative-order"])
+            "claims-not-a-list", "negative-order", "flex-at-origin",
+            "exponents-off-degree"])
     def test_malformed_claims_exit_2(self, capsys, tmp_path, claims):
         with open(fixture_path("z9_d2.json")) as fh:
             data = json.load(fh)
@@ -198,6 +204,12 @@ class TestVerificationAndErrors:
         bad = tmp_path / "bad_claims.json"
         bad.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "flexes", "--cubic", os.fspath(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    def test_point_at_origin_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "resolve", "--curve",
+                                 fixture_path("nodal_cubic.json"), "--point", "0,0,0")
         assert code == 2 and out == ""
         assert err.startswith("error:")
 

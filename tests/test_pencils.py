@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import unisecant.exactalg.elim as elim_mod
+import unisecant.pencils as pencils_mod
 from unisecant.errors import DomainError
 from unisecant.exactalg import HomogeneousForm, ProjectivePoint, squarefree_part
 from unisecant.cubic import (
@@ -32,6 +34,7 @@ from unisecant.pencils import (
     singular_member_report,
     unisecant_count_k3,
 )
+from conftest import count_calls
 
 H = HomogeneousForm
 P = ProjectivePoint
@@ -206,6 +209,12 @@ class TestNonflexAccounting:
         rational = [r for r in accounting.report.records if r.parameter is not None]
         assert all(r.classification == NODE for r in rational)
 
+    def test_smoothness_decided_once(self, monkeypatch):
+        # One test in flexes, one in contact_system, 14 discriminant values.
+        calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod, pencils_mod)
+        nonflex_fiber_accounting(*kubert_z9_curve(2))
+        assert len(calls) == 16
+
     def test_wrong_order_rejected(self):
         form6, p6 = kubert_z6_curve(1)
         with pytest.raises(DomainError):
@@ -235,6 +244,11 @@ class TestUnisecantCount:
     def test_singular_rejected(self, nodal_cubic):
         with pytest.raises(DomainError):
             unisecant_count_k3(nodal_cubic)
+
+    def test_smoothness_decided_once(self, fermat, monkeypatch):
+        calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod, pencils_mod)
+        unisecant_count_k3(fermat)
+        assert len(calls) == 1
 
 
 class TestContactConic:

@@ -1,6 +1,5 @@
 """Singularity engine: trees, genus, intersections, identity, families, bounds."""
 
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +15,6 @@ from unisecant.singular import (
     CurveFamily,
     SingularityProfile,
     ambient_genus_bound,
-    bezout_check,
     blowup_intersection_identity,
     companion_multiplicities,
     curve_germ,
@@ -216,36 +214,6 @@ class TestWeakTypes:
                 pr.tree, curve_germ(tricuspidal_quartic, pr.point))
             tree_nodes = pr.tree.all_nodes()
             assert [n.mu for n in tree_nodes] == observed
-
-
-class TestBezoutRandomized:
-    def test_two_hundred_random_coprime_pairs(self):
-        rng = random.Random(20240209)
-
-        def rand_form(d):
-            coeffs = {}
-            for a in range(d + 1):
-                for b in range(d - a + 1):
-                    if rng.random() < 0.8:
-                        coeffs[(a, b, d - a - b)] = rng.randint(-3, 3)
-            return H(d, coeffs)
-
-        done = 0
-        attempts = 0
-        while done < 200 and attempts < 600:
-            attempts += 1
-            f = rand_form(rng.randint(1, 4))
-            g = rand_form(rng.randint(1, 4))
-            if f.is_zero() or g.is_zero():
-                continue
-            try:
-                report = bezout_check(f, g)
-            except CommonComponentError:
-                continue
-            assert report.ok, (f, g, report)
-            assert report.product == f.degree * g.degree
-            done += 1
-        assert done == 200
 
 
 class TestFamilies:
