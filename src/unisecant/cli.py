@@ -50,6 +50,7 @@ from .cubic import (
     ec_scalar_mul,
     first_rational_flex,
     flexes,
+    is_smooth_cubic,
     j_invariant,
     normalized_curve_with_point,
     point_order,
@@ -65,12 +66,12 @@ from .pencils import (
 )
 from .singular import (
     CurveFamily,
-    SingularityProfile,
     ambient_genus_bound,
     bezout_check,
     family_derivative_check,
     finiteness_certificate,
     genus_bound,
+    genus_profile,
     geometric_genus,
     local_intersection,
     multiplicity_sequence,
@@ -204,11 +205,10 @@ def _cmd_jinv(args) -> int:
 
 def _cmd_genus(args) -> int:
     form, _ = load_curve_file(args.curve)
-    g = geometric_genus(form, assume_irreducible=args.assume_irreducible)
-    profile = SingularityProfile.of_curve(form)
+    profile = genus_profile(form, assume_irreducible=args.assume_irreducible)
     _emit({
         "degree": str(form.degree),
-        "genus": str(g),
+        "genus": str(geometric_genus(profile)),
         "delta": str(profile.delta_total()),
         "profiles": [p.to_json_dict() for p in profile.points],
     })
@@ -248,6 +248,8 @@ def _cmd_intersect(args) -> int:
 def _cmd_pencil_disc(args) -> int:
     form, _ = load_curve_file(args.cubic)
     point = _parse_point(args.point)
+    if not is_smooth_cubic(form):
+        raise DomainError("contact systems are defined against a smooth cubic")
     system = contact_system(form, point, 3)
     if not system.is_contact_point():
         raise DomainError(f"{point} is not a maximal-contact point at k = 3")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DomainError
+from .rationals import clear_denominators
 from .unipoly import UnivariatePoly, integer_nodes, interpolate, resultant
 
 
@@ -242,40 +243,60 @@ class BivariatePoly:
         return out
 
 
+def _integer_columns(f: BivariatePoly) -> tuple[list[list[int]], Fraction]:
+    """The primitive integer image F = c*f as (columns, c).
+
+    columns[j] lists the integer coefficients of y^j in F, ascending in x.
+    """
+    keys = list(f.coeffs)
+    ints, _ = clear_denominators([f.coeffs[k] for k in keys])
+    columns = [[0] * (f.degree_x() + 1) for _ in range(f.degree_y() + 1)]
+    for (i, j), c in zip(keys, ints):
+        columns[j][i] = c
+    return columns, Fraction(ints[0]) / f.coeffs[keys[0]]
+
+
+def _horner(cs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
 def resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
     """Resultant of f and g with respect to y: a polynomial in x.
 
-    Computed by interpolation: the Sylvester determinant is evaluated at
-    integer points x = a that avoid the zero sets of the leading
-    y-coefficients (at such points the specialized Sylvester matrix has the
-    generic shape, so the evaluation equals the specialization).
+    Computed by evaluation and interpolation on the primitive integer
+    images F = cf*f and G = cg*g: at each integer node x = a where neither
+    leading y-coefficient vanishes (there the specialized Sylvester matrix
+    has the generic shape, so the evaluation equals the specialization),
+    the y-coefficients are evaluated by integer Horner and the integer
+    resultant is taken; Newton interpolation through these values gives
+    res_y(F, G), and res_y(f, g) = res_y(F, G) / (cf^n * cg^m) with
+    m = deg_y f, n = deg_y g.
     """
     if f.is_zero() or g.is_zero():
         raise DomainError("resultant with a zero polynomial")
     m, n = f.degree_y(), g.degree_y()
     if m == 0 and n == 0:
         return UnivariatePoly.one()
-    fc = f.coeffs_in_y()
-    gc = g.coeffs_in_y()
     if m == 0:
         # res_y(f, g) = f^deg_y(g)
-        base = fc[0]
-        return base**n
+        return f.coeffs_in_y()[0] ** n
     if n == 0:
-        return gc[0] ** m
-    lcf, lcg = fc[-1], gc[-1]
+        return g.coeffs_in_y()[0] ** m
+    fcols, cf = _integer_columns(f)
+    gcols, cg = _integer_columns(g)
     deg_bound = n * f.degree_x() + m * g.degree_x()
-    points: list[tuple[Fraction, Fraction]] = []
+    points: list[tuple[int, Fraction]] = []
     for x0 in integer_nodes():
         if len(points) > deg_bound:
             break
-        if lcf.evaluate(x0) == 0 or lcg.evaluate(x0) == 0:
+        fv = [_horner(col, x0) for col in fcols]
+        gv = [_horner(col, x0) for col in gcols]
+        if fv[-1] == 0 or gv[-1] == 0:
             continue
-        fu = f.restrict_x(x0)
-        gu = g.restrict_x(x0)
         # The leading y-coefficients are nonzero at x0, so the degrees
         # (hence the Sylvester matrix shape) are the generic ones.
-        assert fu.degree == m and gu.degree == n
-        points.append((x0, resultant(fu, gu)))
-    return interpolate(points)
-
+        points.append((x0, resultant(UnivariatePoly(fv), UnivariatePoly(gv))))
+    return interpolate(points).scale(1 / (cf**n * cg**m))

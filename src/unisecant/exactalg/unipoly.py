@@ -12,6 +12,7 @@ to sympy (Zassenhaus/LLL); everything else is self-contained.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import count
 
@@ -385,28 +386,45 @@ def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
 
 def integer_nodes():
     """Interpolation nodes 0, 1, -1, 2, -2, ... (unbounded; callers take what they need)."""
-    yield Fraction(0)
+    yield 0
     for a in count(1):
-        yield Fraction(a)
-        yield Fraction(-a)
+        yield a
+        yield -a
 
 
-def interpolate(points: list[tuple[Fraction, Fraction]]) -> UnivariatePoly:
-    """Lagrange interpolation through distinct abscissae, exact over Q."""
-    result = UnivariatePoly.zero()
-    xs = [Fraction(x) for x, _ in points]
+def interpolate(points: list[tuple[int, Fraction]]) -> UnivariatePoly:
+    """The polynomial of degree < len(points) through distinct integer nodes, exact over Q.
+
+    Newton form: the values are scaled once to a common denominator, the
+    divided differences run on ``int`` (exact ``//`` wherever the node gap
+    divides, a ``Fraction`` only where it does not), and a Horner pass
+    expands the Newton form into the monomial basis.  The common
+    denominator is divided out once at the end.  O(n^2) operations.
+    """
+    xs = []
+    for x, _ in points:
+        x = Fraction(x)
+        if x.denominator != 1:
+            raise DomainError(f"interpolation nodes must be integers, got {x}")
+        xs.append(x.numerator)
     if len(set(xs)) != len(xs):
         raise DomainError("interpolation nodes must be distinct")
-    for i, (xi, yi) in enumerate(points):
-        yi = Fraction(yi)
-        if yi == 0:
-            continue
-        num = UnivariatePoly.one()
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = num * UnivariatePoly((-Fraction(xj), 1))
-            den *= Fraction(xi) - Fraction(xj)
-        result = result + num.scale(yi / den)
-    return result
+    if not xs:
+        return UnivariatePoly.zero()
+    ys = [Fraction(y) for _, y in points]
+    den = math.lcm(*(y.denominator for y in ys))
+    dd = [y.numerator * (den // y.denominator) for y in ys]
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            num, gap = dd[i] - dd[i - 1], xs[i] - xs[i - j]
+            dd[i] = num // gap if num % gap == 0 else Fraction(num, gap)
+    # p = dd[0] + (x - x0)(dd[1] + (x - x1)(dd[2] + ...)), expanded inside out.
+    acc = [dd[-1]]
+    for k in range(n - 2, -1, -1):
+        shifted = [0] + acc
+        for i, c in enumerate(acc):
+            shifted[i] -= xs[k] * c
+        shifted[0] += dd[k]
+        acc = shifted
+    return UnivariatePoly([Fraction(c, den) for c in acc])

@@ -172,11 +172,16 @@ def contact_system(curve: HomogeneousForm, p: ProjectivePoint, k: int) -> Contac
     restricted to the branch and the first 3k series coefficients give the
     condition matrix.  The kernel always contains the multiples of C's own
     equation; one extra dimension appears exactly at contact points.
+
+    C must be a smooth cubic.  Only a singular p is refused here; the
+    global smoothness test (a 15x15 Macaulay determinant) is the caller's:
+    ``contact_conic_check`` and ``unisec pencil-disc`` run it, and
+    ``nonflex_fiber_accounting`` has it from ``flexes``.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    if not is_smooth_cubic(curve):
-        raise DomainError("contact systems are defined against a smooth cubic")
+    if curve.is_zero() or curve.degree != 3:
+        raise DomainError("expected a nonzero cubic form")
     if curve.evaluate(p.coords) != 0:
         raise DomainError(f"{p} is not on the cubic")
     order = 3 * k
@@ -610,6 +615,8 @@ def contact_conic_check(curve: HomogeneousForm, p: ProjectivePoint) -> str:
     irreducible conic, rank 1 a double line (p is then a flex).  Rank 2
     cannot occur: both lines would have to be the inflection tangent.
     """
+    if not is_smooth_cubic(curve):
+        raise DomainError("contact systems are defined against a smooth cubic")
     system = contact_system(curve, p, 2)
     if system.dimension == 0:
         raise DomainError("point does not carry a 6-fold contact divisor")

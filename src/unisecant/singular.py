@@ -230,9 +230,10 @@ class PointResolution:
 
 @dataclass
 class SingularityProfile:
-    """Multiplicity trees at every singular point of a reduced curve."""
+    """Multiplicity trees at every singular point of a reduced curve of the given degree."""
 
     points: list[PointResolution]
+    degree: int
 
     def delta_total(self) -> int:
         return sum(p.delta() for p in self.points)
@@ -246,7 +247,7 @@ class SingularityProfile:
         if check_reduced and not is_reduced_form(f):
             raise DomainError("curve is not reduced")
         pts = rational_singular_points(f)
-        return cls([multiplicity_sequence(f, p, check_reduced=False) for p in pts])
+        return cls([multiplicity_sequence(f, p, check_reduced=False) for p in pts], f.degree)
 
 
 def multiplicity_sequence(f: HomogeneousForm, p: ProjectivePoint, *,
@@ -267,12 +268,12 @@ def delta_invariant(profile: SingularityProfile | PointResolution) -> int:
     return profile.delta_total()
 
 
-def geometric_genus(f: HomogeneousForm, assume_irreducible: bool = False) -> int:
-    """(d-1)(d-2)/2 minus the delta invariants of all singular points.
+def genus_profile(f: HomogeneousForm, assume_irreducible: bool = False) -> SingularityProfile:
+    """The singularity profile of a curve whose geometric genus is defined.
 
-    Irreducibility is checked by factorization over Q unless the flag is
-    set.  Geometrically reducible curves that are irreducible over Q are
-    accepted and can legitimately return a negative value.
+    f is factored over Q once: a constant or non-reduced curve is refused,
+    and so is a curve reducible over Q unless ``assume_irreducible`` is set.
+    Geometrically reducible curves that are irreducible over Q are accepted.
     """
     if f.is_zero() or f.degree < 1:
         raise DomainError("genus needs a curve of degree >= 1")
@@ -281,8 +282,20 @@ def geometric_genus(f: HomogeneousForm, assume_irreducible: bool = False) -> int
         raise DomainError("curve is not reduced")
     if not assume_irreducible and len(factors) > 1:
         raise DomainError("curve is reducible over Q (pass assume_irreducible to override)")
-    d = f.degree
-    profile = SingularityProfile.of_curve(f, check_reduced=False)
+    return SingularityProfile.of_curve(f, check_reduced=False)
+
+
+def geometric_genus(f: HomogeneousForm | SingularityProfile,
+                    assume_irreducible: bool = False) -> int:
+    """(d-1)(d-2)/2 minus the delta invariants of all singular points.
+
+    ``f`` is a curve, checked and resolved by ``genus_profile``, or a
+    profile that ``genus_profile`` returned, taken as it is.  A curve
+    reducible over Q and accepted with ``assume_irreducible`` can
+    legitimately give a negative value.
+    """
+    profile = f if isinstance(f, SingularityProfile) else genus_profile(f, assume_irreducible)
+    d = profile.degree
     return (d - 1) * (d - 2) // 2 - profile.delta_total()
 
 

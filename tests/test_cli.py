@@ -8,6 +8,7 @@ import pytest
 import unisecant.cubic as cubic_mod
 import unisecant.exactalg.elim as elim_mod
 import unisecant.pencils as pencils_mod
+import unisecant.singular as singular_mod
 from unisecant.cli import main
 from unisecant.cubic import kubert_z6_curve
 from unisecant.exactalg import mat3
@@ -184,6 +185,21 @@ class TestVerificationAndErrors:
         code, _, err = run_cli(capsys, "jinv", "--cubic", fixture_path("z9_d2.json"))
         assert code == 0, err
         assert len(calls) == 1
+
+    def test_genus_factors_and_resolves_once(self, capsys, monkeypatch):
+        # The command prints the profile that geometric_genus was computed from.
+        factorizations = count_calls(monkeypatch, "form_factorization", elim_mod, singular_mod)
+        searches = count_calls(monkeypatch, "rational_singular_points", singular_mod)
+        code, _, err = run_cli(capsys, "genus", "--curve",
+                               fixture_path("tricuspidal_quartic.json"))
+        assert code == 0, err
+        assert len(factorizations) == 1 and len(searches) == 1
+
+    def test_pencil_disc_singular_cubic_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "pencil-disc", "--cubic",
+                                 fixture_path("nodal_cubic.json"), "--point", "0,1,0")
+        assert code == 1 and out == ""
+        assert "smooth cubic" in err
 
     @pytest.mark.parametrize("claims", [
         {"torsion_points": [{"order": "9"}]},

@@ -4,6 +4,9 @@ singular-locus search."""
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unisecant.errors import CommonComponentError, UnisecantError, UnsupportedFieldError
 from unisecant.exactalg import elim
@@ -24,6 +27,28 @@ from unisecant.exactalg import (
 from unisecant.cubic import weierstrass_normal_form
 
 H = HomogeneousForm
+
+rational = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
+# Leading y-coefficients that vanish at the first interpolation nodes
+# 0, 1, -1, so resultant_y has to skip them.
+leads = st.sampled_from([{0: 1}, {1: 1}, {0: -1, 1: 1}, {1: -1, 3: 1}, {0: F(1, 2), 2: F(-1, 2)}])
+
+
+@st.composite
+def bivariate_with_lead(draw):
+    dy = draw(st.integers(1, 3))
+    lead = draw(leads)
+    scale = draw(rational.filter(lambda c: c != 0))
+    coeffs = {(i, dy): scale * c for i, c in lead.items()}
+    for j in range(dy):
+        for i in range(draw(st.integers(0, 3))):
+            coeffs[(i, j)] = draw(rational)
+    return BivariatePoly(coeffs)
+
+
+def to_sympy_expr(f: BivariatePoly, x, y):
+    return sum(sympy.Rational(c.numerator, c.denominator) * x**i * y**j
+               for (i, j), c in f.coeffs.items())
 
 
 class TestMacaulay:
@@ -76,6 +101,22 @@ class TestBivariateResultant:
         g = BivariatePoly({(0, 1): F(1), (1, 0): F(-2)})
         r = resultant_y(f, g)
         assert r.monic() == UnivariatePoly((0, -2, 1)).monic()
+
+    @settings(max_examples=50, deadline=None)
+    @given(bivariate_with_lead(), bivariate_with_lead())
+    def test_matches_sympy(self, f, g):
+        # sympy.resultant keeps the Sylvester sign only when its first
+        # argument has the larger degree; res(f, g) = (-1)^(mn) res(g, f).
+        x, y = sympy.symbols("x y")
+        fs, gs = to_sympy_expr(f, x, y), to_sympy_expr(g, x, y)
+        m, n = f.degree_y(), g.degree_y()
+        if m >= n:
+            res = sympy.resultant(fs, gs, y)
+        else:
+            res = (-1) ** (m * n) * sympy.resultant(gs, fs, y)
+        expected = sympy.Poly(res, x, domain=sympy.QQ)
+        coeffs = [F(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]
+        assert resultant_y(f, g) == UnivariatePoly(coeffs)
 
 
 class TestPlaneIntersection:

@@ -81,6 +81,14 @@ class TestContactSystem:
         with pytest.raises(DomainError):
             contact_system(weierstrass_normal_form(-4, 0), P(1, 1, 1), 2)
 
+    def test_non_cubic_rejected(self):
+        with pytest.raises(DomainError, match="cubic"):
+            contact_system(H(2, {(2, 0, 0): 1, (0, 1, 1): -1}), P(0, 1, 0), 1)
+
+    def test_singular_point_rejected(self, nodal_cubic):
+        with pytest.raises(DomainError, match="singular"):
+            contact_system(nodal_cubic, P(0, 0, 1), 1)
+
     def test_k4_at_flex_contains_cubic_multiples(self):
         # A flex has order dividing 3, so 12P moves at level 4 too; the
         # kernel is F * (linear forms) plus one honest contact quartic.
@@ -210,10 +218,10 @@ class TestNonflexAccounting:
         assert all(r.classification == NODE for r in rational)
 
     def test_smoothness_decided_once(self, monkeypatch):
-        # One test in flexes, one in contact_system, 14 discriminant values.
+        # One test in flexes (contact_system relies on it), 14 discriminant values.
         calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod, pencils_mod)
         nonflex_fiber_accounting(*kubert_z9_curve(2))
-        assert len(calls) == 16
+        assert len(calls) == 15
 
     def test_wrong_order_rejected(self):
         form6, p6 = kubert_z6_curve(1)
@@ -252,6 +260,10 @@ class TestUnisecantCount:
 
 
 class TestContactConic:
+    def test_singular_cubic_rejected(self, nodal_cubic):
+        with pytest.raises(DomainError, match="smooth cubic"):
+            contact_conic_check(nodal_cubic, P(0, 1, 0))
+
     def test_order6_point_irreducible(self):
         form6, p6 = kubert_z6_curve(1)
         assert contact_conic_check(form6, p6) == IRREDUCIBLE_CONIC

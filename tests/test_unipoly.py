@@ -143,6 +143,46 @@ class TestGcdAndExtension:
         assert (a * inv) % mod == P.one()
 
 
+X = sympy.Symbol("x")
+
+
+def to_sympy(f: P) -> sympy.Poly:
+    """The same polynomial as a sympy Poly over QQ, built without the package."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)],
+                      X, domain=sympy.QQ)
+
+
+def from_sympy(poly: sympy.Poly) -> P:
+    return P([F(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
+
+
+nonzero_poly = st.lists(rational, min_size=1, max_size=5).map(P).filter(
+    lambda p: not p.is_zero())
+
+
+class TestSympyDifferential:
+    @settings(max_examples=50, deadline=None)
+    @given(nonzero_poly, nonzero_poly, nonzero_poly)
+    def test_gcd_matches_sympy(self, a, b, c):
+        f, g = a * c, b * c
+        assert poly_gcd(f, g) == from_sympy(sympy.gcd(to_sympy(f), to_sympy(g))).monic()
+
+    @settings(max_examples=50, deadline=None)
+    @given(nonzero_poly, nonzero_poly, st.integers(1, 3))
+    def test_squarefree_part_matches_sympy(self, a, b, e):
+        f = a * b**e
+        assert squarefree_part(f) == from_sympy(sympy.sqf_part(to_sympy(f))).monic()
+
+
+def binomial(k: int) -> P:
+    """x(x-1)...(x-k+1)/k!: integer values at integers, so its divided
+    differences cannot all stay integers."""
+    p = P((1,))
+    for i in range(k):
+        p = p * P((-i, 1)).scale(F(1, i + 1))
+    return p
+
+
 class TestInterpolation:
     def test_roundtrip(self):
         f = P((F(1, 2), -3, 0, 2))
@@ -152,3 +192,25 @@ class TestInterpolation:
     def test_distinct_nodes_required(self):
         with pytest.raises(DomainError):
             interpolate([(F(1), F(0)), (F(1), F(1))])
+
+    @pytest.mark.parametrize("node", [F(1, 2), 0.5, F(-7, 3)])
+    def test_integer_nodes_required(self, node):
+        with pytest.raises(DomainError, match="integers"):
+            interpolate([(0, F(1)), (node, F(2))])
+
+    def test_integer_valued_fractional_coefficients(self):
+        f = binomial(5) - binomial(3).scale(7)
+        assert interpolate([(a, f.evaluate(a)) for a in range(-3, 4)]) == f
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(rational, min_size=1, max_size=8).map(P),
+           st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+           st.integers(1, 4),
+           st.lists(st.integers(-40, 40), min_size=12, max_size=12, unique=True))
+    def test_recovers_the_polynomial(self, f, weights, extra, nodes):
+        # Rational coefficients plus integer-valued binomial terms, through
+        # more nodes than the degree needs.
+        for k, w in enumerate(weights):
+            f = f + binomial(k).scale(w)
+        nodes = nodes[:max(f.degree, 0) + 1 + extra]
+        assert interpolate([(a, f.evaluate(a)) for a in nodes]) == f
