@@ -41,7 +41,6 @@ from .elim import (
     FiberData,
     IntersectionData,
     form_factorization,
-    is_irreducible_form,
     is_reduced_form,
     is_smooth_form,
     macaulay_resultant_quadrics,
@@ -85,7 +84,6 @@ __all__ = [
     "FiberData",
     "IntersectionData",
     "form_factorization",
-    "is_irreducible_form",
     "is_reduced_form",
     "is_smooth_form",
     "macaulay_resultant_quadrics",

@@ -249,7 +249,7 @@ def _integer_columns(f: BivariatePoly) -> tuple[list[list[int]], Fraction]:
     columns[j] lists the integer coefficients of y^j in F, ascending in x.
     """
     keys = list(f.coeffs)
-    ints, _ = clear_denominators([f.coeffs[k] for k in keys])
+    ints = clear_denominators([f.coeffs[k] for k in keys])
     columns = [[0] * (f.degree_x() + 1) for _ in range(f.degree_y() + 1)]
     for (i, j), c in zip(keys, ints):
         columns[j][i] = c

@@ -17,9 +17,10 @@ Three capabilities live here.
   the local intersection numbers fiber by fiber — the exact bookkeeping
   behind Bezout verification and flex counting.
 
-* Rational singular points of a plane curve, with an exact certificate that
-  no irrational singular point was missed wherever the elimination data can
-  provide one (and an explicit unsupported-field error where it cannot).
+* Rational singular points of a plane curve: rational fibers of a
+  good-position eliminant of the partials are lifted, irrational factors
+  are decided over Q by resultants of a generic combination, and an
+  irrational singular point raises an unsupported-field error.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .rationals import Mat3, det_fractions, mat3, mat3_identity, mat3_transpose,
 from .unipoly import (
     UnivariatePoly,
     factor_over_q,
+    integer_nodes,
     poly_gcd,
     rational_roots,
     squarefree_part,
@@ -300,18 +302,31 @@ def is_reduced_form(f: HomogeneousForm) -> bool:
     return all(mult == 1 for _, mult in form_factorization(f))
 
 
-def is_irreducible_form(f: HomogeneousForm) -> bool:
-    factors = form_factorization(f)
-    return len(factors) == 1 and factors[0][1] == 1
-
-
 def rational_singular_points(f: HomogeneousForm) -> list[ProjectivePoint]:
     """All singular points of {f = 0}, each with rational coordinates.
 
     Exactness contract: when the routine returns, the listed points are the
-    complete singular locus over the complex numbers.  If the elimination
-    certificates cannot rule out an irrational singular point, an
-    UnsupportedFieldError is raised — never a silently incomplete answer.
+    complete singular locus over the complex numbers; when an irrational
+    singular point exists, UnsupportedFieldError is raised — never a
+    silently incomplete answer.
+
+    After a unimodular change, the combinations c0 = g0 + r1*g2 and
+    c1 = g1 + r2*g2 of the partials are in good position, so every singular
+    point lies over a root of elim = res_X2(c0, c1) (chart X1 = 1, degree
+    d^2, d = deg f - 1).  A linear factor of elim is a rational fiber,
+    lifted by the gcd of the partial slices.  An irreducible factor p of
+    degree >= 2 carries a singular point iff p divides the check resultant
+    R_t = res_X2(c0, c1 + t*g2) for d distinct t in 1, -1, 2, ... (skipping
+    0 and a t with c1 + t*g2 = 0): resultants of a generic combination
+    (Cox–Little–O'Shea, *Using Algebraic Geometry*, ch. 3), over Q only.
+
+    Why this is exact: c0 has a nonzero constant X2-leading coefficient.
+    Fix a root a of p and let z_1, ..., z_d be the roots of c0(a, z).  Then
+    R_t(a) is a nonzero constant times prod_i (c1 + t*g2)(a, z_i).  As a
+    polynomial in t this has degree <= d, and it vanishes at t = 0 because
+    p divides elim.  So it vanishes at d more values of t exactly when it
+    vanishes identically, that is, when c0 = c1 = g2 = 0 at some (a, z_i).
+    There g0 = g1 = g2 = 0: a singular point over the irrational a.
     """
     if f.is_zero():
         raise DomainError("zero form")
@@ -330,12 +345,14 @@ def rational_singular_points(f: HomogeneousForm) -> list[ProjectivePoint]:
             elim = _projection_eliminant(c0, c1)
             if elim is None or elim.is_zero() or elim.degree != d * d:
                 continue
-            return _singular_points_from_eliminant(gt, m, elim)
+            return _singular_points_from_eliminant(gt, c0, c1, m, elim)
     raise UnisecantError("could not locate the singular locus")
 
 
-def _singular_points_from_eliminant(gt, m, elim) -> list[ProjectivePoint]:
+def _singular_points_from_eliminant(gt, c0, c1, m, elim) -> list[ProjectivePoint]:
     back = mat3_transpose(m)
+    checks = _check_resultants(c0, c1, gt[2])
+    seen: list[UnivariatePoly] = []  # R_t computed so far, shared across factors
     points = []
     _, factors = factor_over_q(elim)
     for factor, _mult in factors:
@@ -345,73 +362,21 @@ def _singular_points_from_eliminant(gt, m, elim) -> list[ProjectivePoint]:
                 raise UnsupportedFieldError(
                     "singular point with irrational coordinates over a rational fiber")
             points.extend(fiber_points)
+            continue
+        for k in range(c0.degree):
+            if k == len(seen):
+                seen.append(next(checks))
+            if not (seen[k] % factor).is_zero():
+                break
         else:
-            # Roots of this factor are irrational; the fiber test runs in
-            # the extension field Q[x]/(factor), where a non-constant gcd
-            # of the three partial slices is exactly a singular point.
-            if _extension_fiber_gcd_degree(gt, factor) > 0:
-                raise UnsupportedFieldError(
-                    "singular point with irrational coordinates")
+            raise UnsupportedFieldError("singular point with irrational coordinates")
     return list(dict.fromkeys(points))
 
 
-def _symbolic_slice(f: HomogeneousForm, modulus: UnivariatePoly) -> list[UnivariatePoly]:
-    """f(x, 1, z) as coefficients of z^i, each a polynomial in x mod ``modulus``."""
-    by_z: dict[int, UnivariatePoly] = {}
-    for (a, b, c), q in f.coeffs.items():
-        term = UnivariatePoly([Fraction(0)] * a + [q])
-        by_z[c] = by_z.get(c, UnivariatePoly.zero()) + term
-    if not by_z:
-        return []
-    out = []
-    for i in range(max(by_z) + 1):
-        out.append(by_z.get(i, UnivariatePoly.zero()) % modulus)
-    return out
-
-
-def _ext_trim(p: list[UnivariatePoly]) -> list[UnivariatePoly]:
-    while p and p[-1].is_zero():
-        p = p[:-1]
-    return p
-
-
-def _ext_divmod(a: list[UnivariatePoly], b: list[UnivariatePoly],
-                modulus: UnivariatePoly) -> list[UnivariatePoly]:
-    """Remainder of a by b in (Q[x]/modulus)[z]; modulus irreducible."""
-    from .unipoly import invert_mod
-
-    b = _ext_trim(b)
-    inv_lc = invert_mod(b[-1], modulus)
-    rem = [c % modulus for c in a]
-    rem = _ext_trim(rem)
-    while len(rem) >= len(b):
-        shift = len(rem) - len(b)
-        factor = (rem[-1] * inv_lc) % modulus
-        for i, bc in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * bc) % modulus
-        rem = _ext_trim(rem)
-        if not rem:
-            break
-    return rem
-
-
-def _extension_fiber_gcd_degree(gt, modulus: UnivariatePoly) -> int:
-    """Degree in z of gcd of the three partial slices over Q[x]/(modulus).
-
-    A positive degree means the three partials have a common zero lying
-    over a root of the (irreducible) modulus — an irrational singular
-    point.  Degree zero certifies there is none.
-    """
-    polys = [_ext_trim(_symbolic_slice(g, modulus)) for g in gt]
-    polys = [p for p in polys if p]
-    if not polys:
-        return 1  # all partials vanish identically over the factor
-    g = polys[0]
-    for p in polys[1:]:
-        a, b = g, p
-        while b:
-            a, b = b, _ext_divmod(a, b, modulus)
-        g = a
-        if len(g) == 1:
-            return 0
-    return len(g) - 1
+def _check_resultants(c0: HomogeneousForm, c1: HomogeneousForm, g2: HomogeneousForm):
+    """Lazily, R_t = res_X2(c0, c1 + t*g2) on X1 = 1 for t = 1, -1, 2, ... (see above)."""
+    b0 = _as_bivariate_x1(c0)
+    for t in integer_nodes():
+        ct = c1 + g2.scale(t)
+        if t != 0 and not ct.is_zero():
+            yield resultant_y(b0, _as_bivariate_x1(ct))

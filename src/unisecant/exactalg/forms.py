@@ -21,6 +21,7 @@ from .rationals import (
     Mat3,
     mat3,
     mat3_det,
+    mat3_identity,
     rational_from_string,
     rational_to_string,
 )
@@ -179,6 +180,8 @@ class HomogeneousForm:
         right group action: substitute(f, M @ N) = substitute(substitute(f, N), M).
         """
         m = mat3(m)
+        if m == mat3_identity():
+            return self  # forms are immutable
         if mat3_det(m) == 0:
             raise DomainError("substitution matrix is singular")
         lin = [HomogeneousForm.linear(m[0][j], m[1][j], m[2][j]) for j in range(3)]

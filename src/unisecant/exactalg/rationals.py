@@ -187,12 +187,12 @@ def rank(rows: list[list[Fraction]], ncols: int) -> int:
     return ncols - len(nullspace(rows, ncols))
 
 
-def clear_denominators(values) -> tuple[list[int], int]:
-    """Scale a list of Fractions to coprime integers; returns (ints, lcm)."""
+def clear_denominators(values) -> list[int]:
+    """Scale a list of Fractions to coprime integers (the primitive integer image)."""
     values = [Fraction(v) for v in values]
     lcm = math.lcm(*(v.denominator for v in values))
     ints = [int(v * lcm) for v in values]
     g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
-    return ints, lcm
+    return ints

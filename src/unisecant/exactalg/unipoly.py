@@ -223,41 +223,16 @@ def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
 
 
 def _primitive(f: UnivariatePoly) -> UnivariatePoly:
-    ints, _ = clear_denominators(f.coeffs)
-    return UnivariatePoly(ints)
-
-
-def poly_ext_gcd(a: UnivariatePoly, b: UnivariatePoly
-                 ) -> tuple[UnivariatePoly, UnivariatePoly, UnivariatePoly]:
-    """Extended Euclid over Q: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = a, b
-    u0, u1 = UnivariatePoly.one(), UnivariatePoly.zero()
-    v0, v1 = UnivariatePoly.zero(), UnivariatePoly.one()
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    lc = r0.lc()
-    return r0.monic(), u0.scale(1 / lc), v0.scale(1 / lc)
-
-
-def invert_mod(a: UnivariatePoly, modulus: UnivariatePoly) -> UnivariatePoly:
-    """Inverse of a modulo an irreducible polynomial; a must not reduce to 0."""
-    g, u, _ = poly_ext_gcd(a % modulus, modulus)
-    if g.degree != 0:
-        raise DomainError("element is not invertible modulo the given polynomial")
-    return (u.scale(1 / g.coeffs[0])) % modulus
+    return UnivariatePoly(clear_denominators(f.coeffs))
 
 
 def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
     """Sylvester resultant of f and g, exact.
 
     Zero iff f and g share a root over the algebraic closure.  Computed as
-    the Sylvester determinant after clearing denominators (Bareiss), with
-    res(a·F, G) = a^deg(G)·res(F, G) bookkeeping to undo the clearing.
+    the Sylvester determinant (Bareiss) of the integer images F = df*f and
+    G = dg*g, df and dg the common denominators, so res(f, g) =
+    res(F, G) / (df^n * dg^m); integer input costs no Fraction arithmetic.
     """
     if f.is_zero() and g.is_zero():
         raise DomainError("resultant of two zero polynomials is undefined")
@@ -270,26 +245,21 @@ def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
         return f.coeffs[0] ** n
     if n == 0:
         return g.coeffs[0] ** m
-    fi, _ = clear_denominators(f.coeffs)
-    gi, _ = clear_denominators(g.coeffs)
-    # F = cf*f with F the primitive integer image, so
-    # res(f, g) = res(F, G) / (cf^n * cg^m).
-    cf = Fraction(fi[-1], 1) / f.lc()
-    cg = Fraction(gi[-1], 1) / g.lc()
+    df = math.lcm(*(c.denominator for c in f.coeffs))
+    dg = math.lcm(*(c.denominator for c in g.coeffs))
+    fi = [c.numerator * (df // c.denominator) for c in reversed(f.coeffs)]
+    gi = [c.numerator * (dg // c.denominator) for c in reversed(g.coeffs)]
     size = m + n
     rows = []
     for i in range(n):
         row = [0] * size
-        for j, c in enumerate(reversed(fi)):
-            row[i + j] = c
+        row[i:i + m + 1] = fi
         rows.append(row)
     for i in range(m):
         row = [0] * size
-        for j, c in enumerate(reversed(gi)):
-            row[i + j] = c
+        row[i:i + n + 1] = gi
         rows.append(row)
-    det = bareiss_det_int(rows)
-    return Fraction(det) / (cf**n * cg**m)
+    return Fraction(bareiss_det_int(rows), df**n * dg**m)
 
 
 def discriminant(f: UnivariatePoly) -> Fraction:

@@ -48,6 +48,7 @@ from .exactalg import (
     is_reduced_form,
     nullspace,
     rank,
+    rational_singular_points,
     rational_to_string,
     ternary_discriminant,
     yun_decomposition,
@@ -198,7 +199,7 @@ def contact_system(curve: HomogeneousForm, p: ProjectivePoint, k: int) -> Contac
     kernel = nullspace(rows, len(monomials))
     basis = []
     for vec in kernel:
-        ints, _ = clear_denominators(vec)
+        ints = clear_denominators(vec)
         basis.append(HomogeneousForm(k, {m: Fraction(c) for m, c in zip(monomials, ints)}))
     return ContactSystem(k, p, curve, basis)
 
@@ -273,7 +274,7 @@ def pencil_at(system: ContactSystem) -> Pencil:
         grad = [d.evaluate(system.point.coords) for d in g.gradient()]
         if all(c == 0 for c in grad):
             raise UnisecantError("could not make the generator smooth at the point")
-    ints, _ = clear_denominators([g.coefficient(m) for m in sorted(g.coeffs)])
+    ints = clear_denominators([g.coefficient(m) for m in sorted(g.coeffs)])
     g = HomogeneousForm(3, {m: Fraction(c) for m, c in zip(sorted(g.coeffs), ints)})
     return Pencil(g, f, system.point)
 
@@ -321,7 +322,7 @@ def pencil_discriminant(pencil: Pencil) -> PencilDiscriminant:
     if affine.evaluate(probe) != ternary_discriminant(pencil.member(probe, 1)):
         raise UnisecantError("discriminant interpolation failed verification")
     coeffs = [affine[i] for i in range(DISC_DEGREE + 1)]
-    ints, _ = clear_denominators(coeffs)
+    ints = clear_denominators(coeffs)
     top = next(i for i in range(DISC_DEGREE, -1, -1) if ints[i] != 0)
     if ints[top] < 0:
         ints = [-c for c in ints]
@@ -353,16 +354,12 @@ def classify_singular_member(member: HomogeneousForm) -> str:
         raise DomainError("expected a cubic member")
     if not is_reduced_form(member):
         return NON_REDUCED
-    from .exactalg import rational_singular_points
     points = rational_singular_points(member)
     if not points:
         raise DomainError("member is smooth; nothing to classify")
     if len(points) > 1:
         raise DomainError("member has several singular points (reducible cubic)")
-    return _classify_at(member, points[0])
-
-
-def _classify_at(member: HomogeneousForm, p: ProjectivePoint) -> str:
+    p = points[0]
     germ = curve_germ(member, p)
     if germ.multiplicity() != 2:
         raise DomainError("singular point is not a double point")
@@ -545,7 +542,9 @@ def nonflex_fiber_accounting(curve: HomogeneousForm, p: ProjectivePoint
     Certifies the order by scalar multiplication, builds the contact
     pencil, and reads off the discriminant: a root of multiplicity 9 at the
     member singular at P (the nine-fold blow-up fiber) plus three simple
-    roots.  The member singular at P is classified at P itself (a node).
+    roots.  The member singular at P keeps the classification its
+    discriminant record already holds (a node: P is its only singular
+    point).
     """
     w, ec_point = normalized_curve_with_point(curve, p)
     order = point_order(w, ec_point, 9)
@@ -561,10 +560,8 @@ def nonflex_fiber_accounting(curve: HomogeneousForm, p: ProjectivePoint
     rec = report.record_at(param)
     if rec is None:
         raise UnisecantError("member singular at P is not a discriminant root")
-    member = pencil.member_at(param)
-    cls = _classify_at(member, p)
     rational = sum(r.count for r in report.records if r.parameter is not None)
-    return NonflexAccounting(report, param, rec.multiplicity, cls, rational)
+    return NonflexAccounting(report, param, rec.multiplicity, rec.classification, rational)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Elimination layer: Macaulay resultant, smoothness, intersections,
 singular-locus search."""
 
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,15 +18,21 @@ from unisecant.exactalg import (
     ProjectivePoint,
     UnivariatePoly,
     is_reduced_form,
-    is_irreducible_form,
     is_smooth_form,
     macaulay_resultant_quadrics,
+    mat3,
+    mat3_det,
+    mat3_inv,
+    mat3_transpose,
+    mat3_vec,
     plane_intersection,
     rational_singular_points,
     resultant_y,
     ternary_discriminant,
 )
 from unisecant.cubic import weierstrass_normal_form
+
+from conftest import count_calls
 
 H = HomogeneousForm
 
@@ -167,12 +175,133 @@ class TestSingularLocus:
         assert rational_singular_points(f) == [ProjectivePoint(0, 0, 1)]
 
 
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _value(coeffs, x):
+    return sum(c * x[0] ** a * x[1] ** b * x[2] ** e for (a, b, e), c in coeffs.items())
+
+
+def _is_rational_square(q: F) -> bool:
+    return q >= 0 and all(math.isqrt(v) ** 2 == v for v in (q.numerator, q.denominator))
+
+
+def _line_conic_points(line, conic):
+    """The meet of a line and a smooth conic, by hand; None if it is irrational.
+
+    On the line s*p + t*r the conic restricts to qa s^2 + qb s t + qc t^2;
+    its roots are rational iff the discriminant is a rational square.
+    """
+    a, b, c = line
+    p, r = ((-b, a, 0), (-c, 0, a)) if a else ((1, 0, 0), (0, -c, b))
+    qa, qc = _value(conic, p), _value(conic, r)
+    qb = _value(conic, [x + y for x, y in zip(p, r)]) - qa - qc
+    disc = F(qb * qb - 4 * qa * qc)
+    if not _is_rational_square(disc):
+        return None
+    root = F(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
+    if qa != 0:
+        params = [((-qb + sign * root) / (2 * qa), 1) for sign in (1, -1)]
+    else:  # t * (qb s + qc t)
+        params = [(1, 0), (qc, -qb)]
+    return {ProjectivePoint(*(s * x + t * y for x, y in zip(p, r))) for s, t in params}
+
+
+def _hessian(conic):
+    """The symmetric matrix S with conic(X) = X^T S X / 2; S*P is the tangent at P."""
+    q = conic.coefficient
+    return [[2 * q((2, 0, 0)), q((1, 1, 0)), q((1, 0, 1))],
+            [q((1, 1, 0)), 2 * q((0, 2, 0)), q((0, 1, 1))],
+            [q((1, 0, 1)), q((0, 1, 1)), 2 * q((0, 0, 2))]]
+
+
+def _random_lines_and_conic(rng):
+    """2-3 distinct rational lines and a smooth conic (so the product is reduced).
+
+    Half of the draws are chords and tangents of the conic through the
+    points m*(s^2, s*t, t^2), so every meet is rational; the other half
+    are random lines and a random conic.
+    """
+    n = rng.choice([2, 3])
+    parametrized = rng.random() < 0.5
+    while True:
+        if parametrized:
+            m = mat3([[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
+            if mat3_det(m) == 0:
+                continue
+            conic = H(2, {(1, 0, 1): 1, (0, 2, 0): -1}).substitute(mat3_transpose(mat3_inv(m)))
+            sym = _hessian(conic)
+            lines = []
+            for _ in range(n):
+                p, q = (mat3_vec(m, (s * s, s * t, t * t))
+                        for s, t in [(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)])
+                chord = _cross(p, q)
+                lines.append(chord if any(chord) else mat3_vec(sym, p))
+        else:
+            lines = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(n)]
+            monos = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+            conic = H(2, {mono: rng.randint(-3, 3) for mono in monos})
+            sym = _hessian(conic)
+        smooth = sum(sym[0][i] * _cross(sym[1], sym[2])[i] for i in range(3)) != 0
+        distinct = all(any(_cross(u, v)) for i, u in enumerate(lines) for v in lines[i + 1:])
+        if smooth and distinct and all(any(line) for line in lines):
+            return lines, conic
+
+
+class TestSingularLocusCheck:
+    """Irrational fibers are decided over Q by the check resultants."""
+
+    def test_lines_and_conic_against_hand_oracle(self):
+        outcomes = set()
+        for seed in range(16):
+            lines, conic = _random_lines_and_conic(random.Random(seed))
+            f = conic
+            for line in lines:
+                f = f * H.linear(*line)
+            expected = {ProjectivePoint(*_cross(u, v))
+                        for i, u in enumerate(lines) for v in lines[i + 1:]}
+            meets = [_line_conic_points(line, conic.coeffs) for line in lines]
+            if any(m is None for m in meets):
+                outcomes.add("irrational")
+                with pytest.raises(UnsupportedFieldError):
+                    rational_singular_points(f)
+            else:
+                outcomes.add("rational")
+                expected.update(*meets)
+                assert set(rational_singular_points(f)) == expected, seed
+        assert outcomes == {"rational", "irrational"}
+
+    def test_conjugate_nodes_with_rational_node_raise(self):
+        # X2 * (X0^3 + X1^3 + X2^3): the line meets the Fermat cubic
+        # transversally at (1 : -1 : 0) and at the conjugate pair with
+        # X0^2 - X0 X1 + X1^2 = 0, so one rational node and two irrational.
+        f = H.linear(0, 0, 1) * H(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+        with pytest.raises(UnsupportedFieldError,
+                           match="singular point with irrational coordinates$"):
+            rational_singular_points(f)
+
+    def test_moved_node_behind_irrational_factor(self, nodal_cubic, monkeypatch):
+        # In these coordinates the eliminant has an irreducible factor of
+        # degree >= 2, so one check resultant runs and clears it.
+        m = mat3([[1, 0, -1], [1, -2, -2], [2, 1, -1]])
+        node = ProjectivePoint(*mat3_vec(mat3_inv(mat3_transpose(m)), (0, 0, 1)))
+        calls = count_calls(monkeypatch, "resultant_y", elim)
+        assert rational_singular_points(nodal_cubic.substitute(m)) == [node]
+        assert len(calls) == 2
+
+    def test_check_resultants_are_lazy(self, fermat, cuspidal_cubic, monkeypatch):
+        calls = count_calls(monkeypatch, "resultant_y", elim)
+        # Fermat: every factor of the eliminant is linear, no check runs.
+        assert rational_singular_points(fermat) == []
+        assert len(calls) == 1
+        calls.clear()
+        # Cuspidal cubic: the eliminant plus one check resultant.
+        assert rational_singular_points(cuspidal_cubic) == [ProjectivePoint(0, 0, 1)]
+        assert len(calls) == 2
+
+
 class TestFactorization:
     def test_reduced_detection(self, nodal_cubic):
         assert is_reduced_form(nodal_cubic)
         assert not is_reduced_form(H.monomial((3, 0, 0)))
-
-    def test_irreducible_detection(self, fermat, nodal_cubic):
-        assert is_irreducible_form(fermat)
-        assert is_irreducible_form(nodal_cubic)
-        assert not is_irreducible_form(H(2, {(1, 1, 0): 1}))

@@ -80,6 +80,11 @@ class TestSubstitution:
         f = H.monomial((3, 0, 0))
         assert f.substitute(mat3_identity()) == f
 
+    def test_identity_returns_same_form(self):
+        f = H(3, {(3, 0, 0): 1, (0, 1, 2): F(-2, 3)})
+        assert f.substitute(mat3_identity()) is f
+        assert f.substitute([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) is f
+
     def test_swap_symmetric_form(self):
         f = H(2, {(1, 1, 0): 1})
         swap = mat3([[0, 1, 0], [1, 0, 0], [0, 0, 1]])

@@ -23,7 +23,6 @@ from unisecant.exactalg import (
     squarefree_part,
     yun_decomposition,
 )
-from unisecant.exactalg.unipoly import invert_mod, poly_ext_gcd
 
 P = UnivariatePoly
 
@@ -130,17 +129,6 @@ class TestGcdAndExtension:
         f = P((-1, 1)) * P((1, 1))
         g = P((-1, 1)) * P((3, 1))
         assert poly_gcd(f, g) == P((-1, 1))
-
-    def test_ext_gcd_bezout(self):
-        a, b = P((1, 3, 1)), P((2, 1))
-        g, u, v = poly_ext_gcd(a, b)
-        assert u * a + v * b == g
-
-    def test_invert_mod(self):
-        mod = P((-2, 0, 1))  # x^2 - 2, irreducible
-        a = P((1, 1))        # x + 1
-        inv = invert_mod(a, mod)
-        assert (a * inv) % mod == P.one()
 
 
 X = sympy.Symbol("x")
