@@ -40,6 +40,7 @@ from .bipoly import BivariatePoly, resultant_y
 from .elim import (
     FiberData,
     IntersectionData,
+    discriminant_along_pencil,
     form_factorization,
     is_reduced_form,
     is_smooth_form,
@@ -83,6 +84,7 @@ __all__ = [
     "resultant_y",
     "FiberData",
     "IntersectionData",
+    "discriminant_along_pencil",
     "form_factorization",
     "is_reduced_form",
     "is_smooth_form",

@@ -4,11 +4,11 @@ intersection bookkeeping, and singular-locus location.
 Three capabilities live here.
 
 * The Macaulay resultant of three ternary quadrics (matrix of size 15 with
-  the classical 3x3 extraneous minor).  Applied to the partial derivatives
-  of a cubic it decides smoothness exactly and, evaluated along a pencil,
-  produces the degree-12 pencil discriminant.  Degenerate minors are
-  escaped by unimodular coordinate changes, which leave the resultant value
-  unchanged (the transformation factor is det^8 = 1).
+  the classical 3x3 extraneous minor), applied to the partials of a cubic,
+  decides smoothness exactly; along a pencil u*g + f the matrix is linear
+  in u, and the degree-12 pencil discriminant is one exact quotient of two
+  determinant polynomials.  Degenerate minors are escaped by unimodular
+  changes, which leave the resultant unchanged (the factor is det^8 = 1).
 
 * "Good position" projection: given two forms with no common component, a
   unimodular change is found so that (0:0:1) lies on neither curve and no
@@ -25,20 +25,24 @@ Three capabilities live here.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 
 import sympy
 
 from ..errors import CommonComponentError, DomainError, UnisecantError, UnsupportedFieldError
 from .forms import HomogeneousForm, ProjectivePoint
-from .rationals import Mat3, det_fractions, mat3, mat3_identity, mat3_transpose, mat3_vec
+from .rationals import (Mat3, bareiss_det_int, det_fractions, mat3, mat3_identity,
+                        mat3_transpose, mat3_vec)
 from .unipoly import (
     UnivariatePoly,
     factor_over_q,
     integer_nodes,
+    interpolate,
     poly_gcd,
     rational_roots,
     squarefree_part,
@@ -77,13 +81,25 @@ def unimodular_matrices(seed: int = 20231115):
         yield mat3(m)
 
 
-def _partition_index(mono) -> int:
-    a, b, _ = mono
-    if a >= 2:
-        return 0
-    if b >= 2:
-        return 1
-    return 2
+_DEG4_INDEX = {m: i for i, m in enumerate(_DEG4_MONOMIALS)}
+_MINOR = [_DEG4_INDEX[m] for m in _NON_REDUCED]  # rows and columns of the extraneous minor
+
+
+def _macaulay_rows(qs) -> list[list[Fraction]]:
+    """The 15x15 Macaulay matrix of three ternary quadrics, linear in their coefficients."""
+    if any(q.degree != 2 for q in qs):
+        raise DomainError("all three forms must be quadrics")
+    rows = []
+    for mono in _DEG4_MONOMIALS:
+        i = 0 if mono[0] >= 2 else 1 if mono[1] >= 2 else 2  # first X_i with X_i^2 | mono
+        shift = list(mono)
+        shift[i] -= 2
+        row = [Fraction(0)] * 15
+        for expo, c in qs[i].coeffs.items():
+            target = (expo[0] + shift[0], expo[1] + shift[1], expo[2] + shift[2])
+            row[_DEG4_INDEX[target]] += c
+        rows.append(row)
+    return rows
 
 
 def macaulay_resultant_quadrics(q0: HomogeneousForm, q1: HomogeneousForm,
@@ -94,27 +110,11 @@ def macaulay_resultant_quadrics(q0: HomogeneousForm, q1: HomogeneousForm,
     MacaulayDegenerate if the extraneous minor vanishes for these
     coefficients; callers retry after a unimodular change of coordinates.
     """
-    qs = (q0, q1, q2)
-    if any(q.degree != 2 for q in qs):
-        raise DomainError("all three forms must be quadrics")
-    index = {m: i for i, m in enumerate(_DEG4_MONOMIALS)}
-    rows = []
-    for mono in _DEG4_MONOMIALS:
-        i = _partition_index(mono)
-        shift = list(mono)
-        shift[i] -= 2
-        row = [Fraction(0)] * 15
-        for expo, c in qs[i].coeffs.items():
-            target = (expo[0] + shift[0], expo[1] + shift[1], expo[2] + shift[2])
-            row[index[target]] += c
-        rows.append(row)
-    minor_idx = [index[m] for m in _NON_REDUCED]
-    minor = [[rows[i][j] for j in minor_idx] for i in minor_idx]
-    det_minor = det_fractions(minor)
+    rows = _macaulay_rows((q0, q1, q2))
+    det_minor = det_fractions([[rows[i][j] for j in _MINOR] for i in _MINOR])
     if det_minor == 0:
         raise MacaulayDegenerate("extraneous minor vanished")
-    det_full = det_fractions(rows)
-    return det_full / det_minor
+    return det_fractions(rows) / det_minor
 
 
 def ternary_discriminant(f: HomogeneousForm) -> Fraction:
@@ -122,8 +122,8 @@ def ternary_discriminant(f: HomogeneousForm) -> Fraction:
 
     Normalized as the Macaulay resultant itself, which is invariant under the
     unimodular retries (det = 1), so values are comparable across calls —
-    in particular along a pencil, where they interpolate to the degree-12
-    discriminant.  Implemented for conics and cubics.
+    in particular with ``discriminant_along_pencil``, which gives them as one
+    polynomial along a pencil.  Implemented for conics and cubics.
     """
     if f.is_zero():
         raise DomainError("zero form has no discriminant")
@@ -143,6 +143,38 @@ def ternary_discriminant(f: HomogeneousForm) -> Fraction:
         except MacaulayDegenerate:
             continue
     raise UnisecantError("no usable coordinates for the Macaulay resultant")
+
+
+def discriminant_along_pencil(g: HomogeneousForm, f: HomogeneousForm) -> UnivariatePoly:
+    """ternary_discriminant(u*g + f) for cubics g and f, as a polynomial in u.
+
+    The Macaulay matrix of the partials is linear in the member, M(u) =
+    u*M_g + M_f, and so is its extraneous minor M'(u).  Macaulay's
+    det M = Res * det M' is a polynomial identity in the coefficients
+    (Cox–Little–O'Shea, *Using Algebraic Geometry*, ch. 3 §4), so
+    det M(u) = Res(u) * det M'(u) in Q[u] and the division is exact.  In
+    the first unimodular frame (Res unchanged) with det M'(u) != 0, one
+    denominator D makes D*M_g and D*M_f integer, and 4 and 16 integer
+    determinants give det M'(u) (degree <= 3) and det M(u) (degree <= 15).
+    """
+    for m in unimodular_matrices():
+        rows = [_macaulay_rows(h.substitute(m).gradient()) for h in (g, f)]
+        den = math.lcm(*(x.denominator for mat in rows for row in mat for x in row))
+        mg, mf = ([[int(x * den) for x in row] for row in mat] for mat in rows)
+        extraneous = _det_along(mg, mf, _MINOR, 4)
+        if extraneous.is_zero():
+            continue
+        res, rem = _det_along(mg, mf, range(15), 16).divmod(extraneous)
+        if not rem.is_zero():
+            raise UnisecantError("Macaulay quotient along the pencil is not exact")
+        return res.scale(Fraction(1, den ** 12))  # the quotient is D^12 * Res(u)
+    raise UnisecantError("no usable coordinates for the Macaulay resultant")
+
+
+def _det_along(a, b, idx, nodes: int) -> UnivariatePoly:
+    """det(u*a + b) on rows and columns ``idx`` of integer matrices, from ``nodes`` values."""
+    return interpolate([(u, bareiss_det_int([[u * a[i][j] + b[i][j] for j in idx] for i in idx]))
+                        for u in islice(integer_nodes(), nodes)])
 
 
 def is_smooth_form(f: HomogeneousForm) -> bool:
@@ -298,7 +330,14 @@ def form_factorization(f: HomogeneousForm) -> list[tuple[HomogeneousForm, int]]:
 
 
 def is_reduced_form(f: HomogeneousForm) -> bool:
-    """True iff f has no repeated irreducible factor."""
+    """True iff f has no repeated irreducible factor.
+
+    If f(0, 0, 1) != 0, a repeated factor gives every slice f(x0, 1, z) a
+    repeated root, so one squarefree slice decides it; else f is factored.
+    """
+    if f.coefficient((0, 0, f.degree)) != 0 and any(
+            squarefree_part(s).degree == s.degree for s in (_slice_poly(f, x) for x in range(3))):
+        return True
     return all(mult == 1 for _, mult in form_factorization(f))
 
 

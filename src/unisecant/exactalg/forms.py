@@ -14,6 +14,7 @@ Serialization is bit-exact: coefficients in canonical monomial order
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..errors import DomainError, InputError
@@ -124,27 +125,10 @@ class HomogeneousForm:
     def __mul__(self, other) -> "HomogeneousForm":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out: dict[Triple, Fraction] = {}
-        for (a1, b1, c1), q1 in self.coeffs.items():
-            for (a2, b2, c2), q2 in other.coeffs.items():
-                key = (a1 + a2, b1 + b2, c1 + c2)
-                out[key] = out.get(key, Fraction(0)) + q1 * q2
-        return HomogeneousForm(self.degree + other.degree, out)
+        return HomogeneousForm(self.degree + other.degree, _product(self.coeffs, other.coeffs))
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def __pow__(self, n: int) -> "HomogeneousForm":
-        if n < 0:
-            raise DomainError("negative power")
-        result = HomogeneousForm(0, {(0, 0, 0): Fraction(1)})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def partial_derivative(self, var: int) -> "HomogeneousForm":
         """Formal partial with respect to X_var; Euler's relation holds."""
@@ -178,26 +162,32 @@ class HomogeneousForm:
 
         Requires m invertible; degree is preserved and the substitution is a
         right group action: substitute(f, M @ N) = substitute(substitute(f, N), M).
+
+        Runs on ``int``: f(m x) = (L f)(D m x) / (L * D^degree) for the lcms L
+        of f's and D of m's denominators, and only the output coefficients
+        become ``Fraction``s.
         """
         m = mat3(m)
         if m == mat3_identity():
             return self  # forms are immutable
         if mat3_det(m) == 0:
             raise DomainError("substitution matrix is singular")
-        lin = [HomogeneousForm.linear(m[0][j], m[1][j], m[2][j]) for j in range(3)]
-        out = HomogeneousForm.zero(self.degree)
-        # Cache powers of each replacement line to keep substitution cheap.
-        pow_cache: list[dict[int, HomogeneousForm]] = [dict(), dict(), dict()]
-
-        def power(j: int, e: int) -> HomogeneousForm:
-            if e not in pow_cache[j]:
-                pow_cache[j][e] = lin[j] ** e
-            return pow_cache[j][e]
-
+        dm = math.lcm(*(x.denominator for row in m for x in row))
+        powers = []
+        for j in range(3):
+            line = {tuple(int(k == i) for k in range(3)): int(m[i][j] * dm)
+                    for i in range(3) if m[i][j]}
+            powers.append([{(0, 0, 0): 1}])
+            for _ in range(self.degree):
+                powers[j].append(_product(powers[j][-1], line))
+        lf = math.lcm(*(q.denominator for q in self.coeffs.values()))
+        out: dict[Triple, int] = {}
         for (a, b, c), q in self.coeffs.items():
-            term = power(0, a) * power(1, b) * power(2, c)
-            out = out + term.scale(q)
-        return out
+            k = q.numerator * (lf // q.denominator)
+            for expo, v in _product(_product(powers[0][a], powers[1][b]), powers[2][c]).items():
+                out[expo] = out.get(expo, 0) + k * v
+        den = lf * dm ** self.degree
+        return HomogeneousForm(self.degree, {e: Fraction(v, den) for e, v in out.items()})
 
     def dehomogenize(self, chart: int) -> "dict[tuple[int, int], Fraction]":
         """Affine coefficients {(i, j): c} setting X_chart = 1.
@@ -233,6 +223,16 @@ class HomogeneousForm:
             return cls(degree, coeffs)
         except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise InputError(f"malformed form serialization: {exc}") from exc
+
+
+def _product(p: dict, q: dict) -> dict:
+    """Product of two coefficient maps (Fractions or plain ints)."""
+    out: dict = {}
+    for (a1, b1, c1), v1 in p.items():
+        for (a2, b2, c2), v2 in q.items():
+            key = (a1 + a2, b1 + b2, c1 + c2)
+            out[key] = out.get(key, 0) + v1 * v2
+    return out
 
 
 class ProjectivePoint:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .errors import (
     DegeneratePencilError,
@@ -42,15 +41,13 @@ from .exactalg import (
     ProjectivePoint,
     UnivariatePoly,
     clear_denominators,
+    discriminant_along_pencil,
     factor_over_q,
-    integer_nodes,
-    interpolate,
     is_reduced_form,
     nullspace,
     rank,
     rational_singular_points,
     rational_to_string,
-    ternary_discriminant,
     yun_decomposition,
 )
 from .cubic import (
@@ -303,31 +300,22 @@ class PencilDiscriminant:
 
 
 def pencil_discriminant(pencil: Pencil) -> PencilDiscriminant:
-    """Discriminant of the pencil by interpolation along the parameter.
+    """Discriminant of the pencil: the resultant of the partials of u g + F.
 
-    The resultant of the three partials of u g + F is evaluated at 13
-    integer parameters (each an exact Macaulay value; unimodular retries
-    keep the normalization constant) and interpolated; a 14th value checks
-    the interpolation.  Degree 12 is forced by homogenization: the deficit
-    of the affine slice is exactly the vanishing order at the member g.
+    ``discriminant_along_pencil`` gets it as one exact Macaulay quotient of
+    polynomials in u; the zero remainder of that division is the
+    certificate.  Degree 12 is forced by homogenization: the deficit of the
+    affine slice is exactly the vanishing order at the member g.
     """
-    values = [(u, ternary_discriminant(pencil.member(u, 1)))
-              for u in islice(integer_nodes(), DISC_DEGREE + 1)]
-    affine = interpolate(values)
+    affine = discriminant_along_pencil(pencil.g, pencil.f)
     if affine.is_zero():
         raise DegeneratePencilError("pencil discriminant vanishes identically")
     if affine.degree > DISC_DEGREE:
         raise UnisecantError("discriminant degree exceeds 12")
-    probe = Fraction(DISC_DEGREE + 5)
-    if affine.evaluate(probe) != ternary_discriminant(pencil.member(probe, 1)):
-        raise UnisecantError("discriminant interpolation failed verification")
-    coeffs = [affine[i] for i in range(DISC_DEGREE + 1)]
-    ints = clear_denominators(coeffs)
-    top = next(i for i in range(DISC_DEGREE, -1, -1) if ints[i] != 0)
-    if ints[top] < 0:
+    ints = clear_denominators([affine[i] for i in range(DISC_DEGREE + 1)])
+    if ints[affine.degree] < 0:
         ints = [-c for c in ints]
-    normalized = UnivariatePoly(ints)
-    return PencilDiscriminant(tuple(ints), normalized)
+    return PencilDiscriminant(tuple(ints), UnivariatePoly(ints))
 
 
 # ---------------------------------------------------------------------------

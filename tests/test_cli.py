@@ -7,7 +7,6 @@ import pytest
 
 import unisecant.cubic as cubic_mod
 import unisecant.exactalg.elim as elim_mod
-import unisecant.pencils as pencils_mod
 import unisecant.singular as singular_mod
 from unisecant.cli import main
 from unisecant.cubic import kubert_z6_curve
@@ -181,7 +180,7 @@ class TestVerificationAndErrors:
     def test_jinv_decides_smoothness_once(self, capsys, monkeypatch):
         # Smoothness is tested once, by the loader's flexes; the
         # normalizations read it off the normal form.
-        calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod, pencils_mod)
+        calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod)
         code, _, err = run_cli(capsys, "jinv", "--cubic", fixture_path("z9_d2.json"))
         assert code == 0, err
         assert len(calls) == 1

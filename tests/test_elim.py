@@ -17,6 +17,7 @@ from unisecant.exactalg import (
     HomogeneousForm,
     ProjectivePoint,
     UnivariatePoly,
+    form_factorization,
     is_reduced_form,
     is_smooth_form,
     macaulay_resultant_quadrics,
@@ -305,3 +306,45 @@ class TestFactorization:
     def test_reduced_detection(self, nodal_cubic):
         assert is_reduced_form(nodal_cubic)
         assert not is_reduced_form(H.monomial((3, 0, 0)))
+
+    def test_slice_shortcut_matches_factorization(self, monkeypatch):
+        # Against form_factorization multiplicities, including repeated
+        # factors through (0 : 0 : 1), where the slices cannot decide.
+        rng = random.Random(11)
+
+        def line(through_vertex=False):
+            while True:
+                c = [rng.randint(-3, 3) for _ in range(3)]
+                if through_vertex:
+                    c[2] = 0
+                if any(c):
+                    return H.linear(*c)
+
+        def form(degree):
+            monos = [(a, b, degree - a - b)
+                     for a in range(degree + 1) for b in range(degree + 1 - a)]
+            while True:
+                f = H(degree, {e: rng.randint(-3, 3) for e in monos})
+                if not f.is_zero():
+                    return f
+
+        cases = []
+        for _ in range(6):
+            l0, l1, l2 = line(), line(through_vertex=True), line()
+            p = [rng.randint(-3, 3) for _ in range(3)]
+            concurrent = [H.linear(*_cross(p, [rng.randint(-3, 3) for _ in range(3)]))
+                          for _ in range(3)]
+            through_origin = H(3, {e: rng.randint(-3, 3) for e in
+                                   [(3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0), (2, 0, 1),
+                                    (1, 1, 1), (0, 2, 1)]})
+            cases += [l0 * l0 * l2, l1 * l1 * l0, l0 * l0 * l0, l1 * l1 * l1,
+                      l0 * form(2), l1 * form(2), form(3), form(3)]
+            if all(not c.is_zero() for c in concurrent):
+                cases.append(concurrent[0] * concurrent[1] * concurrent[2])
+            if not through_origin.is_zero():
+                cases.append(through_origin)
+        expected = [all(mult == 1 for _, mult in form_factorization(f)) for f in cases]
+        calls = count_calls(monkeypatch, "form_factorization", elim)
+        assert [is_reduced_form(f) for f in cases] == expected
+        assert set(expected) == {True, False}
+        assert 0 < len(calls) < len(cases)  # both the shortcut and the fallback ran

@@ -1,9 +1,11 @@
 """Ternary forms: invariants, substitution action, serialization."""
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from unisecant.exactalg import (
     mat3_det,
     mat3_identity,
     mat3_mul,
+    unimodular_matrices,
 )
 
 H = HomogeneousForm
@@ -108,6 +111,59 @@ class TestSubstitution:
         f = H(3, {(1, 1, 1): F(5, 7)})
         m = mat3([[1, 1, 0], [0, 1, 2], [1, 0, 1]])
         assert f.substitute(m).degree == 3
+
+
+def _random_form(rng, degree):
+    monos = [(a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    return H(degree, {e: F(rng.randint(-9, 9), rng.randint(1, 6))
+                      for e in rng.sample(monos, rng.randint(1, len(monos)))})
+
+
+def _random_rational_matrix(rng):
+    while True:
+        m = mat3([[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(3)] for _ in range(3)])
+        if mat3_det(m) != 0 and any(x.denominator > 1 for row in m for x in row):
+            return m
+
+
+def _sympy_substitute(f, m):
+    """f(M x) expanded by sympy: X_j -> sum_i m[i][j] X_i."""
+    xs = sympy.symbols("X0 X1 X2")
+    lin = [sum(sympy.Rational(m[i][j].numerator, m[i][j].denominator) * xs[i] for i in range(3))
+           for j in range(3)]
+    expr = sum(sympy.Rational(q.numerator, q.denominator) * lin[0] ** a * lin[1] ** b * lin[2] ** c
+               for (a, b, c), q in f.coeffs.items())
+    poly = sympy.Poly(expr, *xs, domain=sympy.QQ)
+    return H(f.degree, {tuple(int(e) for e in expo): F(int(c.numerator), int(c.denominator))
+                        for expo, c in poly.terms() if c != 0})
+
+
+class TestSubstitutionDifferential:
+    """The integer kernel of substitute against an independent sympy expansion."""
+
+    def test_matches_sympy(self):
+        rng = random.Random(2024)
+        unimodular = list(unimodular_matrices())[1:]
+        for trial in range(36):
+            f = _random_form(rng, trial % 6)
+            m = rng.choice(unimodular) if trial % 2 else _random_rational_matrix(rng)
+            assert f.substitute(m) == _sympy_substitute(f, m), (f, m)
+
+    def test_right_action_on_rational_matrices(self):
+        rng = random.Random(7)
+        for trial in range(12):
+            f = _random_form(rng, trial % 6)
+            m, n = _random_rational_matrix(rng), _random_rational_matrix(rng)
+            assert f.substitute(mat3_mul(m, n)) == f.substitute(n).substitute(m)
+
+    def test_zero_form_stays_zero(self):
+        m = _random_rational_matrix(random.Random(1))
+        assert H.zero(3).substitute(m) == H.zero(3)
+
+    def test_singular_rational_matrix_rejected(self):
+        m = mat3([[F(1, 2), F(1, 3), 0], [1, F(2, 3), 0], [0, F(5, 7), 1]])
+        with pytest.raises(DomainError, match="singular"):
+            H(3, {(1, 1, 1): F(1, 2)}).substitute(m)
 
 
 class TestSerialization:

@@ -1,13 +1,19 @@
 """Contact systems, pencil discriminants, member classification, counts."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import unisecant.exactalg.elim as elim_mod
-import unisecant.pencils as pencils_mod
-from unisecant.errors import DomainError
-from unisecant.exactalg import HomogeneousForm, ProjectivePoint, squarefree_part
+from unisecant.errors import DegeneratePencilError, DomainError
+from unisecant.exactalg import (
+    HomogeneousForm,
+    ProjectivePoint,
+    discriminant_along_pencil,
+    squarefree_part,
+    ternary_discriminant,
+)
 from unisecant.cubic import (
     flexes,
     kubert_z6_curve,
@@ -21,6 +27,7 @@ from unisecant.pencils import (
     IRREDUCIBLE_CONIC,
     NODE,
     NON_REDUCED,
+    Pencil,
     PencilParameter,
     classify_singular_member,
     contact_conic_check,
@@ -34,7 +41,7 @@ from unisecant.pencils import (
     singular_member_report,
     unisecant_count_k3,
 )
-from conftest import count_calls
+from conftest import count_calls, load_form
 
 H = HomogeneousForm
 P = ProjectivePoint
@@ -164,6 +171,55 @@ class TestFlexPencil:
             flex_pencil_count(w)
 
 
+def _quotient_pencils():
+    """z9_d2, both flex pencils of TestFlexPencil and three seeded Kubert d."""
+    rng = random.Random(9)
+    ds = [F(rng.choice([-1, 1]) * rng.randint(2, 9), rng.randint(1, 4)) for _ in range(3)]
+    cases = [pytest.param(pencil_at(contact_system(load_form("z9_d2.json"), P(1, 0, 0), 3)),
+                          id="z9_d2")]
+    for a, b in [(-4, 0), (0, F(-1, 4))]:
+        w = weierstrass_at_flex(weierstrass_normal_form(a, b), FLEX)
+        cases.append(pytest.param(flex_pencil(w), id=f"flex_alpha{a}"))
+    for d in ds:
+        cases.append(pytest.param(pencil_at(contact_system(*kubert_z9_curve(d), 3)),
+                                  id=f"kubert_{d.numerator}_{d.denominator}"))
+    return cases
+
+
+class TestDiscriminantQuotient:
+    """The Macaulay quotient against the per-member definition."""
+
+    @pytest.mark.parametrize("pencil", _quotient_pencils())
+    def test_matches_member_discriminants(self, pencil):
+        disc = pencil_discriminant(pencil)
+        exact = discriminant_along_pencil(pencil.g, pencil.f)
+        scale = None
+        for u in range(16):
+            value = ternary_discriminant(pencil.member(u, 1))
+            assert exact.evaluate(u) == value, u
+            if scale is None and value != 0:
+                scale = value / disc.affine.evaluate(u)
+            assert value == (scale or 0) * disc.affine.evaluate(u), u
+        assert scale is not None
+
+    def test_unmoved_kubert_pencil_retries_the_frame(self, monkeypatch):
+        # The identity frame's extraneous minor vanishes identically along
+        # this pencil: 4 minors there, then 4 + 16 in the second frame.
+        pencil = pencil_at(contact_system(*kubert_z9_curve(2), 3))
+        calls = count_calls(monkeypatch, "bareiss_det_int", elim_mod)
+        discriminant_along_pencil(pencil.g, pencil.f)
+        assert len(calls) == 24
+
+    def test_singular_pencil_is_degenerate(self, nodal_cubic):
+        with pytest.raises(DegeneratePencilError):
+            pencil_discriminant(Pencil(nodal_cubic, nodal_cubic, P(0, 0, 1)))
+
+    def test_non_cubics_rejected(self):
+        conic = H(2, {(2, 0, 0): 1, (0, 1, 1): -1})
+        with pytest.raises(DomainError, match="quadrics"):
+            discriminant_along_pencil(conic, conic)
+
+
 class TestMemberClassification:
     def test_node(self, nodal_cubic):
         assert classify_singular_member(nodal_cubic) == NODE
@@ -218,10 +274,11 @@ class TestNonflexAccounting:
         assert all(r.classification == NODE for r in rational)
 
     def test_smoothness_decided_once(self, monkeypatch):
-        # One test in flexes (contact_system relies on it), 14 discriminant values.
-        calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod, pencils_mod)
+        # One test in flexes (contact_system relies on it); the pencil
+        # discriminant is one Macaulay quotient and evaluates no member.
+        calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod)
         nonflex_fiber_accounting(*kubert_z9_curve(2))
-        assert len(calls) == 15
+        assert len(calls) == 1
 
     def test_wrong_order_rejected(self):
         form6, p6 = kubert_z6_curve(1)
@@ -254,7 +311,7 @@ class TestUnisecantCount:
             unisecant_count_k3(nodal_cubic)
 
     def test_smoothness_decided_once(self, fermat, monkeypatch):
-        calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod, pencils_mod)
+        calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod)
         unisecant_count_k3(fermat)
         assert len(calls) == 1
 
