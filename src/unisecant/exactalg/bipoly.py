@@ -1,16 +1,18 @@
 """Bivariate polynomials: local curve germs and elimination in two variables.
 
 Resolution of plane-curve singularities works on affine local equations, so
-this module provides the germ toolkit: translation to a point, multiplicity
-at the origin (lowest total degree), the tangent-cone binary form, the two
-blow-up chart substitutions
+this module provides the germ toolkit: multiplicity at the origin (lowest
+total degree), the blow-up chart substitution
 
     chart A: f(x, y) -> f(x, x*y) / x^mu        (E = {x = 0})
-    chart B: f(x, y) -> f(x*y, y) / y^mu        (E = {y = 0}, covers the
-                                                 vertical direction)
 
-and the resultant with respect to y, computed by evaluation/interpolation
-with leading-coefficient guards.
+(chart B, f(x*y, y) / y^mu for the vertical direction, is chart A
+conjugated by the swap x <-> y), and the resultant with respect to y,
+computed by evaluation/interpolation with leading-coefficient guards.
+
+Coordinate changes (the translation of a point to the origin and the
+origin-preserving linear changes) are not done here: they act on the
+projective closure through ``HomogeneousForm.substitute``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DomainError
+from .forms import HomogeneousForm
 from .rationals import clear_denominators
 from .unipoly import UnivariatePoly, integer_nodes, interpolate, resultant
 
@@ -40,14 +43,6 @@ class BivariatePoly:
     def __setattr__(self, *args):
         raise AttributeError("BivariatePoly is immutable")
 
-    @classmethod
-    def zero(cls) -> "BivariatePoly":
-        return cls({})
-
-    @classmethod
-    def constant(cls, c) -> "BivariatePoly":
-        return cls({(0, 0): Fraction(c)})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -64,36 +59,6 @@ class BivariatePoly:
         for (i, j), c in sorted(self.coeffs.items()):
             parts.append(f"{c}*x^{i}*y^{j}")
         return "BivariatePoly(" + " + ".join(parts) + ")"
-
-    def __add__(self, other) -> "BivariatePoly":
-        if not isinstance(other, BivariatePoly):
-            other = BivariatePoly.constant(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return BivariatePoly(out)
-
-    def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other) -> "BivariatePoly":
-        if not isinstance(other, BivariatePoly):
-            other = BivariatePoly.constant(other)
-        return self + (-other)
-
-    def __mul__(self, other) -> "BivariatePoly":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return BivariatePoly({k: q * c for k, c in self.coeffs.items()})
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return BivariatePoly(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def total_degree(self) -> int:
         if self.is_zero():
@@ -132,67 +97,27 @@ class BivariatePoly:
             raise DomainError("zero polynomial has no multiplicity")
         return min(i + j for i, j in self.coeffs)
 
-    def lowest_form(self) -> "BivariatePoly":
-        """Tangent cone: the homogeneous part of lowest total degree."""
-        m = self.multiplicity()
-        return BivariatePoly({k: c for k, c in self.coeffs.items() if k[0] + k[1] == m})
-
-    def translate(self, a, b) -> "BivariatePoly":
-        """The polynomial f(x + a, y + b) (moves the point (a, b) to the origin)."""
-        a, b = Fraction(a), Fraction(b)
-        # Horner in y over polynomials in x, then shift x.
-        by_j: dict[int, UnivariatePoly] = {}
-        for (i, j), c in self.coeffs.items():
-            cs = by_j.get(j)
-            if cs is None:
-                by_j[j] = UnivariatePoly([Fraction(0)] * i + [c])
-            else:
-                by_j[j] = cs + UnivariatePoly([Fraction(0)] * i + [c])
-        shifted: dict[int, UnivariatePoly] = {j: p.shift(a) for j, p in by_j.items()}
-        out: dict[tuple[int, int], Fraction] = {}
-        max_j = max(shifted) if shifted else 0
-        # (y + b)^j expansion via binomials.
-        binom = [[1]]
-        for n in range(1, max_j + 1):
-            row = [1]
-            for k in range(1, n):
-                row.append(binom[n - 1][k - 1] + binom[n - 1][k])
-            row.append(1)
-            binom.append(row)
-        for j, p in shifted.items():
-            for k in range(j + 1):
-                coef = Fraction(binom[j][k]) * b ** (j - k)
-                if coef == 0:
-                    continue
-                for i, ci in enumerate(p.coeffs):
-                    if ci == 0:
-                        continue
-                    key = (i, k)
-                    out[key] = out.get(key, Fraction(0)) + ci * coef
-        return BivariatePoly(out)
-
     def swap(self) -> "BivariatePoly":
         return BivariatePoly({(j, i): c for (i, j), c in self.coeffs.items()})
 
+    def _substitute(self, m) -> "BivariatePoly":
+        """f after the coordinate change m, with x = X1/X0 and y = X2/X0.
+
+        The projective closure of f is taken to its total degree, moved by
+        ``HomogeneousForm.substitute`` (which raises ``DomainError`` for a
+        singular m) and dehomogenized again in the chart X0 = 1.
+        """
+        d = max(self.total_degree(), 0)
+        closure = HomogeneousForm(d, {(d - i - j, i, j): c for (i, j), c in self.coeffs.items()})
+        return BivariatePoly(closure.substitute(m).dehomogenize(0))
+
+    def translate(self, a, b) -> "BivariatePoly":
+        """The polynomial f(x + a, y + b) (moves the point (a, b) to the origin)."""
+        return self._substitute([[1, a, b], [0, 1, 0], [0, 0, 1]])
+
     def linear_change(self, a, b, c, d) -> "BivariatePoly":
         """Substitute x -> a x + b y, y -> c x + d y (origin-preserving)."""
-        a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-        if a * d - b * c == 0:
-            raise DomainError("singular linear change")
-        lx = BivariatePoly({(1, 0): a, (0, 1): b})
-        ly = BivariatePoly({(1, 0): c, (0, 1): d})
-        cache_x: dict[int, BivariatePoly] = {0: BivariatePoly.constant(1)}
-        cache_y: dict[int, BivariatePoly] = {0: BivariatePoly.constant(1)}
-
-        def pw(cache, base, e):
-            if e not in cache:
-                cache[e] = pw(cache, base, e - 1) * base
-            return cache[e]
-
-        out = BivariatePoly.zero()
-        for (i, j), q in self.coeffs.items():
-            out = out + pw(cache_x, lx, i) * pw(cache_y, ly, j) * q
-        return out
+        return self._substitute([[1, 0, 0], [0, a, c], [0, b, d]])
 
     def blowup_chart_a(self, mu: int) -> "BivariatePoly":
         """Proper transform in the chart (x, y/x): f(x, x*y) / x^mu."""
@@ -202,16 +127,6 @@ class BivariatePoly:
             if e < 0:
                 raise DomainError("chart-A division is not exact; wrong multiplicity")
             out[(e, j)] = out.get((e, j), Fraction(0)) + c
-        return BivariatePoly(out)
-
-    def blowup_chart_b(self, mu: int) -> "BivariatePoly":
-        """Proper transform in the chart (x/y, y): f(x*y, y) / y^mu."""
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            e = i + j - mu
-            if e < 0:
-                raise DomainError("chart-B division is not exact; wrong multiplicity")
-            out[(i, e)] = out.get((i, e), Fraction(0)) + c
         return BivariatePoly(out)
 
     def restrict_x(self, x0) -> UnivariatePoly:

@@ -169,15 +169,6 @@ class UnivariatePoly:
             acc = acc * x + c
         return acc
 
-    def shift(self, a) -> "UnivariatePoly":
-        """The polynomial p(x + a)."""
-        a = Fraction(a)
-        result = UnivariatePoly.zero()
-        xa = UnivariatePoly((a, 1))
-        for c in reversed(self.coeffs):
-            result = result * xa + UnivariatePoly.constant(c)
-        return result
-
     def monic(self) -> "UnivariatePoly":
         if self.is_zero():
             return self

@@ -48,6 +48,7 @@ from .exactalg import (
     rank,
     rational_singular_points,
     rational_to_string,
+    squarefree_part,
     yun_decomposition,
 )
 from .cubic import (
@@ -294,7 +295,6 @@ class PencilDiscriminant:
         return DISC_DEGREE - self.affine.degree
 
     def distinct_complex_roots(self) -> int:
-        from .exactalg import squarefree_part
         n = squarefree_part(self.affine).degree
         return n + (1 if self.multiplicity_at_infinity() > 0 else 0)
 
@@ -351,10 +351,7 @@ def classify_singular_member(member: HomogeneousForm) -> str:
     germ = curve_germ(member, p)
     if germ.multiplicity() != 2:
         raise DomainError("singular point is not a double point")
-    cone = germ.lowest_form()
-    a = cone.coeffs.get((2, 0), Fraction(0))
-    b = cone.coeffs.get((1, 1), Fraction(0))
-    c = cone.coeffs.get((0, 2), Fraction(0))
+    a, b, c = (germ.coeffs.get(k, Fraction(0)) for k in ((2, 0), (1, 1), (0, 2)))
     if b * b - 4 * a * c != 0:
         return NODE
     tree = multiplicity_sequence(member, p, check_reduced=False)

@@ -25,6 +25,7 @@ silently wrong count.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,16 +63,15 @@ def curve_germ(f: HomogeneousForm, p: ProjectivePoint) -> BivariatePoly:
     """Local affine equation of {f = 0} with p translated to the origin.
 
     Dehomogenizes in the chart of p's first nonzero coordinate, keeping the
-    two remaining coordinates in increasing index order.
+    two remaining coordinates in increasing index order.  p is scaled so
+    that coordinate is 1, so one substitution X_j -> X_j + p_j X_chart
+    (the identity with row ``chart`` replaced by p) moves p to the origin.
     """
     if f.is_zero():
         raise DomainError("zero form has no germ")
     chart = p.first_nonzero_index()
-    others = [i for i in range(3) if i != chart]
-    aff = BivariatePoly(f.dehomogenize(chart))
-    u0 = p.coords[others[0]] / p.coords[chart]
-    v0 = p.coords[others[1]] / p.coords[chart]
-    return aff.translate(u0, v0)
+    m = [list(p.coords) if i == chart else [int(i == j) for j in range(3)] for i in range(3)]
+    return BivariatePoly(f.substitute(m).dehomogenize(chart))
 
 
 def local_multiplicity(f: HomogeneousForm, p: ProjectivePoint) -> int:
@@ -126,7 +126,7 @@ def _blowup(germ: BivariatePoly, mu: int, move: tuple) -> BivariatePoly:
     is the origin of chart B, the vertical direction.
     """
     if move == ("B",):
-        return germ.blowup_chart_b(mu)
+        return germ.swap().blowup_chart_a(mu).swap()
     return germ.blowup_chart_a(mu).translate(0, move[1])
 
 
@@ -306,7 +306,6 @@ def geometric_genus(f: HomogeneousForm | SingularityProfile,
 def _origin_changes(limit: int = 48):
     yield (1, 0, 0, 1)
     yield (0, 1, 1, 0)
-    import random
     rng = random.Random(97531)
     count = 0
     while count < limit:
@@ -323,17 +322,16 @@ def _is_monomial_in_y(h: UnivariatePoly) -> bool:
 def _germ_intersection_resultant(fg: BivariatePoly, gg: BivariatePoly) -> int:
     """I(f, g) at the origin as ord_x res_y(f, g) in good position.
 
-    Good position means: both polynomials are y-regular of full degree with
-    constant leading y-coefficients (no mass escapes to y-infinity) and the
-    origin is the only common zero on the line x = 0.  Then the order of
-    the resultant at x = 0 is exactly the local intersection number.
+    Good position means: both polynomials are y-regular of full degree,
+    deg_y = total degree, so their leading y-coefficients are constants (no
+    mass escapes to y-infinity), and the origin is the only common zero on
+    the line x = 0.  Then the order of the resultant at x = 0 is exactly
+    the local intersection number.
     """
     for change in _origin_changes():
         f2 = fg.linear_change(*change)
         g2 = gg.linear_change(*change)
         if f2.degree_y() != f2.total_degree() or g2.degree_y() != g2.total_degree():
-            continue
-        if f2.coeffs_in_y()[-1].degree != 0 or g2.coeffs_in_y()[-1].degree != 0:
             continue
         f0 = f2.restrict_x(0)
         g0 = g2.restrict_x(0)

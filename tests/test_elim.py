@@ -7,10 +7,16 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from unisecant.errors import CommonComponentError, UnisecantError, UnsupportedFieldError
+from unisecant import singular
+from unisecant.errors import (
+    CommonComponentError,
+    DomainError,
+    UnisecantError,
+    UnsupportedFieldError,
+)
 from unisecant.exactalg import elim
 from unisecant.exactalg import (
     BivariatePoly,
@@ -58,6 +64,32 @@ def bivariate_with_lead(draw):
 def to_sympy_expr(f: BivariatePoly, x, y):
     return sum(sympy.Rational(c.numerator, c.denominator) * x**i * y**j
                for (i, j), c in f.coeffs.items())
+
+
+def from_sympy_expr(expr, x, y) -> BivariatePoly:
+    poly = sympy.Poly(sympy.expand(expr), x, y, domain=sympy.QQ)
+    return BivariatePoly({k: F(int(c.p), int(c.q)) for k, c in poly.terms()})
+
+
+@st.composite
+def germ_at_origin(draw):
+    """A ``bivariate_with_lead`` polynomial without its terms below degree 0, 1 or 2."""
+    low = draw(st.integers(0, 2))
+    f = draw(bivariate_with_lead())
+    germ = BivariatePoly({k: c for k, c in f.coeffs.items() if sum(k) >= low})
+    assume(not germ.is_zero())
+    return germ
+
+
+@st.composite
+def form_and_point(draw):
+    degree = draw(st.integers(1, 4))
+    coeffs = {(a, b, degree - a - b): draw(rational)
+              for a in range(degree + 1) for b in range(degree + 1 - a)}
+    f = HomogeneousForm(degree, coeffs)
+    coords = draw(st.tuples(rational, rational, rational))
+    assume(not f.is_zero() and any(coords))
+    return f, ProjectivePoint(*coords)
 
 
 class TestMacaulay:
@@ -126,6 +158,80 @@ class TestBivariateResultant:
         expected = sympy.Poly(res, x, domain=sympy.QQ)
         coeffs = [F(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]
         assert resultant_y(f, g) == UnivariatePoly(coeffs)
+
+
+class TestCoordinateChanges:
+    """Translations, linear changes, blow-up charts and germs against sympy."""
+
+    x, y = sympy.symbols("x y")
+
+    @settings(max_examples=40, deadline=None)
+    @given(bivariate_with_lead(), rational, rational)
+    def test_translate_matches_sympy(self, f, a, b):
+        x, y = self.x, self.y
+        expected = to_sympy_expr(f, x, y).subs({x: x + sympy.Rational(a.numerator, a.denominator),
+                                                y: y + sympy.Rational(b.numerator, b.denominator)},
+                                               simultaneous=True)
+        assert f.translate(a, b) == from_sympy_expr(expected, x, y)
+
+    @settings(max_examples=40, deadline=None)
+    @given(bivariate_with_lead(), st.tuples(*[rational] * 4))
+    def test_linear_change_matches_sympy(self, f, change):
+        a, b, c, d = change
+        assume(a * d - b * c != 0)
+        x, y = self.x, self.y
+        q = [sympy.Rational(v.numerator, v.denominator) for v in change]
+        expected = to_sympy_expr(f, x, y).subs({x: q[0] * x + q[1] * y, y: q[2] * x + q[3] * y},
+                                               simultaneous=True)
+        assert f.linear_change(a, b, c, d) == from_sympy_expr(expected, x, y)
+
+    @settings(max_examples=40, deadline=None)
+    @given(germ_at_origin(), rational)
+    def test_blowup_charts_match_sympy(self, germ, slope):
+        x, y = self.x, self.y
+        mu = germ.multiplicity()
+        fs = to_sympy_expr(germ, x, y)
+        c = sympy.Rational(slope.numerator, slope.denominator)
+        chart_a = sympy.cancel(fs.subs(y, x * (y + c)) / x**mu)
+        chart_b = sympy.cancel(fs.subs(x, x * y) / y**mu)
+        assert singular._blowup(germ, mu, ("A", slope)) == from_sympy_expr(chart_a, x, y)
+        assert singular._blowup(germ, mu, ("B",)) == from_sympy_expr(chart_b, x, y)
+
+    @settings(max_examples=40, deadline=None)
+    @given(form_and_point())
+    def test_curve_germ_matches_sympy(self, data):
+        f, p = data
+        x, y = self.x, self.y
+        chart = p.first_nonzero_index()
+        others = [i for i in range(3) if i != chart]
+        values = [sympy.Integer(1)] * 3
+        for var, i in zip((x, y), others):
+            values[i] = var + sympy.Rational(p[i].numerator, p[i].denominator)
+        expected = sum(sympy.Rational(q.numerator, q.denominator)
+                       * values[0]**e[0] * values[1]**e[1] * values[2]**e[2]
+                       for e, q in f.coeffs.items())
+        assert singular.curve_germ(f, p) == from_sympy_expr(expected, x, y)
+
+    def test_curve_germ_is_one_substitution(self, nodal_cubic, monkeypatch):
+        calls = count_calls(monkeypatch, "substitute", HomogeneousForm)
+        germ = singular.curve_germ(nodal_cubic, ProjectivePoint(2, F(1, 3), -5))
+        assert len(calls) == 1 and not germ.is_zero()
+
+    def test_zero_polynomial(self):
+        zero = BivariatePoly({})
+        assert zero.translate(F(1, 2), -3) == zero
+        assert zero.linear_change(1, 2, 3, 4) == zero
+
+    def test_translate_by_zero_is_identity(self):
+        f = BivariatePoly({(0, 0): F(1, 3), (2, 1): F(-4), (0, 3): F(5, 2)})
+        assert f.translate(0, 0) == f
+
+    def test_singular_linear_change_raises(self):
+        f = BivariatePoly({(1, 0): F(1), (0, 2): F(-1)})
+        with pytest.raises(DomainError, match="singular"):
+            f.linear_change(1, 2, 2, 4)
+        with pytest.raises(DomainError, match="singular"):
+            BivariatePoly({}).linear_change(0, 0, 1, 1)
 
 
 class TestPlaneIntersection:
