@@ -78,6 +78,9 @@ from .singular import (
 )
 from .torsion import contact_count, enumerate_contact_classes, level_census
 
+# Bound on ``selftest --rounds``: below 1 no check would run.
+MAX_SELFTEST_ROUNDS = 10_000
+
 
 # ---------------------------------------------------------------------------
 # Input parsing
@@ -311,6 +314,8 @@ def _cmd_conic(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if not 1 <= args.rounds <= MAX_SELFTEST_ROUNDS:
+        raise InputError(f"--rounds must be in 1..{MAX_SELFTEST_ROUNDS}, got {args.rounds}")
     rng = random.Random(args.seed)
     checks: dict[str, bool] = {}
 

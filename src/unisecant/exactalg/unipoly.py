@@ -1,13 +1,14 @@
 """Dense univariate polynomials over Q.
 
 The elimination workhorse: resultants (Sylvester determinant, evaluated
-fraction-free), discriminants, squarefree parts, Yun squarefree
-decomposition, and rational-root extraction.  Root multiplicity data from
-these routines is what turns "count distinct complex roots" questions into
-exact degree arithmetic, with no root isolation anywhere.
+fraction-free), discriminants, gcds (primitive PRS on integers), squarefree
+parts, Yun squarefree decomposition, and rational roots (p-adic lifting).
+Root multiplicity data from these routines is what turns "count distinct
+complex roots" questions into exact degree arithmetic, with no root
+isolation anywhere.
 
-Rational-root extraction and irreducible factorization over Q are delegated
-to sympy (Zassenhaus/LLL); everything else is self-contained.
+Only irreducible factorization over Q (``factor_over_q``) is delegated to
+sympy (Zassenhaus); everything else is self-contained.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import count
 
 import sympy
 
-from ..errors import DomainError
+from ..errors import DomainError, UnisecantError
 from .rationals import bareiss_det_int, clear_denominators
 
 
@@ -195,26 +196,51 @@ def _coerce(p) -> UnivariatePoly:
 
 
 def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
-    """Monic gcd over Q via the Euclidean algorithm on primitive integer parts.
+    """Monic gcd over Q by a primitive PRS on integer coefficients.
 
-    Remainders are re-primitivized each step to keep coefficient growth in
-    check (primitive PRS).
+    f and g are converted once to their primitive integer images (a gcd over
+    Q is unchanged by scaling).  Each step replaces (a, b) by (b, pp(r)), r
+    the pseudo-remainder of a by b and pp its primitive part, so every
+    remainder stays in Z[x] with its content divided out (von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, ch. 6).  The last nonzero remainder
+    is an integer multiple of the gcd; it is converted back once and made
+    monic.
     """
-    a, b = f, g
-    if a.is_zero():
-        return b.monic() if not b.is_zero() else b
-    if b.is_zero():
-        return a.monic()
-    a = _primitive(a)
-    b = _primitive(b)
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, _primitive(r) if not r.is_zero() else r
-    return a.monic()
+    if f.is_zero():
+        return g.monic()
+    if g.is_zero():
+        return f.monic()
+    a, b = clear_denominators(f.coeffs), clear_denominators(g.coeffs)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive_pseudo_remainder(a, b)
+    return UnivariatePoly(a).monic()
 
 
-def _primitive(f: UnivariatePoly) -> UnivariatePoly:
-    return UnivariatePoly(clear_denominators(f.coeffs))
+def _primitive_pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """pp(c·a mod b) for some nonzero integer c, ascending int coefficients.
+
+    Each elimination step scales the remainder by lc(b)/g and subtracts
+    (lead/g)·x^k·b, g = gcd(lead, lc(b)), so the arithmetic stays in Z.
+    The empty list is the zero remainder.
+    """
+    r = list(a)
+    lb = b[-1]
+    while len(r) >= len(b):
+        lead = r[-1]
+        g = math.gcd(lead, lb)
+        s, t = lb // g, lead // g
+        shift = len(r) - len(b)
+        if s != 1:
+            r = [s * c for c in r]
+        for j, c in enumerate(b):
+            r[shift + j] -= t * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    content = math.gcd(*r)
+    return [c // content for c in r] if content > 1 else r
 
 
 def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
@@ -332,17 +358,121 @@ def factor_over_q(f: UnivariatePoly) -> tuple[Fraction, list[tuple[UnivariatePol
     return c, result
 
 
+# Primes rational_roots tries, in order.  The list is finite so that the
+# search is bounded; a polynomial that no prime here suits is refused.  It
+# starts above 7: a prime p divides lc(G) or merges two roots mod p with
+# probability about 1/p.
+ROOT_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
 def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities, sorted ascending."""
+    """All rational roots with multiplicities, sorted ascending.
+
+    Works on the primitive integer image F of f; the root 0 and its
+    multiplicity are read off the valuation and divided out, leaving
+    G(0) != 0.  G is that image itself when some prime of ``ROOT_PRIMES``
+    suits it, and otherwise its squarefree part.  A prime p suits G when p
+    does not divide lc(G) and every root of G mod p is simple
+    (G'(r) != 0 mod p).  Each root mod p is Newton-lifted until p^k >
+    2·B^2, B = max(|G(0)|, |lc(G)|), and rationally reconstructed as a/b
+    with |a|, |b| <= B.  It is kept only if b·x - a divides F exactly in
+    Z[x], which is the integer test b^n·F(a/b) = 0 (Gauss's lemma: b·x - a
+    is primitive); the number of times it divides F is the multiplicity.
+
+    Completeness: a rational root a/b of G in lowest terms has a | G(0) and
+    b | lc(G), so |a|, |b| <= B, and p does not divide b.  It therefore
+    reduces to a root of G mod p, which is simple by the choice of p, and a
+    simple root mod p has exactly one p-adic lift (Hensel).  So a/b is that
+    lift, and since p^k > 2·B^2 the reconstruction returns it (von zur
+    Gathen & Gerhard, *Modern Computer Algebra*, section 5.10; Loos 1983).
+    The squarefree part has the same rational roots as F, and a squarefree
+    G is suited by every prime not dividing lc(G)·disc(G).  When no prime
+    of the list suits G, UnisecantError is raised; no incomplete answer is
+    ever returned.
+    """
     if f.is_zero():
         raise DomainError("zero polynomial")
-    _, factors = factor_over_q(f)
-    roots = []
-    for p, mult in factors:
-        if p.degree == 1:
-            roots.append((-p.coeffs[0] / p.coeffs[1], mult))
+    image = clear_denominators(f.coeffs)
+    v = f.valuation()
+    image = image[v:]
+    roots = [(Fraction(0), v)] if v else []
+    if len(image) > 1:
+        g = image
+        found = _suited_prime(g)
+        if found is None:
+            g = clear_denominators(squarefree_part(UnivariatePoly(image)).coeffs)
+            found = _suited_prime(g)
+        if found is None:
+            raise UnisecantError("no prime in ROOT_PRIMES suits the rational-root search")
+        p, residues = found
+        bound = max(abs(g[0]), abs(g[-1]))
+        dg = [i * c for i, c in enumerate(g)][1:]
+        for r in residues:
+            modulus = p
+            while modulus <= 2 * bound**2:
+                modulus *= modulus
+                r = (r - _eval_mod(g, r, modulus)
+                     * pow(_eval_mod(dg, r, modulus), -1, modulus)) % modulus
+            x = _reconstruct(r, modulus, bound)
+            if x is None:
+                continue
+            mult = 0
+            q = _divide_linear(image, x.numerator, x.denominator)
+            while q is not None:
+                mult, image = mult + 1, q
+                q = _divide_linear(image, x.numerator, x.denominator)
+            if mult:
+                roots.append((x, mult))
     roots.sort(key=lambda t: t[0])
     return roots
+
+
+def _suited_prime(g: list[int]) -> tuple[int, list[int]] | None:
+    """The first prime of ROOT_PRIMES suiting g, with the roots of g mod p."""
+    for p in ROOT_PRIMES:
+        if g[-1] % p == 0:
+            continue
+        cs = [c % p for c in g]
+        dcs = [i * c % p for i, c in enumerate(cs)][1:]
+        residues = [r for r in range(p) if _eval_mod(cs, r, p) == 0]
+        if all(_eval_mod(dcs, r, p) for r in residues):
+            return p, residues
+    return None
+
+
+def _eval_mod(cs: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _reconstruct(u: int, m: int, bound: int) -> Fraction | None:
+    """The fraction a/b with |a|, |b| <= bound and a = b·u mod m, if any.
+
+    Half extended Euclid on (m, u), stopped at the first remainder <= bound;
+    unique when m > 2·bound^2.
+    """
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound:
+        return None
+    return Fraction(r1, t1)
+
+
+def _divide_linear(cs: list[int], a: int, b: int) -> list[int] | None:
+    """cs / (b·x - a) in Z[x] (ascending coefficients), or None if it does not divide."""
+    q = [0] * (len(cs) - 1)
+    carry = 0
+    for i in range(len(cs) - 1, 0, -1):
+        num = cs[i] + a * carry
+        if num % b:
+            return None
+        carry = q[i - 1] = num // b
+    return q if cs[0] + a * carry == 0 else None
 
 
 def integer_nodes():

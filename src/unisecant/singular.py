@@ -47,7 +47,6 @@ from .exactalg import (
     is_reduced_form,
     plane_intersection,
     poly_gcd,
-    rational_roots,
     rational_singular_points,
     resultant_y,
 )
@@ -193,10 +192,10 @@ def _shared_moves(f: BivariatePoly, mf: int, g: BivariatePoly, mg: int) -> list[
     h = poly_gcd(cone_f, cone_g)
     slopes = []
     if h.degree > 0:
-        roots = rational_roots(h)
-        if sum(m for _, m in roots) != h.degree:
+        _, factors = factor_over_q(h)
+        if any(fac.degree > 1 for fac, _ in factors):
             raise UnsupportedFieldError("irrational common tangent direction")
-        slopes = [r for r, _ in roots]
+        slopes = sorted(-fac.coeffs[0] for fac, _ in factors)
     return _moves(slopes, vertical_f and vertical_g)
 
 

@@ -247,3 +247,10 @@ class TestVerificationAndErrors:
         code, out, _ = run_cli(capsys, "selftest", "--seed", "7", "--rounds", "8")
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize("rounds", ["0", "-1", "10001"])
+    def test_selftest_rounds_out_of_range_exit_2(self, capsys, rounds):
+        # With no rounds no check runs, so a vacuous "ok" must not be printed.
+        code, out, err = run_cli(capsys, "selftest", "--rounds", rounds)
+        assert code == 2 and out == ""
+        assert "1..10000" in err

@@ -17,7 +17,7 @@ from unisecant.errors import (
     UnisecantError,
     UnsupportedFieldError,
 )
-from unisecant.exactalg import elim
+from unisecant.exactalg import elim, unipoly
 from unisecant.exactalg import (
     BivariatePoly,
     HomogeneousForm,
@@ -255,6 +255,17 @@ class TestPlaneIntersection:
         assert expected.issubset(set(data.points))
         assert data.irrational_mass == 9 - sum(
             fb.multiplicity for fb in data.fibers)
+
+    def test_tangent_pair_needs_no_factorization(self, monkeypatch):
+        # The rational roots of the eliminant and of the fiber gcd come from
+        # p-adic lifting; no irreducible factorization runs.
+        parabola = H(2, {(0, 1, 1): 1, (2, 0, 0): -1})     # X1 X2 = X0^2
+        tangent = H(1, {(0, 1, 0): 1})                    # X1 = 0, at (0:0:1)
+        calls = count_calls(monkeypatch, "factor_over_q", unipoly, elim)
+        data = plane_intersection(parabola, tangent)
+        assert calls == []
+        assert [(p, fb.multiplicity) for fb in data.fibers for p in fb.points] == [
+            (ProjectivePoint(0, 0, 1), 2)]
 
 
 class TestSingularLocus:

@@ -151,7 +151,7 @@ class TestIrrationalTangents:
         assert local_intersection(self.F, self.G, ProjectivePoint(0, 0, 1)) == 6
 
     def test_identity_refuses_irrational_common_direction(self):
-        with pytest.raises(UnsupportedFieldError):
+        with pytest.raises(UnsupportedFieldError, match="irrational common tangent direction"):
             blowup_intersection_identity(self.F, self.G)
 
 

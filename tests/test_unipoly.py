@@ -12,10 +12,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unisecant.errors import DomainError
+from unisecant.errors import DomainError, UnisecantError
 from unisecant.exactalg import (
     UnivariatePoly,
     discriminant,
+    factor_over_q,
     interpolate,
     poly_gcd,
     rational_roots,
@@ -23,6 +24,7 @@ from unisecant.exactalg import (
     squarefree_part,
     yun_decomposition,
 )
+from unisecant.exactalg import unipoly
 
 P = UnivariatePoly
 
@@ -146,6 +148,8 @@ def from_sympy(poly: sympy.Poly) -> P:
 
 nonzero_poly = st.lists(rational, min_size=1, max_size=5).map(P).filter(
     lambda p: not p.is_zero())
+big_poly = st.lists(st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**4)),
+                   min_size=1, max_size=13).map(P).filter(lambda p: not p.is_zero())
 
 
 class TestSympyDifferential:
@@ -160,6 +164,59 @@ class TestSympyDifferential:
     def test_squarefree_part_matches_sympy(self, a, b, e):
         f = a * b**e
         assert squarefree_part(f) == from_sympy(sympy.sqf_part(to_sympy(f))).monic()
+
+    @settings(max_examples=40, deadline=None)
+    @given(big_poly, big_poly, big_poly)
+    def test_gcd_matches_sympy_at_eliminant_size(self, a, b, c):
+        f, g = a * c, b * c
+        assert poly_gcd(f, g) == from_sympy(sympy.gcd(to_sympy(f), to_sympy(g))).monic()
+
+
+def sympy_rational_roots(f: P) -> list:
+    """Rational roots of f read off the linear factors of sympy's factorization."""
+    _, factors = factor_over_q(f)
+    return sorted((-p.coeffs[0], m) for p, m in factors if p.degree == 1)
+
+
+def with_roots(f: P, roots) -> P:
+    for r, m in roots:
+        f = f * P((-r, 1)) ** m
+    return f
+
+
+# Denominators divisible by the first primes rational_roots tries put those
+# primes into the leading coefficient of the integer image.
+FIRST_PRIMES = [1, 2, 11, 13, 11 * 13, 11 * 13 * 17 * 19 * 23 * 29]
+root = st.builds(F, st.integers(-60, 60), st.sampled_from(FIRST_PRIMES))
+# Irreducible over Q; squared, they are repeated irrational factors.
+irrational = st.sampled_from([P((-2, 0, 1)), P((1, 0, 1)), P((-3, 0, 0, 1)), P((1, 1, 1)),
+                              P((-5, 0, 11 * 13))])
+
+
+class TestRationalRoots:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(root, st.integers(1, 3)), max_size=4),
+           st.lists(st.tuples(irrational, st.integers(1, 2)), max_size=2),
+           st.integers(0, 3), rational.filter(lambda c: c != 0))
+    def test_matches_sympy(self, roots, irrationals, zero_mult, scale):
+        f = with_roots(P((scale,)), roots) * P((0, 1)) ** zero_mult
+        for q, m in irrationals:
+            f = f * q**m
+        assert rational_roots(f) == sympy_rational_roots(f)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(-10**12, 10**12), min_size=2, max_size=21).map(P).filter(
+               lambda p: p.degree > 0),
+           st.lists(st.tuples(root, st.integers(1, 2)), max_size=2),
+           st.sampled_from(FIRST_PRIMES))
+    def test_matches_sympy_at_degree_25(self, g, roots, lc):
+        f = with_roots(g * P((1, lc)), roots)
+        assert rational_roots(f) == sympy_rational_roots(f)
+
+    def test_exhausted_prime_list_raises(self, monkeypatch):
+        monkeypatch.setattr(unipoly, "ROOT_PRIMES", (11, 13))
+        with pytest.raises(UnisecantError, match="no prime"):
+            rational_roots(P((-1, 143)))
 
 
 def binomial(k: int) -> P:
