@@ -122,7 +122,11 @@ class WeierstrassData:
 
 
 def is_flex(f: HomogeneousForm, p: ProjectivePoint) -> bool:
-    return f.evaluate(p.coords) == 0 and hessian(f).evaluate(p.coords) == 0
+    """p lies on f and the Hessian vanishes there: the second partials at p, one 3x3 det."""
+    if f.evaluate(p.coords) != 0:
+        return False
+    return mat3_det([[d.partial_derivative(j).evaluate(p.coords) for j in range(3)]
+                     for d in f.gradient()]) == 0
 
 
 def weierstrass_at_flex(f: HomogeneousForm, p: ProjectivePoint) -> WeierstrassData:

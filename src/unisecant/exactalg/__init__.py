@@ -9,8 +9,8 @@ projective substitution, bivariate germs, and the elimination layer
 from .rationals import (
     Mat3,
     bareiss_det_int,
-    clear_denominators,
     det_fractions,
+    integer_image,
     mat3,
     mat3_det,
     mat3_identity,
@@ -19,6 +19,7 @@ from .rationals import (
     mat3_transpose,
     mat3_vec,
     nullspace,
+    primitive_part,
     rank,
     rational_from_string,
     rational_to_string,
@@ -54,8 +55,8 @@ from .elim import (
 __all__ = [
     "Mat3",
     "bareiss_det_int",
-    "clear_denominators",
     "det_fractions",
+    "integer_image",
     "mat3",
     "mat3_det",
     "mat3_identity",
@@ -64,6 +65,7 @@ __all__ = [
     "mat3_transpose",
     "mat3_vec",
     "nullspace",
+    "primitive_part",
     "rank",
     "rational_from_string",
     "rational_to_string",

@@ -17,11 +17,12 @@ projective closure through ``HomogeneousForm.substitute``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..errors import DomainError
 from .forms import HomogeneousForm
-from .rationals import clear_denominators
+from .rationals import integer_image
 from .unipoly import UnivariatePoly, integer_nodes, interpolate, resultant
 
 
@@ -163,12 +164,12 @@ def _integer_columns(f: BivariatePoly) -> tuple[list[list[int]], Fraction]:
 
     columns[j] lists the integer coefficients of y^j in F, ascending in x.
     """
-    keys = list(f.coeffs)
-    ints = clear_denominators([f.coeffs[k] for k in keys])
+    ints, den = integer_image(f.coeffs.values())
+    content = math.gcd(*ints)
     columns = [[0] * (f.degree_x() + 1) for _ in range(f.degree_y() + 1)]
-    for (i, j), c in zip(keys, ints):
-        columns[j][i] = c
-    return columns, Fraction(ints[0]) / f.coeffs[keys[0]]
+    for (i, j), c in zip(f.coeffs, ints):
+        columns[j][i] = c // content
+    return columns, Fraction(den, content)
 
 
 def _horner(cs: list[int], x: int) -> int:

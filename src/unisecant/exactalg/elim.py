@@ -36,8 +36,8 @@ import sympy
 
 from ..errors import CommonComponentError, DomainError, UnisecantError, UnsupportedFieldError
 from .forms import HomogeneousForm, ProjectivePoint
-from .rationals import (Mat3, bareiss_det_int, det_fractions, mat3, mat3_identity,
-                        mat3_transpose, mat3_vec)
+from .rationals import (Mat3, bareiss_det_int, det_fractions, integer_image, mat3,
+                        mat3_identity, mat3_transpose, mat3_vec)
 from .unipoly import (
     UnivariatePoly,
     factor_over_q,
@@ -85,8 +85,8 @@ _DEG4_INDEX = {m: i for i, m in enumerate(_DEG4_MONOMIALS)}
 _MINOR = [_DEG4_INDEX[m] for m in _NON_REDUCED]  # rows and columns of the extraneous minor
 
 
-def _macaulay_rows(qs) -> list[list[Fraction]]:
-    """The 15x15 Macaulay matrix of three ternary quadrics, linear in their coefficients."""
+def _macaulay_rows(qs, den: int) -> list[list[int]]:
+    """den times the 15x15 Macaulay matrix of three quadrics (den a common denominator)."""
     if any(q.degree != 2 for q in qs):
         raise DomainError("all three forms must be quadrics")
     rows = []
@@ -94,10 +94,11 @@ def _macaulay_rows(qs) -> list[list[Fraction]]:
         i = 0 if mono[0] >= 2 else 1 if mono[1] >= 2 else 2  # first X_i with X_i^2 | mono
         shift = list(mono)
         shift[i] -= 2
-        row = [Fraction(0)] * 15
-        for expo, c in qs[i].coeffs.items():
+        scale = den // qs[i].den
+        row = [0] * 15
+        for expo, v in qs[i].num.items():
             target = (expo[0] + shift[0], expo[1] + shift[1], expo[2] + shift[2])
-            row[_DEG4_INDEX[target]] += c
+            row[_DEG4_INDEX[target]] += scale * v
         rows.append(row)
     return rows
 
@@ -110,11 +111,12 @@ def macaulay_resultant_quadrics(q0: HomogeneousForm, q1: HomogeneousForm,
     MacaulayDegenerate if the extraneous minor vanishes for these
     coefficients; callers retry after a unimodular change of coordinates.
     """
-    rows = _macaulay_rows((q0, q1, q2))
+    den = math.lcm(q0.den, q1.den, q2.den)
+    rows = _macaulay_rows((q0, q1, q2), den)
     det_minor = det_fractions([[rows[i][j] for j in _MINOR] for i in _MINOR])
     if det_minor == 0:
         raise MacaulayDegenerate("extraneous minor vanished")
-    return det_fractions(rows) / det_minor
+    return det_fractions(rows) / (det_minor * den**12)  # den^15 over den^3
 
 
 def ternary_discriminant(f: HomogeneousForm) -> Fraction:
@@ -153,14 +155,15 @@ def discriminant_along_pencil(g: HomogeneousForm, f: HomogeneousForm) -> Univari
     det M = Res * det M' is a polynomial identity in the coefficients
     (Cox–Little–O'Shea, *Using Algebraic Geometry*, ch. 3 §4), so
     det M(u) = Res(u) * det M'(u) in Q[u] and the division is exact.  In
-    the first unimodular frame (Res unchanged) with det M'(u) != 0, one
-    denominator D makes D*M_g and D*M_f integer, and 4 and 16 integer
-    determinants give det M'(u) (degree <= 3) and det M(u) (degree <= 15).
+    the first unimodular frame (Res unchanged) with det M'(u) != 0, the
+    common denominator D of the six partials makes D*M_g and D*M_f integer,
+    and 4 and 16 integer determinants give det M'(u) (degree <= 3) and
+    det M(u) (degree <= 15).
     """
     for m in unimodular_matrices():
-        rows = [_macaulay_rows(h.substitute(m).gradient()) for h in (g, f)]
-        den = math.lcm(*(x.denominator for mat in rows for row in mat for x in row))
-        mg, mf = ([[int(x * den) for x in row] for row in mat] for mat in rows)
+        grads = [h.substitute(m).gradient() for h in (g, f)]
+        den = math.lcm(*(q.den for qs in grads for q in qs))
+        mg, mf = (_macaulay_rows(qs, den) for qs in grads)
         extraneous = _det_along(mg, mf, _MINOR, 4)
         if extraneous.is_zero():
             continue
@@ -212,13 +215,12 @@ class IntersectionData:
 
 
 def _slice_poly(f: HomogeneousForm, x0, x1=1) -> UnivariatePoly:
-    """f(x0, x1, z) as a univariate polynomial in z."""
-    out: dict[int, Fraction] = {}
-    for (a, b, c), q in f.coeffs.items():
-        out[c] = out.get(c, Fraction(0)) + q * x0**a * x1**b
-    if not out:
-        return UnivariatePoly.zero()
-    return UnivariatePoly([out.get(i, Fraction(0)) for i in range(max(out) + 1)])
+    """f(x0, x1, z) in z; for (x0, x1) = (p0, p1)/d, z^c has num_e p0^a p1^b d^c / (den d^deg)."""
+    (p0, p1), d = integer_image((x0, x1))
+    out = [0] * (f.degree + 1)
+    for (a, b, c), v in f.num.items():
+        out[c] += v * p0**a * p1**b * d**c
+    return UnivariatePoly._from_ints(out, f.den * d**f.degree)
 
 
 def _as_bivariate_x1(f: HomogeneousForm) -> BivariatePoly:

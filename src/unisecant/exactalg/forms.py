@@ -1,10 +1,13 @@
 """Ternary homogeneous forms and projective points over Q.
 
 A ``HomogeneousForm`` is a sparse map from exponent triples (a, b, c) with
-a + b + c = degree to nonzero rationals; all plane curves in the package
-(cubics, pencil members, quartic test curves) are carried by this type.
-Coordinate changes act by substituting each variable X_j with the linear
-form given by column j of a 3x3 matrix, so that
+a + b + c = degree to nonzero rationals, stored as FLINT stores
+``fmpq_poly``: integer numerators over one positive denominator, in lowest
+terms.  Arithmetic runs on ``int``; ``Fraction`` appears only at the API
+edges (``coeffs``, ``coefficient``, ``evaluate``, JSON).  All plane curves
+in the package are carried by this type.  Coordinate changes act by
+substituting each variable X_j with the linear form given by column j of a
+3x3 matrix, so that
 
     substitute(f, M @ N) == substitute(substitute(f, N), M).
 
@@ -16,13 +19,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from ..errors import DomainError, InputError
 from .rationals import (
     Mat3,
+    integer_image,
     mat3,
     mat3_det,
-    mat3_identity,
     rational_from_string,
     rational_to_string,
 )
@@ -31,23 +35,36 @@ Triple = tuple[int, int, int]
 
 
 class HomogeneousForm:
-    """A homogeneous polynomial in X0, X1, X2 with exact rational coefficients."""
+    """A homogeneous polynomial in X0, X1, X2 with exact rational coefficients.
 
-    __slots__ = ("degree", "coeffs")
+    ``num`` maps exponents to nonzero ints and ``den`` > 0 shares no prime
+    with all of them, so equal forms have equal (num, den); both read-only.
+    """
+
+    __slots__ = ("degree", "num", "den")
 
     def __init__(self, degree: int, coeffs: dict[Triple, Fraction] | None = None):
         if degree < 0:
             raise DomainError("degree must be non-negative")
-        clean: dict[Triple, Fraction] = {}
-        for expo, c in (coeffs or {}).items():
-            a, b, cc = expo
-            if a < 0 or b < 0 or cc < 0 or a + b + cc != degree:
-                raise DomainError(f"exponent triple {expo} does not sum to degree {degree}")
-            c = Fraction(c)
-            if c != 0:
-                clean[(a, b, cc)] = c
+        coeffs = coeffs or {}
+        for a, b, c in coeffs:
+            if a < 0 or b < 0 or c < 0 or a + b + c != degree:
+                raise DomainError(f"exponent triple {(a, b, c)} does not sum to degree {degree}")
+        ints, den = integer_image(coeffs.values())
+        self._set(degree, {(a, b, c): v for (a, b, c), v in zip(coeffs, ints)}, den)
+
+    @classmethod
+    def _from_ints(cls, degree: int, num: dict[Triple, int], den: int) -> "HomogeneousForm":
+        """The form sum num[e] X^e / den (any nonzero den)."""
+        form = object.__new__(cls)
+        form._set(degree, num, den)
+        return form
+
+    def _set(self, degree: int, num: dict[Triple, int], den: int) -> None:
+        g = math.gcd(den, *num.values()) if den > 0 else -math.gcd(den, *num.values())
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "num", {e: v // g for e, v in num.items() if v})
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, *args):
         raise AttributeError("HomogeneousForm is immutable")
@@ -58,26 +75,31 @@ class HomogeneousForm:
 
     @classmethod
     def monomial(cls, expo: Triple, coeff=1) -> "HomogeneousForm":
-        return cls(sum(expo), {expo: Fraction(coeff)})
+        return cls(sum(expo), {expo: coeff})
 
     @classmethod
     def linear(cls, c0, c1, c2) -> "HomogeneousForm":
-        return cls(1, {(1, 0, 0): Fraction(c0), (0, 1, 0): Fraction(c1),
-                       (0, 0, 1): Fraction(c2)})
+        return cls(1, {(1, 0, 0): c0, (0, 1, 0): c1, (0, 0, 1): c2})
+
+    @property
+    def coeffs(self):
+        """Read-only {exponent triple: Fraction} view of the nonzero coefficients."""
+        return MappingProxyType({e: Fraction(v, self.den) for e, v in self.num.items()})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def coefficient(self, expo: Triple) -> Fraction:
-        return self.coeffs.get(expo, Fraction(0))
+        return Fraction(self.num.get(expo, 0), self.den)
 
     def canonical_items(self) -> list[tuple[Triple, Fraction]]:
         """Monomials sorted descending by (a, b): the serialization order."""
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0][0], kv[0][1]), reverse=True)
+        return [(e, Fraction(self.num[e], self.den))
+                for e in sorted(self.num, key=lambda e: (e[0], e[1]), reverse=True)]
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, HomogeneousForm)
-                and self.degree == other.degree and self.coeffs == other.coeffs)
+        return (isinstance(other, HomogeneousForm) and self.degree == other.degree
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
         return hash((self.degree, tuple(self.canonical_items())))
@@ -99,33 +121,45 @@ class HomogeneousForm:
             if other.is_zero():
                 return self
             raise DomainError("cannot add forms of different degrees")
-        out = dict(self.coeffs)
-        for expo, c in other.coeffs.items():
-            out[expo] = out.get(expo, Fraction(0)) + c
-        return HomogeneousForm(self.degree, out)
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        out = {e: s * v for e, v in self.num.items()}
+        for e, v in other.num.items():
+            out[e] = out.get(e, 0) + t * v
+        return HomogeneousForm._from_ints(self.degree, out, den)
 
     def __neg__(self) -> "HomogeneousForm":
-        return HomogeneousForm(self.degree, {e: -c for e, c in self.coeffs.items()})
+        return HomogeneousForm._from_ints(self.degree, {e: -v for e, v in self.num.items()},
+                                          self.den)
 
     def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
         return self + (-other)
 
     def is_proportional_to(self, other: "HomogeneousForm") -> bool:
         """True iff self = lambda * other for a nonzero scalar lambda."""
-        if self.is_zero() or other.is_zero() or set(self.coeffs) != set(other.coeffs):
+        if self.is_zero() or other.is_zero() or self.num.keys() != other.num.keys():
             return False
-        expo = next(iter(self.coeffs))
-        lam = self.coeffs[expo] / other.coeffs[expo]
-        return all(c == lam * other.coeffs[e] for e, c in self.coeffs.items())
+        expo = next(iter(self.num))
+        a, b = self.num[expo], other.num[expo]
+        return all(v * b == a * other.num[e] for e, v in self.num.items())
 
     def scale(self, q) -> "HomogeneousForm":
-        q = Fraction(q)
-        return HomogeneousForm(self.degree, {e: q * c for e, c in self.coeffs.items()})
+        q = q if isinstance(q, (int, Fraction)) else Fraction(q)
+        return HomogeneousForm._from_ints(
+            self.degree, {e: q.numerator * v for e, v in self.num.items()},
+            q.denominator * self.den)
+
+    def primitive(self) -> "HomogeneousForm":
+        """c * self for the c > 0 that makes the coefficients coprime integers."""
+        g = math.gcd(*self.num.values()) or 1
+        return HomogeneousForm._from_ints(self.degree,
+                                          {e: v // g for e, v in self.num.items()}, 1)
 
     def __mul__(self, other) -> "HomogeneousForm":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        return HomogeneousForm(self.degree + other.degree, _product(self.coeffs, other.coeffs))
+        return HomogeneousForm._from_ints(self.degree + other.degree,
+                                          _product(self.num, other.num), self.den * other.den)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -136,26 +170,23 @@ class HomogeneousForm:
             raise DomainError("variable index must be 0, 1 or 2")
         if self.degree == 0:
             return HomogeneousForm.zero(0)
-        out: dict[Triple, Fraction] = {}
-        for expo, c in self.coeffs.items():
+        out: dict[Triple, int] = {}
+        for expo, v in self.num.items():
             e = expo[var]
-            if e == 0:
-                continue
-            new = list(expo)
-            new[var] = e - 1
-            key = (new[0], new[1], new[2])
-            out[key] = out.get(key, Fraction(0)) + e * c
-        return HomogeneousForm(self.degree - 1, out)
+            if e:
+                new = list(expo)
+                new[var] = e - 1
+                out[(new[0], new[1], new[2])] = e * v
+        return HomogeneousForm._from_ints(self.degree - 1, out, self.den)
 
     def gradient(self) -> tuple["HomogeneousForm", "HomogeneousForm", "HomogeneousForm"]:
         return tuple(self.partial_derivative(i) for i in range(3))
 
     def evaluate(self, point) -> Fraction:
-        xs = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for (a, b, c), q in self.coeffs.items():
-            total += q * xs[0] ** a * xs[1] ** b * xs[2] ** c
-        return total
+        """f(X / d) = f(X) / d^degree for the integer image X / d of the point."""
+        (x0, x1, x2), d = integer_image(point)
+        total = sum(v * x0**a * x1**b * x2**c for (a, b, c), v in self.num.items())
+        return Fraction(total, self.den * d**self.degree)
 
     def substitute(self, m: Mat3) -> "HomogeneousForm":
         """Replace variable X_j by the linear form sum_i m[i][j] X_i.
@@ -163,31 +194,26 @@ class HomogeneousForm:
         Requires m invertible; degree is preserved and the substitution is a
         right group action: substitute(f, M @ N) = substitute(substitute(f, N), M).
 
-        Runs on ``int``: f(m x) = (L f)(D m x) / (L * D^degree) for the lcms L
-        of f's and D of m's denominators, and only the output coefficients
-        become ``Fraction``s.
+        Runs on ``int``: f(m x) = (num f)(D m x) / (den * D^degree) for the
+        common denominator D of m's entries.
         """
-        m = mat3(m)
-        if m == mat3_identity():
+        flat, dm = integer_image(x for row in mat3(m) for x in row)
+        if dm == 1 and flat == [1, 0, 0, 0, 1, 0, 0, 0, 1]:
             return self  # forms are immutable
-        if mat3_det(m) == 0:
+        if mat3_det([flat[0:3], flat[3:6], flat[6:9]]) == 0:
             raise DomainError("substitution matrix is singular")
-        dm = math.lcm(*(x.denominator for row in m for x in row))
         powers = []
         for j in range(3):
-            line = {tuple(int(k == i) for k in range(3)): int(m[i][j] * dm)
-                    for i in range(3) if m[i][j]}
+            line = {tuple(int(k == i) for k in range(3)): flat[3 * i + j]
+                    for i in range(3) if flat[3 * i + j]}
             powers.append([{(0, 0, 0): 1}])
             for _ in range(self.degree):
                 powers[j].append(_product(powers[j][-1], line))
-        lf = math.lcm(*(q.denominator for q in self.coeffs.values()))
         out: dict[Triple, int] = {}
-        for (a, b, c), q in self.coeffs.items():
-            k = q.numerator * (lf // q.denominator)
+        for (a, b, c), k in self.num.items():
             for expo, v in _product(_product(powers[0][a], powers[1][b]), powers[2][c]).items():
                 out[expo] = out.get(expo, 0) + k * v
-        den = lf * dm ** self.degree
-        return HomogeneousForm(self.degree, {e: Fraction(v, den) for e, v in out.items()})
+        return HomogeneousForm._from_ints(self.degree, out, self.den * dm ** self.degree)
 
     def dehomogenize(self, chart: int) -> "dict[tuple[int, int], Fraction]":
         """Affine coefficients {(i, j): c} setting X_chart = 1.
@@ -199,11 +225,11 @@ class HomogeneousForm:
         if chart not in (0, 1, 2):
             raise DomainError("chart must be 0, 1 or 2")
         others = [i for i in range(3) if i != chart]
-        out: dict[tuple[int, int], Fraction] = {}
-        for expo, c in self.coeffs.items():
+        out: dict[tuple[int, int], int] = {}
+        for expo, v in self.num.items():
             key = (expo[others[0]], expo[others[1]])
-            out[key] = out.get(key, Fraction(0)) + c
-        return {k: v for k, v in out.items() if v != 0}
+            out[key] = out.get(key, 0) + v
+        return {k: Fraction(v, self.den) for k, v in out.items() if v}
 
     def to_json_dict(self) -> dict:
         return {
@@ -226,7 +252,7 @@ class HomogeneousForm:
 
 
 def _product(p: dict, q: dict) -> dict:
-    """Product of two coefficient maps (Fractions or plain ints)."""
+    """Product of two coefficient maps."""
     out: dict = {}
     for (a1, b1, c1), v1 in p.items():
         for (a2, b2, c2), v2 in q.items():

@@ -1,11 +1,13 @@
 """Exact rational scaffolding: parsing, 3x3 matrices, fraction-free linear algebra.
 
-Everything in the package computes over Q.  Rationals are stdlib
-``fractions.Fraction``; this module adds the serialization convention
-("num/den" in lowest terms, plain "num" for integers), small dense 3x3
-matrix helpers for projective coordinate changes, a fraction-free Bareiss
-determinant, and an exact nullspace solver used by the contact-system
-machinery.
+Everything in the package computes over Q, exactly.  Rationals cross the
+API as stdlib ``fractions.Fraction``; inside, vectors of them are carried as
+integer numerators over one positive denominator (``integer_image``), and
+the linear algebra runs on ``int``.  This module adds the serialization
+convention ("num/den" in lowest terms, plain "num" for integers), small
+dense 3x3 matrix helpers for projective coordinate changes, a fraction-free
+Bareiss determinant, and a fraction-free nullspace solver used by the
+contact-system machinery.
 """
 
 from __future__ import annotations
@@ -125,74 +127,66 @@ def bareiss_det_int(m: list[list[int]]) -> int:
 
 
 def det_fractions(m) -> Fraction:
-    """Exact determinant of a square matrix of Fractions.
-
-    Row denominators are cleared first so the heavy lifting runs on
-    integers via Bareiss.
-    """
+    """Exact determinant of a square matrix of rationals: Bareiss on its integer image."""
     n = len(m)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows: list[list[int]] = []
-    for row in m:
-        row = [Fraction(x) for x in row]
-        lcm = math.lcm(*(x.denominator for x in row))
-        scale *= lcm
-        int_rows.append([int(x * lcm) for x in row])
-    return Fraction(bareiss_det_int(int_rows)) / scale
+    flat, den = integer_image(x for row in m for x in row)
+    return Fraction(bareiss_det_int([flat[i * n:(i + 1) * n] for i in range(n)]), den**n)
 
 
-def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+def nullspace(rows, ncols: int) -> list[list[Fraction]]:
     """Basis of the right nullspace of the given row list, over Q.
 
     Deterministic: Gauss-Jordan with first-nonzero pivoting; free variables
-    in increasing column order, each basis vector has a 1 in its free slot.
+    in increasing column order, each basis vector has a 1 in its free slot
+    and -a[i][fc]/a[i][pc] in the slot of pivot pc.  Fraction-free: rows are
+    primitive integer rows, eliminated as pv*a[i] - a[i][c]*a[r] and made
+    primitive again, so each stays a nonzero multiple of its rational
+    Gauss-Jordan counterpart and the ratios are the same.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
+    a = [primitive_part(integer_image(row)[0]) for row in rows]
     nrows = len(a)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
+        pv, prow = a[r][c], a[r]
         for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f != 0:
+                a[i] = primitive_part([pv * x - f * y for x, y in zip(a[i], prow)])
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
+            v[pc] = Fraction(-a[i][fc], a[i][pc])
         basis.append(v)
     return basis
 
 
-def rank(rows: list[list[Fraction]], ncols: int) -> int:
+def rank(rows, ncols: int) -> int:
     return ncols - len(nullspace(rows, ncols))
 
 
-def clear_denominators(values) -> list[int]:
-    """Scale a list of Fractions to coprime integers (the primitive integer image)."""
-    values = [Fraction(v) for v in values]
-    lcm = math.lcm(*(v.denominator for v in values))
-    ints = [int(v * lcm) for v in values]
+def integer_image(values) -> tuple[list[int], int]:
+    """Rationals as (integer numerators, one positive denominator), in lowest terms.
+
+    The denominator is the lcm of the reduced denominators, so no prime
+    divides it and every numerator.
+    """
+    qs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = math.lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def primitive_part(ints: list[int]) -> list[int]:
+    """The integer list divided by the gcd of its entries (as it is when that is 0 or 1)."""
     g = math.gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+    return [x // g for x in ints] if g > 1 else ints

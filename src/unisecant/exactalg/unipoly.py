@@ -1,6 +1,8 @@
 """Dense univariate polynomials over Q.
 
-The elimination workhorse: resultants (Sylvester determinant, evaluated
+A polynomial is stored as integer numerators over one positive denominator
+in lowest terms, and its arithmetic (division included) runs on ``int``;
+coefficients cross the API as ``Fraction``.  The elimination workhorse: resultants (Sylvester determinant, evaluated
 fraction-free), discriminants, gcds (primitive PRS on integers), squarefree
 parts, Yun squarefree decomposition, and rational roots (p-adic lifting).
 Root multiplicity data from these routines is what turns "count distinct
@@ -20,23 +22,35 @@ from itertools import count
 import sympy
 
 from ..errors import DomainError, UnisecantError
-from .rationals import bareiss_det_int, clear_denominators
+from .rationals import bareiss_det_int, integer_image, primitive_part
 
 
 class UnivariatePoly:
     """A polynomial in one variable with exact rational coefficients.
 
-    Coefficients are stored dense, ascending; the zero polynomial stores an
-    empty tuple and reports degree -1.  Instances are immutable.
+    ``num`` is the dense ascending tuple of integer numerators, no trailing
+    zero, over ``den`` > 0 in lowest terms; both read-only.  The zero
+    polynomial is ((), 1) and reports degree -1.  Instances are immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._set(*integer_image(coeffs))
+
+    @classmethod
+    def _from_ints(cls, num, den: int = 1) -> "UnivariatePoly":
+        """The polynomial sum num[i] x^i / den (any nonzero den)."""
+        poly = object.__new__(cls)
+        poly._set(list(num), den)
+        return poly
+
+    def _set(self, num: list[int], den: int) -> None:
+        while num and num[-1] == 0:
+            num.pop()
+        g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+        object.__setattr__(self, "num", tuple(v // g for v in num))
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, *args):
         raise AttributeError("UnivariatePoly is immutable")
@@ -54,30 +68,36 @@ class UnivariatePoly:
         return cls((c,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending."""
+        return tuple(Fraction(v, self.den) for v in self.num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def lc(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.num):
+            return Fraction(self.num[i], self.den)
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UnivariatePoly) and self.coeffs == other.coeffs
+        return (isinstance(other, UnivariatePoly)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.num:
             return "UnivariatePoly(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -93,14 +113,19 @@ class UnivariatePoly:
 
     def __add__(self, other) -> "UnivariatePoly":
         other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePoly([self[i] + other[i] for i in range(n)])
+        den = math.lcm(self.den, other.den)
+        a, b = ([v * (den // p.den) for v in p.num] for p in (self, other))
+        if len(a) < len(b):
+            a, b = b, a
+        for i, v in enumerate(b):
+            a[i] += v
+        return UnivariatePoly._from_ints(a, den)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "UnivariatePoly":
-        return UnivariatePoly([-c for c in self.coeffs])
+        return UnivariatePoly._from_ints([-v for v in self.num], self.den)
 
     def __sub__(self, other) -> "UnivariatePoly":
         return self + (-_coerce(other))
@@ -112,13 +137,12 @@ class UnivariatePoly:
         other = _coerce(other)
         if self.is_zero() or other.is_zero():
             return UnivariatePoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UnivariatePoly(out)
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num):
+                    out[i + j] += a * b
+        return UnivariatePoly._from_ints(out, self.den * other.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -136,23 +160,36 @@ class UnivariatePoly:
         return result
 
     def divmod(self, other: "UnivariatePoly"):
-        """Exact polynomial division with remainder over Q."""
+        """Exact polynomial division with remainder over Q.
+
+        Integer pseudo-division of the numerators A = a*self by B = b*other:
+        s*A = Q*B + R in Z[x], s the product of the factors lc(B)/gcd(lead,
+        lc(B)) applied on the way; the quotient is Q*b/(s*a), the rest R/(s*a).
+        """
         other = _coerce(other)
         if other.is_zero():
             raise DomainError("division by zero polynomial")
-        rem = list(self.coeffs)
         d = other.degree
-        lc = other.lc()
         if self.degree < d:
             return UnivariatePoly.zero(), self
-        quot = [Fraction(0)] * (self.degree - d + 1)
+        rem, b, lb = list(self.num), other.num, other.num[-1]
+        quot = [0] * (self.degree - d + 1)
+        s = 1
         for i in range(self.degree - d, -1, -1):
-            c = rem[i + d] / lc
-            quot[i] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return UnivariatePoly(quot), UnivariatePoly(rem)
+            lead = rem[i + d]
+            if lead == 0:
+                continue
+            g = math.gcd(lead, lb)
+            mult, t = lb // g, lead // g
+            if mult != 1:
+                rem = [mult * v for v in rem]
+                quot = [mult * v for v in quot]
+                s *= mult
+            quot[i] = t
+            for j, v in enumerate(b):
+                rem[i + j] -= t * v
+        return (UnivariatePoly._from_ints([v * other.den for v in quot], s * self.den),
+                UnivariatePoly._from_ints(rem, s * self.den))
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -161,32 +198,29 @@ class UnivariatePoly:
         return self.divmod(other)[1]
 
     def derivative(self) -> "UnivariatePoly":
-        return UnivariatePoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return UnivariatePoly._from_ints([i * v for i, v in enumerate(self.num)][1:], self.den)
 
     def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """f(p/q) = (sum num_i p^i q^(n-i)) / (den q^n), on int."""
+        x, n = Fraction(x), max(self.degree, 0)
+        p, q = x.numerator, x.denominator
+        return Fraction(sum(v * p**i * q**(n - i) for i, v in enumerate(self.num)), self.den * q**n)
 
     def monic(self) -> "UnivariatePoly":
         if self.is_zero():
             return self
-        lc = self.lc()
-        return UnivariatePoly([c / lc for c in self.coeffs])
+        return UnivariatePoly._from_ints(self.num, self.num[-1])
 
     def scale(self, c) -> "UnivariatePoly":
-        return UnivariatePoly([Fraction(c) * a for a in self.coeffs])
+        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+        return UnivariatePoly._from_ints([c.numerator * v for v in self.num],
+                                         c.denominator * self.den)
 
     def valuation(self) -> int:
         """Order of vanishing at 0; degree+1 convention avoided: zero poly errors."""
         if self.is_zero():
             raise DomainError("zero polynomial has infinite valuation")
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        raise AssertionError("unreachable")
+        return next(i for i, v in enumerate(self.num) if v)
 
 
 def _coerce(p) -> UnivariatePoly:
@@ -210,12 +244,12 @@ def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
         return g.monic()
     if g.is_zero():
         return f.monic()
-    a, b = clear_denominators(f.coeffs), clear_denominators(g.coeffs)
+    a, b = primitive_part(list(f.num)), primitive_part(list(g.num))
     if len(a) < len(b):
         a, b = b, a
     while b:
         a, b = b, _primitive_pseudo_remainder(a, b)
-    return UnivariatePoly(a).monic()
+    return UnivariatePoly._from_ints(a).monic()
 
 
 def _primitive_pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -239,8 +273,7 @@ def _primitive_pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
         r.pop()
         while r and r[-1] == 0:
             r.pop()
-    content = math.gcd(*r)
-    return [c // content for c in r] if content > 1 else r
+    return primitive_part(r)
 
 
 def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
@@ -258,14 +291,7 @@ def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
         nz = g if f.is_zero() else f
         return Fraction(1) if nz.degree == 0 else Fraction(0)
     m, n = f.degree, g.degree
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    df = math.lcm(*(c.denominator for c in f.coeffs))
-    dg = math.lcm(*(c.denominator for c in g.coeffs))
-    fi = [c.numerator * (df // c.denominator) for c in reversed(f.coeffs)]
-    gi = [c.numerator * (dg // c.denominator) for c in reversed(g.coeffs)]
+    fi, gi = f.num[::-1], g.num[::-1]
     size = m + n
     rows = []
     for i in range(n):
@@ -276,7 +302,7 @@ def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
         row = [0] * size
         row[i:i + n + 1] = gi
         rows.append(row)
-    return Fraction(bareiss_det_int(rows), df**n * dg**m)
+    return Fraction(bareiss_det_int(rows), f.den**n * g.den**m)
 
 
 def discriminant(f: UnivariatePoly) -> Fraction:
@@ -370,14 +396,16 @@ def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
 
     Works on the primitive integer image F of f; the root 0 and its
     multiplicity are read off the valuation and divided out, leaving
-    G(0) != 0.  G is that image itself when some prime of ``ROOT_PRIMES``
-    suits it, and otherwise its squarefree part.  A prime p suits G when p
-    does not divide lc(G) and every root of G mod p is simple
-    (G'(r) != 0 mod p).  Each root mod p is Newton-lifted until p^k >
-    2·B^2, B = max(|G(0)|, |lc(G)|), and rationally reconstructed as a/b
-    with |a|, |b| <= B.  It is kept only if b·x - a divides F exactly in
-    Z[x], which is the integer test b^n·F(a/b) = 0 (Gauss's lemma: b·x - a
-    is primitive); the number of times it divides F is the multiplicity.
+    G(0) != 0.  A prime p suits G when p does not divide lc(G) and every
+    root of G mod p is simple (G'(r) != 0 mod p).  G is that image itself
+    when the first prime of ``ROOT_PRIMES`` not dividing its leading
+    coefficient suits it; when that prime shows a repeated root, G is the
+    squarefree part instead, and the primes are walked again on it.  Each
+    root mod p is Newton-lifted until p^k > 2·B^2, B = max(|G(0)|, |lc(G)|),
+    and rationally reconstructed as a/b with |a|, |b| <= B.  It is kept
+    only if b·x - a divides F exactly in Z[x], which is the integer test
+    b^n·F(a/b) = 0 (Gauss's lemma: b·x - a is primitive); the number of
+    times it divides F is the multiplicity.
 
     Completeness: a rational root a/b of G in lowest terms has a | G(0) and
     b | lc(G), so |a|, |b| <= B, and p does not divide b.  It therefore
@@ -392,15 +420,15 @@ def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
     """
     if f.is_zero():
         raise DomainError("zero polynomial")
-    image = clear_denominators(f.coeffs)
+    image = primitive_part(list(f.num))
     v = f.valuation()
     image = image[v:]
     roots = [(Fraction(0), v)] if v else []
     if len(image) > 1:
         g = image
-        found = _suited_prime(g)
+        found = _suited_prime(g, first_only=True)
         if found is None:
-            g = clear_denominators(squarefree_part(UnivariatePoly(image)).coeffs)
+            g = primitive_part(list(squarefree_part(UnivariatePoly(image)).num))
             found = _suited_prime(g)
         if found is None:
             raise UnisecantError("no prime in ROOT_PRIMES suits the rational-root search")
@@ -427,8 +455,11 @@ def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
     return roots
 
 
-def _suited_prime(g: list[int]) -> tuple[int, list[int]] | None:
-    """The first prime of ROOT_PRIMES suiting g, with the roots of g mod p."""
+def _suited_prime(g: list[int], first_only: bool = False) -> tuple[int, list[int]] | None:
+    """The first prime of ROOT_PRIMES suiting g, with the roots of g mod p.
+
+    With ``first_only``, only the first prime not dividing lc(g) is tried.
+    """
     for p in ROOT_PRIMES:
         if g[-1] % p == 0:
             continue
@@ -437,6 +468,8 @@ def _suited_prime(g: list[int]) -> tuple[int, list[int]] | None:
         residues = [r for r in range(p) if _eval_mod(cs, r, p) == 0]
         if all(_eval_mod(dcs, r, p) for r in residues):
             return p, residues
+        if first_only:
+            return None
     return None
 
 
@@ -502,9 +535,7 @@ def interpolate(points: list[tuple[int, Fraction]]) -> UnivariatePoly:
         raise DomainError("interpolation nodes must be distinct")
     if not xs:
         return UnivariatePoly.zero()
-    ys = [Fraction(y) for _, y in points]
-    den = math.lcm(*(y.denominator for y in ys))
-    dd = [y.numerator * (den // y.denominator) for y in ys]
+    dd, den = integer_image(y for _, y in points)
     n = len(xs)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
@@ -518,4 +549,5 @@ def interpolate(points: list[tuple[int, Fraction]]) -> UnivariatePoly:
             shifted[i] -= xs[k] * c
         shifted[0] += dd[k]
         acc = shifted
-    return UnivariatePoly([Fraction(c, den) for c in acc])
+    ints, d = integer_image(acc)
+    return UnivariatePoly._from_ints(ints, d * den)

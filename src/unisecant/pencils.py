@@ -27,6 +27,7 @@ for the j = 0 class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,11 +41,12 @@ from .exactalg import (
     HomogeneousForm,
     ProjectivePoint,
     UnivariatePoly,
-    clear_denominators,
     discriminant_along_pencil,
     factor_over_q,
     is_reduced_form,
+    integer_image,
     nullspace,
+    primitive_part,
     rank,
     rational_singular_points,
     rational_to_string,
@@ -71,12 +73,12 @@ DISC_DEGREE = 12
 # Contact systems
 # ---------------------------------------------------------------------------
 
-def _branch_series(germ, order: int) -> tuple[list[Fraction], bool]:
+def _branch_series(germ, order: int) -> tuple[list[int], int, bool]:
     """Power series of the smooth branch at the origin, truncated at x^order.
 
-    Returns (coefficients a_1..a_{order-1} of y = sum a_i x^i, swapped)
-    where ``swapped`` records that the roles of x and y were exchanged
-    because the y-partial vanished at the origin.
+    Returns (phi, den, swapped): y = sum phi[i] x^i / den for i < order, and
+    ``swapped`` records that the roles of x and y were exchanged because the
+    y-partial vanished at the origin.
     """
     cy = germ.partial_y().evaluate(0, 0)
     swapped = False
@@ -86,43 +88,43 @@ def _branch_series(germ, order: int) -> tuple[list[Fraction], bool]:
         swapped = True
         if cy == 0:
             raise DomainError("point is singular on the curve; no smooth branch")
-    phi = [Fraction(0)] * order
+    phi, den = [0] * order, 1
     for i in range(1, order):
-        residual = _series_compose(germ, phi, i + 1)
-        rho = residual[i]
-        phi[i] = -rho / cy
-    check = _series_compose(germ, phi, order)
-    if any(c != 0 for c in check):
+        residual, rden = _series_compose(germ, phi, den, i + 1)
+        a = Fraction(-residual[i], rden) / cy
+        common = math.lcm(den, a.denominator)
+        phi = [c * (common // den) for c in phi]
+        phi[i], den = a.numerator * (common // a.denominator), common
+    check, _ = _series_compose(germ, phi, den, order)
+    if any(check):
         raise UnisecantError("branch expansion failed to cancel")
-    return phi, swapped
+    return phi, den, swapped
 
 
-def _series_compose(germ, phi: list[Fraction], order: int) -> list[Fraction]:
-    """Coefficients of x^0..x^{order-1} of germ(x, phi(x))."""
-    powers: dict[int, list[Fraction]] = {0: [Fraction(1)] + [Fraction(0)] * (order - 1)}
+def _series_compose(germ, phi: list[int], den: int, order: int) -> tuple[list[int], int]:
+    """Coefficients of x^0..x^{order-1} of germ(x, phi(x) / den), over one denominator.
 
-    def phi_power(j: int) -> list[Fraction]:
-        if j not in powers:
-            prev = phi_power(j - 1)
-            out = [Fraction(0)] * order
-            for a, ca in enumerate(prev):
-                if ca == 0:
-                    continue
-                for b, cb in enumerate(phi[:order - a]):
-                    if cb != 0:
-                        out[a + b] += ca * cb
-            powers[j] = out
-        return powers[j]
-
-    out = [Fraction(0)] * order
-    for (i, j), c in germ.coeffs.items():
-        if i >= order:
-            continue
-        pw = phi_power(j)
-        for a, ca in enumerate(pw[:order - i]):
-            if ca != 0:
-                out[i + a] += c * ca
-    return out
+    For the germ's image sum n_ij x^i y^j / dg and J = deg_y germ: the ints
+    sum n_ij x^i phi^j den^(J - j), over dg * den^J.
+    """
+    keys = list(germ.coeffs)
+    nums, dg = integer_image(germ.coeffs.values())
+    top = max((j for _, j in keys), default=0)
+    powers = [[1] + [0] * (order - 1)]
+    for _ in range(top):
+        prev, out = powers[-1], [0] * order
+        for a, ca in enumerate(prev):
+            if ca:
+                for b in range(1, order - a):
+                    out[a + b] += ca * phi[b]
+        powers.append(out)
+    out = [0] * order
+    for (i, j), n in zip(keys, nums):
+        if i < order:
+            c, pw = n * den ** (top - j), powers[j]
+            for a in range(order - i):
+                out[i + a] += c * pw[a]
+    return out, dg * den**top
 
 
 def _monomial_germs(degree: int, p: ProjectivePoint) -> tuple[list[tuple[int, int, int]], list]:
@@ -184,21 +186,13 @@ def contact_system(curve: HomogeneousForm, p: ProjectivePoint, k: int) -> Contac
     if curve.evaluate(p.coords) != 0:
         raise DomainError(f"{p} is not on the cubic")
     order = 3 * k
-    cg = curve_germ(curve, p)
-    phi, swapped = _branch_series(cg, order)
+    phi, den, swapped = _branch_series(curve_germ(curve, p), order)
     monomials, germs = _monomial_germs(k, p)
-    rows = [[Fraction(0)] * len(monomials) for _ in range(order)]
-    for col, germ in enumerate(germs):
-        if swapped:
-            germ = germ.swap()
-        series = _series_compose(germ, phi, order)
-        for r in range(order):
-            rows[r][col] = series[r]
-    kernel = nullspace(rows, len(monomials))
-    basis = []
-    for vec in kernel:
-        ints = clear_denominators(vec)
-        basis.append(HomogeneousForm(k, {m: Fraction(c) for m, c in zip(monomials, ints)}))
+    series = [_series_compose(g.swap() if swapped else g, phi, den, order) for g in germs]
+    common = math.lcm(*(d for _, d in series))  # one denominator for the whole matrix
+    rows = [[s[r] * (common // d) for s, d in series] for r in range(order)]
+    basis = [HomogeneousForm(k, dict(zip(monomials, vec))).primitive()
+             for vec in nullspace(rows, len(monomials))]
     return ContactSystem(k, p, curve, basis)
 
 
@@ -272,9 +266,7 @@ def pencil_at(system: ContactSystem) -> Pencil:
         grad = [d.evaluate(system.point.coords) for d in g.gradient()]
         if all(c == 0 for c in grad):
             raise UnisecantError("could not make the generator smooth at the point")
-    ints = clear_denominators([g.coefficient(m) for m in sorted(g.coeffs)])
-    g = HomogeneousForm(3, {m: Fraction(c) for m, c in zip(sorted(g.coeffs), ints)})
-    return Pencil(g, f, system.point)
+    return Pencil(g.primitive(), f, system.point)
 
 
 @dataclass
@@ -312,10 +304,11 @@ def pencil_discriminant(pencil: Pencil) -> PencilDiscriminant:
         raise DegeneratePencilError("pencil discriminant vanishes identically")
     if affine.degree > DISC_DEGREE:
         raise UnisecantError("discriminant degree exceeds 12")
-    ints = clear_denominators([affine[i] for i in range(DISC_DEGREE + 1)])
-    if ints[affine.degree] < 0:
+    ints = primitive_part(list(affine.num))
+    if ints[-1] < 0:
         ints = [-c for c in ints]
-    return PencilDiscriminant(tuple(ints), UnivariatePoly(ints))
+    return PencilDiscriminant(tuple(ints) + (0,) * (DISC_DEGREE - affine.degree),
+                              UnivariatePoly(ints))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,13 @@ from hypothesis import settings
 
 from unisecant.exactalg import HomogeneousForm
 
-# Property tests must be reproducible run to run.
+# Property tests must be reproducible run to run.  HYPOTHESIS_PROFILE=ci
+# runs five times the default number of examples of every test that does
+# not pin its own max_examples.
 settings.register_profile("deterministic", derandomize=True, deadline=None)
-settings.load_profile("deterministic")
+settings.register_profile("ci", derandomize=True, deadline=None,
+                          max_examples=5 * settings.default.max_examples)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

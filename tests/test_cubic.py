@@ -4,13 +4,20 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import count_calls
+from unisecant import cubic as cubic_mod
 from unisecant.errors import DomainError
 from unisecant.exactalg import (
     HomogeneousForm,
     ProjectivePoint,
     mat3,
     mat3_det,
+    mat3_inv,
+    mat3_transpose,
+    mat3_vec,
     squarefree_part,
 )
 from unisecant.cubic import (
@@ -21,6 +28,7 @@ from unisecant.cubic import (
     flexes,
     general_weierstrass_cubic,
     hessian,
+    is_flex,
     is_smooth_cubic,
     j_invariant,
     kubert_z6_curve,
@@ -70,6 +78,45 @@ class TestHessian:
     def test_degree_one_rejected(self):
         with pytest.raises(DomainError):
             hessian(H(1, {(1, 0, 0): 1}))
+
+
+def _flex_case(alpha, beta, entries, general, point):
+    """A cubic and a point on it: a moved Weierstrass flex, or a general cubic through a point."""
+    m = mat3([entries[0:3], entries[3:6], entries[6:9]])
+    if mat3_det(m) == 0:
+        m = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    if general is None:
+        f, p = weierstrass_normal_form(alpha, beta), ProjectivePoint(0, 0, 1)
+    else:
+        p = ProjectivePoint(*point)
+        f = H(3, dict(zip([(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)], general)))
+        i = p.first_nonzero_index()
+        corner = tuple(3 if k == i else 0 for k in range(3))
+        f = f - H.monomial(corner, f.evaluate(p.coords) / p.coords[i] ** 3)
+    moved = f.substitute(m)
+    return moved, ProjectivePoint(*mat3_vec(mat3_inv(mat3_transpose(m)), p.coords))
+
+
+small = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+class TestIsFlex:
+    @given(small, small, st.lists(st.integers(-2, 2), min_size=9, max_size=9),
+           st.none() | st.lists(small, min_size=10, max_size=10),
+           st.tuples(small, small, small).filter(any))
+    def test_matches_the_hessian_form(self, alpha, beta, entries, general, point):
+        f, p = _flex_case(alpha, beta, entries, general, point)
+        assert f.evaluate(p.coords) == 0
+        assert is_flex(f, p) == (hessian(f).evaluate(p.coords) == 0)
+
+    def test_off_the_curve(self, fermat):
+        assert not is_flex(fermat, ProjectivePoint(1, 1, 1))
+
+    def test_normalization_builds_one_hessian(self, monkeypatch):
+        form, p = kubert_z9_curve(2)
+        calls = count_calls(monkeypatch, "hessian", cubic_mod)
+        normalized_curve_with_point(form, p)
+        assert len(calls) == 1
 
 
 class TestFlexes:

@@ -1,6 +1,7 @@
 """Ternary forms: invariants, substitution action, serialization."""
 
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -164,6 +165,101 @@ class TestSubstitutionDifferential:
         m = mat3([[F(1, 2), F(1, 3), 0], [1, F(2, 3), 0], [0, F(5, 7), 1]])
         with pytest.raises(DomainError, match="singular"):
             H(3, {(1, 1, 1): F(1, 2)}).substitute(m)
+
+
+XS = sympy.symbols("X0 X1 X2")
+
+
+def _q(c) -> sympy.Rational:
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def to_sympy_form(f: H) -> sympy.Poly:
+    """The same form as a sympy Poly over QQ, built from the Fraction view."""
+    return sympy.Poly.from_dict({e: _q(c) for e, c in f.coeffs.items()} or {(0, 0, 0): 0},
+                                *XS, domain=sympy.QQ)
+
+
+def from_sympy_form(poly: sympy.Poly, degree: int) -> H:
+    return H(degree, {tuple(int(e) for e in expo): F(int(c.p), int(c.q))
+                      for expo, c in poly.terms() if c != 0})
+
+
+def monomials(degree):
+    return [(a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+
+
+def forms_of(degree, rationals):
+    return st.dictionaries(st.sampled_from(monomials(degree)), rationals).map(
+        lambda cs: H(degree, cs))
+
+
+rationals = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+form_pair = st.integers(0, 4).flatmap(
+    lambda d: st.tuples(forms_of(d, rationals), forms_of(d, rationals)))
+any_form = st.integers(0, 4).flatmap(lambda d: forms_of(d, rationals))
+
+
+def assert_canonical(f: H) -> None:
+    """Integer numerators over one positive denominator, in lowest terms."""
+    assert all(type(v) is int and v != 0 for v in f.num.values()) and type(f.den) is int
+    assert f.den > 0 and math.gcd(f.den, *f.num.values()) == 1
+    same = H(f.degree, f.coeffs)
+    assert same == f and hash(same) == hash(f)
+    assert hash(f) == hash((f.degree, tuple(sorted(
+        f.coeffs.items(), key=lambda kv: (kv[0][0], kv[0][1]), reverse=True))))
+
+
+class TestIntegerRepresentation:
+    """The integer-numerator representation against sympy Poly over QQ."""
+
+    @given(form_pair)
+    def test_ring_operations_match_sympy(self, pair):
+        f, g = pair
+        for ours, theirs, degree in (
+                (f + g, to_sympy_form(f) + to_sympy_form(g), f.degree),
+                (f - g, to_sympy_form(f) - to_sympy_form(g), f.degree),
+                (-f, -to_sympy_form(f), f.degree),
+                (f * g, to_sympy_form(f) * to_sympy_form(g), 2 * f.degree)):
+            assert_canonical(ours)
+            assert ours == from_sympy_form(theirs, degree)
+
+    @given(any_form, rationals, st.tuples(rationals, rationals, rationals))
+    def test_scale_partials_evaluate_match_sympy(self, f, c, point):
+        ours = f.scale(c)
+        assert_canonical(ours)
+        assert ours == from_sympy_form(to_sympy_form(f) * _q(c), f.degree)
+        for i in range(3):
+            d = f.partial_derivative(i)
+            assert_canonical(d)
+            assert d == from_sympy_form(to_sympy_form(f).diff(XS[i]), max(f.degree - 1, 0))
+        value = to_sympy_form(f).eval(dict(zip(XS, map(_q, point))))
+        assert f.evaluate(point) == F(int(value.p), int(value.q))
+
+    @given(st.integers(0, 4).flatmap(lambda d: forms_of(d, rationals)),
+           st.lists(rationals, min_size=9, max_size=9).map(
+               lambda v: mat3([v[0:3], v[3:6], v[6:9]])).filter(lambda m: mat3_det(m) != 0))
+    def test_substitute_matches_sympy(self, f, m):
+        ours = f.substitute(m)
+        assert_canonical(ours)
+        assert ours == _sympy_substitute(f, m)
+
+    @given(any_form, rationals.filter(lambda c: c != 0))
+    def test_equal_values_have_equal_images(self, f, c):
+        g = H(f.degree, {e: q * c for e, q in f.coeffs.items()}).scale(1 / c)
+        assert g == f and hash(g) == hash(f) and (g.num, g.den) == (f.num, f.den)
+        assert repr(g) == repr(f) and g.to_json_dict() == f.to_json_dict()
+
+    def test_coefficient_view_is_read_only(self):
+        f = H(1, {(1, 0, 0): F(1, 2)})
+        with pytest.raises(TypeError):
+            f.coeffs[(0, 1, 0)] = 1
+        assert dict(f.coeffs) == {(1, 0, 0): F(1, 2)} and f.coefficient((0, 1, 0)) == 0
+
+    def test_primitive(self):
+        f = H(2, {(2, 0, 0): F(-2, 3), (0, 1, 1): F(4, 9)})
+        assert f.primitive() == H(2, {(2, 0, 0): -3, (0, 1, 1): 2})
+        assert H.zero(2).primitive() == H.zero(2)
 
 
 class TestSerialization:

@@ -1,0 +1,68 @@
+"""Rational scaffolding: the fraction-free nullspace against sympy's rref."""
+
+from fractions import Fraction as F
+
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
+
+from unisecant.exactalg import integer_image, nullspace, rank
+
+entry = st.one_of(st.just(F(0)), st.builds(F, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def matrices(draw):
+    """Rows over Q, with zero rows, repeated combinations and more rows than columns."""
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=ncols + 3))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(entry)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        rows.append([F(0)] * ncols)
+    return draw(st.permutations(rows)), ncols
+
+
+def rref_basis(rows, ncols):
+    """The nullspace basis read off sympy's reduced row echelon form.
+
+    Free columns in increasing order, a 1 in the free slot and -R[i][fc] in
+    the slot of the i-th pivot column.
+    """
+    r, pivots = sympy.Matrix(len(rows), ncols, [sympy.Rational(x.numerator, x.denominator)
+                                                for row in rows for x in row]).rref()
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -F(int(r[i, fc].p), int(r[i, fc].q))
+        basis.append(v)
+    return basis
+
+
+class TestNullspace:
+    @given(matrices())
+    def test_matches_sympy_rref(self, case):
+        rows, ncols = case
+        basis = nullspace(rows, ncols)
+        assert basis == rref_basis(rows, ncols)
+        assert rank(rows, ncols) == ncols - len(basis)
+        for v in basis:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+    def test_integer_rows_give_fractions(self):
+        assert nullspace([[2, 3]], 2) == [[F(-3, 2), F(1)]]
+
+    def test_no_rows(self):
+        assert nullspace([], 2) == [[F(1), F(0)], [F(0), F(1)]]
+
+
+class TestIntegerImage:
+    @given(st.lists(entry))
+    def test_lowest_terms(self, values):
+        ints, den = integer_image(values)
+        assert den > 0 and [F(n, den) for n in ints] == values
+        assert sympy.gcd_list([den, *ints]) == 1

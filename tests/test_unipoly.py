@@ -5,6 +5,7 @@ sympy (sympy.resultant itself normalizes signs differently in corner
 cases, so the matrix determinant is the unambiguous reference).
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -218,6 +219,22 @@ class TestRationalRoots:
         with pytest.raises(UnisecantError, match="no prime"):
             rational_roots(P((-1, 143)))
 
+    def test_repeated_root_switches_to_the_squarefree_part_at_the_first_prime(
+            self, monkeypatch):
+        tried = []
+
+        class Recording(tuple):
+            def __iter__(self):
+                for p in tuple.__iter__(self):
+                    tried.append(p)
+                    yield p
+
+        monkeypatch.setattr(unipoly, "ROOT_PRIMES", Recording(unipoly.ROOT_PRIMES))
+        f = P((-1, 1)) ** 2 * P((2, 1))
+        assert rational_roots(f) == [(F(-2), 1), (F(1), 2)] == sympy_rational_roots(f)
+        # 11 shows the double root 1 mod 11; the squarefree part is suited by 11.
+        assert tried == [11, 11]
+
 
 def binomial(k: int) -> P:
     """x(x-1)...(x-k+1)/k!: integer values at integers, so its divided
@@ -259,3 +276,58 @@ class TestInterpolation:
             f = f + binomial(k).scale(w)
         nodes = nodes[:max(f.degree, 0) + 1 + extra]
         assert interpolate([(a, f.evaluate(a)) for a in nodes]) == f
+
+
+any_poly = st.lists(rational, max_size=7).map(P)
+
+
+def assert_canonical(f: P) -> None:
+    """Integer numerators, one positive denominator, lowest terms, no trailing zero."""
+    assert all(type(v) is int for v in f.num) and type(f.den) is int
+    assert f.den > 0 and math.gcd(f.den, *f.num) == 1
+    assert not f.num or f.num[-1] != 0
+    assert P(f.coeffs) == f and hash(P(f.coeffs)) == hash(f) == hash(f.coeffs)
+
+
+class TestIntegerRepresentation:
+    """The integer-numerator representation against sympy Poly over QQ."""
+
+    @given(any_poly, any_poly)
+    def test_ring_operations_match_sympy(self, f, g):
+        for ours, theirs in ((f + g, to_sympy(f) + to_sympy(g)),
+                             (f - g, to_sympy(f) - to_sympy(g)),
+                             (f * g, to_sympy(f) * to_sympy(g)),
+                             (-f, -to_sympy(f))):
+            assert_canonical(ours)
+            assert ours == from_sympy(theirs)
+
+    @given(any_poly, rational, rational)
+    def test_scale_derivative_evaluate_match_sympy(self, f, c, x):
+        ours = f.scale(c)
+        assert_canonical(ours)
+        assert ours == from_sympy(to_sympy(f) * sympy.Rational(c.numerator, c.denominator))
+        assert_canonical(f.derivative())
+        assert f.derivative() == from_sympy(to_sympy(f).diff(X))
+        value = to_sympy(f).eval(sympy.Rational(x.numerator, x.denominator))
+        assert f.evaluate(x) == F(int(value.p), int(value.q))
+
+    @given(any_poly, nonzero_poly)
+    def test_divmod_and_monic_match_sympy(self, f, g):
+        q, r = f.divmod(g)
+        sq, sr = sympy.div(to_sympy(f), to_sympy(g))
+        assert_canonical(q)
+        assert_canonical(r)
+        assert (q, r) == (from_sympy(sq), from_sympy(sr))
+        assert g.monic() == from_sympy(to_sympy(g).monic())
+        assert_canonical(g.monic())
+
+    @given(any_poly, rational.filter(lambda c: c != 0))
+    def test_equal_values_have_equal_images(self, f, c):
+        g = P([x * c for x in f.coeffs]).scale(1 / c)
+        assert g == f and hash(g) == hash(f) and (g.num, g.den) == (f.num, f.den)
+        assert repr(g) == repr(f)
+
+    def test_zero_polynomial(self):
+        zero = P((0, F(0, 3)))
+        assert (zero.num, zero.den, zero.coeffs, zero.degree) == ((), 1, (), -1)
+        assert zero == P.zero() == P((1,)) - P((1,))
