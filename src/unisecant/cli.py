@@ -80,6 +80,11 @@ from .torsion import contact_count, enumerate_contact_classes, level_census
 
 # Bound on ``selftest --rounds``: below 1 no check would run.
 MAX_SELFTEST_ROUNDS = 10_000
+# Bounds on curve files, from ``unisec genus`` times on random curves (see
+# the README): the cost grows steeply with both the degree and the size of
+# the integer coefficients.
+MAX_CURVE_DEGREE = 12
+MAX_COEFF_BITS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +115,12 @@ def load_curve_file(path: str) -> tuple[HomogeneousForm, IntersectionData | None
     if not isinstance(data, dict) or "form" not in data:
         raise InputError(f"curve file {path} lacks a form")
     form = HomogeneousForm.from_json_dict(data["form"])
+    if form.degree > MAX_CURVE_DEGREE:
+        raise InputError(f"curve file {path} has degree {form.degree}, "
+                         f"above MAX_CURVE_DEGREE = {MAX_CURVE_DEGREE}")
+    if max(abs(v) for v in (form.den, *form.num.values())).bit_length() > MAX_COEFF_BITS:
+        raise InputError(f"curve file {path} has a coefficient numerator or common "
+                         f"denominator above MAX_COEFF_BITS = {MAX_COEFF_BITS} bits")
     try:
         flex_claims = [ProjectivePoint.from_json_list(c) for c in data.get("flexes", [])]
         torsion_claims = [(ProjectivePoint.from_json_list(c["point"]), int(str(c["order"]), 10))

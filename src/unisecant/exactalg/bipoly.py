@@ -1,8 +1,16 @@
 """Bivariate polynomials: local curve germs and elimination in two variables.
 
+A ``BivariatePoly`` is stored as ``HomogeneousForm`` is: a map from exponent
+pairs (i, j) of x^i y^j to nonzero integer numerators over one positive
+denominator, in lowest terms (``IntegerImage``).  Arithmetic runs on
+``int``; ``Fraction`` appears only at the API edges (``coeffs``,
+``coefficient``, ``repr``, ``hash``, the constructor's input and the final
+scale of ``resultant_y``).
+
 Resolution of plane-curve singularities works on affine local equations, so
-this module provides the germ toolkit: multiplicity at the origin (lowest
-total degree), the blow-up chart substitution
+this module provides the germ toolkit: the affine chart of a form
+(``BivariatePoly.chart``), multiplicity at the origin (lowest total
+degree), the blow-up chart substitution
 
     chart A: f(x, y) -> f(x, x*y) / x^mu        (E = {x = 0})
 
@@ -17,38 +25,52 @@ projective closure through ``HomogeneousForm.substitute``.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from ..errors import DomainError
 from .forms import HomogeneousForm
-from .rationals import integer_image
+from .rationals import IntegerImage, integer_image
 from .unipoly import UnivariatePoly, integer_nodes, interpolate, resultant
 
 
-class BivariatePoly:
-    """Sparse polynomial in (x, y) over Q; immutable."""
+class BivariatePoly(IntegerImage):
+    """Sparse polynomial in (x, y) over Q; immutable.
 
-    __slots__ = ("coeffs",)
+    ``num`` maps exponent pairs (i, j) of x^i y^j to nonzero ints over
+    ``den`` (see ``IntegerImage``); the constructor takes rationals.
+    """
+
+    __slots__ = ()
 
     def __init__(self, coeffs: dict[tuple[int, int], Fraction] | None = None):
-        clean = {}
-        for (i, j), c in (coeffs or {}).items():
-            if i < 0 or j < 0:
-                raise DomainError("negative exponent")
-            c = Fraction(c)
-            if c != 0:
-                clean[(i, j)] = c
-        object.__setattr__(self, "coeffs", clean)
+        coeffs = coeffs or {}
+        if any(i < 0 or j < 0 for i, j in coeffs):
+            raise DomainError("negative exponent")
+        ints, den = integer_image(coeffs.values())
+        self._set({(i, j): v for (i, j), v in zip(coeffs, ints)}, den)
 
-    def __setattr__(self, *args):
-        raise AttributeError("BivariatePoly is immutable")
+    @classmethod
+    def _from_ints(cls, num: dict[tuple[int, int], int], den: int = 1) -> "BivariatePoly":
+        """The polynomial sum num[i, j] x^i y^j / den (any nonzero den)."""
+        poly = object.__new__(cls)
+        poly._set(num, den)
+        return poly
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @classmethod
+    def chart(cls, f: HomogeneousForm, chart: int) -> "BivariatePoly":
+        """The affine equation of f in the chart X_chart = 1.
+
+        The two remaining variables keep their relative order: chart 0 maps
+        (X1, X2) -> (x, y), chart 1 maps (X0, X2) -> (x, y), chart 2 maps
+        (X0, X1) -> (x, y).
+        """
+        u, v = (k for k in range(3) if k != chart)
+        # f is homogeneous, so (e[u], e[v]) determines the exponent e.
+        return cls._from_ints({(e[u], e[v]): c for e, c in f.num.items()}, f.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BivariatePoly) and self.coeffs == other.coeffs
+        return (isinstance(other, BivariatePoly)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
         return hash(tuple(sorted(self.coeffs.items())))
@@ -62,55 +84,37 @@ class BivariatePoly:
         return "BivariatePoly(" + " + ".join(parts) + ")"
 
     def total_degree(self) -> int:
-        if self.is_zero():
-            return -1
-        return max(i + j for i, j in self.coeffs)
+        return max((i + j for i, j in self.num), default=-1)
 
     def degree_x(self) -> int:
-        if self.is_zero():
-            return -1
-        return max(i for i, _ in self.coeffs)
+        return max((i for i, _ in self.num), default=-1)
 
     def degree_y(self) -> int:
-        if self.is_zero():
-            return -1
-        return max(j for _, j in self.coeffs)
-
-    def evaluate(self, x, y) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        return sum((c * x**i * y**j for (i, j), c in self.coeffs.items()),
-                   Fraction(0))
-
-    def partial_y(self) -> "BivariatePoly":
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if j > 0:
-                out[(i, j - 1)] = out.get((i, j - 1), Fraction(0)) + j * c
-        return BivariatePoly(out)
+        return max((j for _, j in self.num), default=-1)
 
     def multiplicity(self) -> int:
         """Lowest total degree of a term: the multiplicity at the origin.
 
-        Returns a large sentinel-free answer only for nonzero polynomials;
-        the zero polynomial has no multiplicity.
+        The zero polynomial has no multiplicity and raises ``DomainError``.
         """
         if self.is_zero():
             raise DomainError("zero polynomial has no multiplicity")
-        return min(i + j for i, j in self.coeffs)
+        return min(i + j for i, j in self.num)
 
     def swap(self) -> "BivariatePoly":
-        return BivariatePoly({(j, i): c for (i, j), c in self.coeffs.items()})
+        return BivariatePoly._from_ints({(j, i): v for (i, j), v in self.num.items()}, self.den)
 
     def _substitute(self, m) -> "BivariatePoly":
         """f after the coordinate change m, with x = X1/X0 and y = X2/X0.
 
         The projective closure of f is taken to its total degree, moved by
         ``HomogeneousForm.substitute`` (which raises ``DomainError`` for a
-        singular m) and dehomogenized again in the chart X0 = 1.
+        singular m) and read in the chart X0 = 1 again.
         """
         d = max(self.total_degree(), 0)
-        closure = HomogeneousForm(d, {(d - i - j, i, j): c for (i, j), c in self.coeffs.items()})
-        return BivariatePoly(closure.substitute(m).dehomogenize(0))
+        closure = HomogeneousForm._from_ints(
+            d, {(d - i - j, i, j): v for (i, j), v in self.num.items()}, self.den)
+        return BivariatePoly.chart(closure.substitute(m), 0)
 
     def translate(self, a, b) -> "BivariatePoly":
         """The polynomial f(x + a, y + b) (moves the point (a, b) to the origin)."""
@@ -122,54 +126,21 @@ class BivariatePoly:
 
     def blowup_chart_a(self, mu: int) -> "BivariatePoly":
         """Proper transform in the chart (x, y/x): f(x, x*y) / x^mu."""
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            e = i + j - mu
-            if e < 0:
-                raise DomainError("chart-A division is not exact; wrong multiplicity")
-            out[(e, j)] = out.get((e, j), Fraction(0)) + c
-        return BivariatePoly(out)
+        if self.num and self.multiplicity() < mu:
+            raise DomainError("chart-A division is not exact; wrong multiplicity")
+        return BivariatePoly._from_ints(
+            {(i + j - mu, j): v for (i, j), v in self.num.items()}, self.den)
 
-    def restrict_x(self, x0) -> UnivariatePoly:
-        """The univariate polynomial f(x0, y)."""
-        x0 = Fraction(x0)
-        out: dict[int, Fraction] = {}
-        for (i, j), c in self.coeffs.items():
-            out[j] = out.get(j, Fraction(0)) + c * x0**i
-        if not out:
-            return UnivariatePoly.zero()
-        size = max(out) + 1
-        return UnivariatePoly([out.get(j, Fraction(0)) for j in range(size)])
+    def columns(self) -> list[list[int]]:
+        """The numerators of the coefficients of y^0, y^1, ..., each ascending in x.
 
-    def coeffs_in_y(self) -> list[UnivariatePoly]:
-        """Coefficients of y^0, y^1, ... as polynomials in x."""
-        dy = self.degree_y()
-        if dy < 0:
-            return []
-        cols: list[dict[int, Fraction]] = [dict() for _ in range(dy + 1)]
-        for (i, j), c in self.coeffs.items():
-            cols[j][i] = c
-        out = []
-        for col in cols:
-            if col:
-                size = max(col) + 1
-                out.append(UnivariatePoly([col.get(i, Fraction(0)) for i in range(size)]))
-            else:
-                out.append(UnivariatePoly.zero())
-        return out
-
-
-def _integer_columns(f: BivariatePoly) -> tuple[list[list[int]], Fraction]:
-    """The primitive integer image F = c*f as (columns, c).
-
-    columns[j] lists the integer coefficients of y^j in F, ascending in x.
-    """
-    ints, den = integer_image(f.coeffs.values())
-    content = math.gcd(*ints)
-    columns = [[0] * (f.degree_x() + 1) for _ in range(f.degree_y() + 1)]
-    for (i, j), c in zip(f.coeffs, ints):
-        columns[j][i] = c // content
-    return columns, Fraction(den, content)
+        Each column is a polynomial in x over ``den``; the zero polynomial
+        has no columns.
+        """
+        cols = [[0] * (self.degree_x() + 1) for _ in range(self.degree_y() + 1)]
+        for (i, j), v in self.num.items():
+            cols[j][i] = v
+        return cols
 
 
 def _horner(cs: list[int], x: int) -> int:
@@ -182,27 +153,24 @@ def _horner(cs: list[int], x: int) -> int:
 def resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
     """Resultant of f and g with respect to y: a polynomial in x.
 
-    Computed by evaluation and interpolation on the primitive integer
-    images F = cf*f and G = cg*g: at each integer node x = a where neither
-    leading y-coefficient vanishes (there the specialized Sylvester matrix
-    has the generic shape, so the evaluation equals the specialization),
-    the y-coefficients are evaluated by integer Horner and the integer
-    resultant is taken; Newton interpolation through these values gives
-    res_y(F, G), and res_y(f, g) = res_y(F, G) / (cf^n * cg^m) with
-    m = deg_y f, n = deg_y g.
+    Computed by evaluation and interpolation on the integer images
+    F = df*f and G = dg*g (``num`` over ``den``): at each integer node
+    x = a where neither leading y-coefficient vanishes (there the
+    specialized Sylvester matrix has the generic shape, so the evaluation
+    equals the specialization), the y-coefficients are evaluated by integer
+    Horner and the integer resultant is taken; Newton interpolation through
+    these values gives res_y(F, G), and res_y(f, g) = res_y(F, G) /
+    (df^n * dg^m) with m = deg_y f, n = deg_y g.
     """
     if f.is_zero() or g.is_zero():
         raise DomainError("resultant with a zero polynomial")
     m, n = f.degree_y(), g.degree_y()
-    if m == 0 and n == 0:
-        return UnivariatePoly.one()
     if m == 0:
         # res_y(f, g) = f^deg_y(g)
-        return f.coeffs_in_y()[0] ** n
+        return UnivariatePoly._from_ints(f.columns()[0], f.den) ** n
     if n == 0:
-        return g.coeffs_in_y()[0] ** m
-    fcols, cf = _integer_columns(f)
-    gcols, cg = _integer_columns(g)
+        return UnivariatePoly._from_ints(g.columns()[0], g.den) ** m
+    fcols, gcols = f.columns(), g.columns()
     deg_bound = n * f.degree_x() + m * g.degree_x()
     points: list[tuple[int, Fraction]] = []
     for x0 in integer_nodes():
@@ -214,5 +182,6 @@ def resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
             continue
         # The leading y-coefficients are nonzero at x0, so the degrees
         # (hence the Sylvester matrix shape) are the generic ones.
-        points.append((x0, resultant(UnivariatePoly(fv), UnivariatePoly(gv))))
-    return interpolate(points).scale(1 / (cf**n * cg**m))
+        points.append((x0, resultant(UnivariatePoly._from_ints(fv),
+                                     UnivariatePoly._from_ints(gv))))
+    return interpolate(points).scale(Fraction(1, f.den**n * g.den**m))

@@ -223,11 +223,6 @@ def _slice_poly(f: HomogeneousForm, x0, x1=1) -> UnivariatePoly:
     return UnivariatePoly._from_ints(out, f.den * d**f.degree)
 
 
-def _as_bivariate_x1(f: HomogeneousForm) -> BivariatePoly:
-    """Chart X1 = 1, variables (x, y) = (X0, X2)."""
-    return BivariatePoly(f.dehomogenize(1))
-
-
 def _projection_eliminant(f: HomogeneousForm, g: HomogeneousForm) -> UnivariatePoly | None:
     """res_X2 of f and g on X1 = 1, or None when projecting from (0:0:1) is unusable.
 
@@ -240,7 +235,7 @@ def _projection_eliminant(f: HomogeneousForm, g: HomogeneousForm) -> UnivariateP
     if poly_gcd(_slice_poly(f, 1, 0), _slice_poly(g, 1, 0)).degree > 0:
         return None
     try:
-        return resultant_y(_as_bivariate_x1(f), _as_bivariate_x1(g))
+        return resultant_y(BivariatePoly.chart(f, 1), BivariatePoly.chart(g, 1))
     except DomainError:
         return None
 
@@ -416,8 +411,8 @@ def _singular_points_from_eliminant(gt, c0, c1, m, elim) -> list[ProjectivePoint
 
 def _check_resultants(c0: HomogeneousForm, c1: HomogeneousForm, g2: HomogeneousForm):
     """Lazily, R_t = res_X2(c0, c1 + t*g2) on X1 = 1 for t = 1, -1, 2, ... (see above)."""
-    b0 = _as_bivariate_x1(c0)
+    b0 = BivariatePoly.chart(c0, 1)
     for t in integer_nodes():
         ct = c1 + g2.scale(t)
         if t != 0 and not ct.is_zero():
-            yield resultant_y(b0, _as_bivariate_x1(ct))
+            yield resultant_y(b0, BivariatePoly.chart(ct, 1))

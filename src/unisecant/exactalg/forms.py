@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from types import MappingProxyType
 
 from ..errors import DomainError, InputError
 from .rationals import (
+    IntegerImage,
     Mat3,
     integer_image,
-    mat3,
     mat3_det,
     rational_from_string,
     rational_to_string,
@@ -34,14 +33,14 @@ from .rationals import (
 Triple = tuple[int, int, int]
 
 
-class HomogeneousForm:
+class HomogeneousForm(IntegerImage):
     """A homogeneous polynomial in X0, X1, X2 with exact rational coefficients.
 
-    ``num`` maps exponents to nonzero ints and ``den`` > 0 shares no prime
-    with all of them, so equal forms have equal (num, den); both read-only.
+    ``num`` maps exponent triples to nonzero ints over ``den`` (see
+    ``IntegerImage``).
     """
 
-    __slots__ = ("degree", "num", "den")
+    __slots__ = ("degree",)
 
     def __init__(self, degree: int, coeffs: dict[Triple, Fraction] | None = None):
         if degree < 0:
@@ -51,23 +50,16 @@ class HomogeneousForm:
             if a < 0 or b < 0 or c < 0 or a + b + c != degree:
                 raise DomainError(f"exponent triple {(a, b, c)} does not sum to degree {degree}")
         ints, den = integer_image(coeffs.values())
-        self._set(degree, {(a, b, c): v for (a, b, c), v in zip(coeffs, ints)}, den)
+        object.__setattr__(self, "degree", degree)
+        self._set({(a, b, c): v for (a, b, c), v in zip(coeffs, ints)}, den)
 
     @classmethod
     def _from_ints(cls, degree: int, num: dict[Triple, int], den: int) -> "HomogeneousForm":
         """The form sum num[e] X^e / den (any nonzero den)."""
         form = object.__new__(cls)
-        form._set(degree, num, den)
+        object.__setattr__(form, "degree", degree)
+        form._set(num, den)
         return form
-
-    def _set(self, degree: int, num: dict[Triple, int], den: int) -> None:
-        g = math.gcd(den, *num.values()) if den > 0 else -math.gcd(den, *num.values())
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "num", {e: v // g for e, v in num.items() if v})
-        object.__setattr__(self, "den", den // g)
-
-    def __setattr__(self, *args):
-        raise AttributeError("HomogeneousForm is immutable")
 
     @classmethod
     def zero(cls, degree: int) -> "HomogeneousForm":
@@ -80,17 +72,6 @@ class HomogeneousForm:
     @classmethod
     def linear(cls, c0, c1, c2) -> "HomogeneousForm":
         return cls(1, {(1, 0, 0): c0, (0, 1, 0): c1, (0, 0, 1): c2})
-
-    @property
-    def coeffs(self):
-        """Read-only {exponent triple: Fraction} view of the nonzero coefficients."""
-        return MappingProxyType({e: Fraction(v, self.den) for e, v in self.num.items()})
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def coefficient(self, expo: Triple) -> Fraction:
-        return Fraction(self.num.get(expo, 0), self.den)
 
     def canonical_items(self) -> list[tuple[Triple, Fraction]]:
         """Monomials sorted descending by (a, b): the serialization order."""
@@ -197,7 +178,9 @@ class HomogeneousForm:
         Runs on ``int``: f(m x) = (num f)(D m x) / (den * D^degree) for the
         common denominator D of m's entries.
         """
-        flat, dm = integer_image(x for row in mat3(m) for x in row)
+        if [len(row) for row in m] != [3, 3, 3]:
+            raise DomainError("expected a 3x3 matrix")
+        flat, dm = integer_image(x for row in m for x in row)
         if dm == 1 and flat == [1, 0, 0, 0, 1, 0, 0, 0, 1]:
             return self  # forms are immutable
         if mat3_det([flat[0:3], flat[3:6], flat[6:9]]) == 0:
@@ -214,22 +197,6 @@ class HomogeneousForm:
             for expo, v in _product(_product(powers[0][a], powers[1][b]), powers[2][c]).items():
                 out[expo] = out.get(expo, 0) + k * v
         return HomogeneousForm._from_ints(self.degree, out, self.den * dm ** self.degree)
-
-    def dehomogenize(self, chart: int) -> "dict[tuple[int, int], Fraction]":
-        """Affine coefficients {(i, j): c} setting X_chart = 1.
-
-        The two remaining variables keep their relative order: chart 0 maps
-        (X1, X2) -> (x, y), chart 1 maps (X0, X2) -> (x, y), chart 2 maps
-        (X0, X1) -> (x, y).
-        """
-        if chart not in (0, 1, 2):
-            raise DomainError("chart must be 0, 1 or 2")
-        others = [i for i in range(3) if i != chart]
-        out: dict[tuple[int, int], int] = {}
-        for expo, v in self.num.items():
-            key = (expo[others[0]], expo[others[1]])
-            out[key] = out.get(key, 0) + v
-        return {k: Fraction(v, self.den) for k, v in out.items() if v}
 
     def to_json_dict(self) -> dict:
         return {

@@ -3,7 +3,8 @@
 Everything in the package computes over Q, exactly.  Rationals cross the
 API as stdlib ``fractions.Fraction``; inside, vectors of them are carried as
 integer numerators over one positive denominator (``integer_image``), and
-the linear algebra runs on ``int``.  This module adds the serialization
+the linear algebra runs on ``int``; ``IntegerImage`` is that storage for
+the sparse polynomial types.  This module adds the serialization
 convention ("num/den" in lowest terms, plain "num" for integers), small
 dense 3x3 matrix helpers for projective coordinate changes, a fraction-free
 Bareiss determinant, and a fraction-free nullspace solver used by the
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from ..errors import DomainError, InputError
 
@@ -184,6 +186,37 @@ def integer_image(values) -> tuple[list[int], int]:
     qs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = math.lcm(*(q.denominator for q in qs))
     return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+class IntegerImage:
+    """Sparse rational coefficients held as integer numerators over one denominator.
+
+    ``num`` maps keys (exponent tuples) to nonzero ints and ``den`` > 0
+    shares no prime with all of them, so equal values have equal
+    (num, den); both read-only.  The base of the sparse polynomial types.
+    """
+
+    __slots__ = ("num", "den")
+
+    def _set(self, num: dict, den: int) -> None:
+        """Store num / den in lowest terms (any nonzero den)."""
+        g = math.gcd(den, *num.values()) if den > 0 else -math.gcd(den, *num.values())
+        object.__setattr__(self, "num", {e: v // g for e, v in num.items() if v})
+        object.__setattr__(self, "den", den // g)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def coeffs(self):
+        """Read-only {key: Fraction} view of the nonzero coefficients."""
+        return MappingProxyType({e: Fraction(v, self.den) for e, v in self.num.items()})
+
+    def coefficient(self, key) -> Fraction:
+        return Fraction(self.num.get(key, 0), self.den)
+
+    def is_zero(self) -> bool:
+        return not self.num
 
 
 def primitive_part(ints: list[int]) -> list[int]:

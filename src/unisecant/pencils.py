@@ -44,7 +44,6 @@ from .exactalg import (
     discriminant_along_pencil,
     factor_over_q,
     is_reduced_form,
-    integer_image,
     nullspace,
     primitive_part,
     rank,
@@ -80,11 +79,11 @@ def _branch_series(germ, order: int) -> tuple[list[int], int, bool]:
     ``swapped`` records that the roles of x and y were exchanged because the
     y-partial vanished at the origin.
     """
-    cy = germ.partial_y().evaluate(0, 0)
+    cy = germ.coefficient((0, 1))
     swapped = False
     if cy == 0:
         germ = germ.swap()
-        cy = germ.partial_y().evaluate(0, 0)
+        cy = germ.coefficient((0, 1))
         swapped = True
         if cy == 0:
             raise DomainError("point is singular on the curve; no smooth branch")
@@ -107,9 +106,7 @@ def _series_compose(germ, phi: list[int], den: int, order: int) -> tuple[list[in
     For the germ's image sum n_ij x^i y^j / dg and J = deg_y germ: the ints
     sum n_ij x^i phi^j den^(J - j), over dg * den^J.
     """
-    keys = list(germ.coeffs)
-    nums, dg = integer_image(germ.coeffs.values())
-    top = max((j for _, j in keys), default=0)
+    top = max(germ.degree_y(), 0)
     powers = [[1] + [0] * (order - 1)]
     for _ in range(top):
         prev, out = powers[-1], [0] * order
@@ -119,12 +116,12 @@ def _series_compose(germ, phi: list[int], den: int, order: int) -> tuple[list[in
                     out[a + b] += ca * phi[b]
         powers.append(out)
     out = [0] * order
-    for (i, j), n in zip(keys, nums):
+    for (i, j), n in germ.num.items():
         if i < order:
             c, pw = n * den ** (top - j), powers[j]
             for a in range(order - i):
                 out[i + a] += c * pw[a]
-    return out, dg * den**top
+    return out, germ.den * den**top
 
 
 def _monomial_germs(degree: int, p: ProjectivePoint) -> tuple[list[tuple[int, int, int]], list]:
@@ -344,7 +341,7 @@ def classify_singular_member(member: HomogeneousForm) -> str:
     germ = curve_germ(member, p)
     if germ.multiplicity() != 2:
         raise DomainError("singular point is not a double point")
-    a, b, c = (germ.coeffs.get(k, Fraction(0)) for k in ((2, 0), (1, 1), (0, 2)))
+    a, b, c = (germ.num.get(k, 0) for k in ((2, 0), (1, 1), (0, 2)))
     if b * b - 4 * a * c != 0:
         return NODE
     tree = multiplicity_sequence(member, p, check_reduced=False)

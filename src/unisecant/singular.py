@@ -70,13 +70,13 @@ def curve_germ(f: HomogeneousForm, p: ProjectivePoint) -> BivariatePoly:
         raise DomainError("zero form has no germ")
     chart = p.first_nonzero_index()
     m = [list(p.coords) if i == chart else [int(i == j) for j in range(3)] for i in range(3)]
-    return BivariatePoly(f.substitute(m).dehomogenize(chart))
+    return BivariatePoly.chart(f.substitute(m), chart)
 
 
 def local_multiplicity(f: HomogeneousForm, p: ProjectivePoint) -> int:
     """0 off the curve, 1 at a smooth point, >= 2 at a singular point."""
     germ = curve_germ(f, p)
-    if germ.evaluate(0, 0) != 0:
+    if germ.coefficient((0, 0)) != 0:
         return 0
     return germ.multiplicity()
 
@@ -136,7 +136,8 @@ def _tangent_cone(germ: BivariatePoly, mu: int) -> tuple[UnivariatePoly, bool]:
     flag says whether it passes through the chart-B origin as well (the
     cone lacks the y^mu term).
     """
-    cone = UnivariatePoly([germ.coeffs.get((mu - j, j), 0) for j in range(mu + 1)])
+    cone = UnivariatePoly._from_ints([germ.num.get((mu - j, j), 0) for j in range(mu + 1)],
+                                     germ.den)
     return cone, cone.degree < mu
 
 
@@ -154,7 +155,7 @@ def _resolve_germ(germ: BivariatePoly, depth: int) -> ResolutionNode | None:
     """
     if depth > MAX_RESOLUTION_DEPTH:
         raise ResolutionDepthError("resolution exceeded the depth bound")
-    if germ.evaluate(0, 0) != 0:
+    if germ.coefficient((0, 0)) != 0:
         return None
     mu = germ.multiplicity()
     if mu <= 1:
@@ -255,7 +256,7 @@ def multiplicity_sequence(f: HomogeneousForm, p: ProjectivePoint, *,
     if check_reduced and not is_reduced_form(f):
         raise DomainError("curve is not reduced")
     germ = curve_germ(f, p)
-    if germ.evaluate(0, 0) != 0:
+    if germ.coefficient((0, 0)) != 0:
         raise DomainError(f"{p} is not on the curve")
     return PointResolution(p, _resolve_germ(germ, 0))
 
@@ -332,8 +333,8 @@ def _germ_intersection_resultant(fg: BivariatePoly, gg: BivariatePoly) -> int:
         g2 = gg.linear_change(*change)
         if f2.degree_y() != f2.total_degree() or g2.degree_y() != g2.total_degree():
             continue
-        f0 = f2.restrict_x(0)
-        g0 = g2.restrict_x(0)
+        f0 = UnivariatePoly._from_ints([col[0] for col in f2.columns()])
+        g0 = UnivariatePoly._from_ints([col[0] for col in g2.columns()])
         if f0.is_zero() or g0.is_zero():
             continue
         h = poly_gcd(f0, g0)
@@ -357,7 +358,7 @@ def _germ_intersection_blowup(fg: BivariatePoly, gg: BivariatePoly,
     """
     if depth > MAX_RESOLUTION_DEPTH:
         raise ResolutionDepthError("blow-up recursion exceeded the depth bound")
-    if fg.evaluate(0, 0) != 0 or gg.evaluate(0, 0) != 0:
+    if fg.coefficient((0, 0)) != 0 or gg.coefficient((0, 0)) != 0:
         return 0
     mf, mg = fg.multiplicity(), gg.multiplicity()
     total = mf * mg
@@ -377,7 +378,7 @@ def local_intersection(f: HomogeneousForm, g: HomogeneousForm,
     """
     fg = curve_germ(f, p)
     gg = curve_germ(g, p)
-    if fg.evaluate(0, 0) != 0 or gg.evaluate(0, 0) != 0:
+    if fg.coefficient((0, 0)) != 0 or gg.coefficient((0, 0)) != 0:
         return 0
     value = _germ_intersection_resultant(fg, gg)
     try:
@@ -403,7 +404,7 @@ def companion_multiplicities(node: ResolutionNode, companion: BivariatePoly) -> 
     exceptional line) moves on to the children.  The list is aligned with
     ``node.all_nodes()``.
     """
-    through_center = not companion.is_zero() and companion.evaluate(0, 0) == 0
+    through_center = not companion.is_zero() and companion.coefficient((0, 0)) == 0
     delta = companion.multiplicity() if through_center else 0
     out = [delta]
     for move, child in node.moves:
@@ -464,7 +465,7 @@ def _residual_after_tree(node: ResolutionNode, companion: BivariatePoly,
         raise ResolutionDepthError("residual recursion exceeded the depth bound")
     if companion.is_zero():
         raise CommonComponentError("companion vanished during replay")
-    if companion.evaluate(0, 0) != 0:
+    if companion.coefficient((0, 0)) != 0:
         return 0
     delta = companion.multiplicity()
     children = dict(node.moves)

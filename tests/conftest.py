@@ -7,8 +7,8 @@ from hypothesis import settings
 from unisecant.exactalg import HomogeneousForm
 
 # Property tests must be reproducible run to run.  HYPOTHESIS_PROFILE=ci
-# runs five times the default number of examples of every test that does
-# not pin its own max_examples.
+# runs five times the default number of examples of every property test,
+# so no test pins its own max_examples.
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.register_profile("ci", derandomize=True, deadline=None,
                           max_examples=5 * settings.default.max_examples)

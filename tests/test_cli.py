@@ -8,7 +8,7 @@ import pytest
 import unisecant.cubic as cubic_mod
 import unisecant.exactalg.elim as elim_mod
 import unisecant.singular as singular_mod
-from unisecant.cli import main
+from unisecant.cli import MAX_COEFF_BITS, MAX_CURVE_DEGREE, load_curve_file, main
 from unisecant.cubic import kubert_z6_curve
 from unisecant.exactalg import mat3
 from conftest import count_calls, fixture_path
@@ -221,6 +221,24 @@ class TestVerificationAndErrors:
         code, out, err = run_cli(capsys, "flexes", "--cubic", os.fspath(bad))
         assert code == 2 and out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("form, bound", [
+        ({"degree": MAX_CURVE_DEGREE + 1, "coeffs": [[MAX_CURVE_DEGREE + 1, 0, 0, "1"]]},
+         "MAX_CURVE_DEGREE"),
+        ({"degree": 1, "coeffs": [[1, 0, 0, str(2**MAX_COEFF_BITS)]]}, "MAX_COEFF_BITS"),
+        ({"degree": 1, "coeffs": [[1, 0, 0, f"1/{2**MAX_COEFF_BITS}"]]}, "MAX_COEFF_BITS"),
+    ], ids=["degree", "numerator", "denominator"])
+    def test_curve_above_size_bound_exit_2(self, capsys, tmp_path, form, bound):
+        at_bound = tmp_path / "at_bound.json"
+        at_bound.write_text(json.dumps({"form": {
+            "degree": MAX_CURVE_DEGREE,
+            "coeffs": [[MAX_CURVE_DEGREE, 0, 0, f"{2**MAX_COEFF_BITS - 1}/{2**MAX_COEFF_BITS - 2}"]]}}))
+        assert load_curve_file(os.fspath(at_bound))[0].degree == MAX_CURVE_DEGREE
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"form": form}))
+        code, out, err = run_cli(capsys, "genus", "--curve", os.fspath(big))
+        assert code == 2 and out == ""
+        assert bound in err
 
     def test_point_at_origin_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "resolve", "--curve",

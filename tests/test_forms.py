@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from unisecant.errors import DomainError
@@ -73,7 +73,6 @@ class TestPartials:
     def test_missing_variable(self):
         assert H(2, {(0, 1, 1): 1}).partial_derivative(0).is_zero()
 
-    @settings(max_examples=40, deadline=None)
     @given(form_strategy())
     def test_euler_relation(self, f):
         assert euler_combination(f) == f.scale(f.degree)
@@ -103,10 +102,15 @@ class TestSubstitution:
         with pytest.raises(DomainError):
             H.monomial((1, 0, 0)).substitute(mat3([[1, 0, 0], [1, 0, 0], [0, 0, 1]]))
 
-    @settings(max_examples=30, deadline=None)
     @given(form_strategy(3), matrix_strategy(), matrix_strategy())
     def test_composition_law(self, f, m, n):
         assert f.substitute(mat3_mul(m, n)) == f.substitute(n).substitute(m)
+
+    @pytest.mark.parametrize("m", [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]],
+                                   [[1, 0, 0], [0, 1], [0, 0, 1]], [[1, 0, 0, 0]] * 4])
+    def test_non_3x3_matrix_rejected(self, m):
+        with pytest.raises(DomainError, match="3x3"):
+            H.monomial((1, 0, 0)).substitute(m)
 
     def test_degree_preserved(self):
         f = H(3, {(1, 1, 1): F(5, 7)})
@@ -243,6 +247,11 @@ class TestIntegerRepresentation:
         ours = f.substitute(m)
         assert_canonical(ours)
         assert ours == _sympy_substitute(f, m)
+
+    @given(any_form, st.lists(st.integers(-3, 3), min_size=9, max_size=9).map(
+        lambda v: [v[0:3], v[3:6], v[6:9]]).filter(lambda m: mat3_det(m) != 0))
+    def test_int_matrix_equals_fraction_matrix(self, f, m):
+        assert f.substitute(m) == f.substitute(mat3(m))
 
     @given(any_form, rationals.filter(lambda c: c != 0))
     def test_equal_values_have_equal_images(self, f, c):

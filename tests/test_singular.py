@@ -138,6 +138,13 @@ class TestLocalIntersection:
     def test_node_against_line_through(self, nodal_cubic):
         assert local_intersection(nodal_cubic, H.linear(1, 0, 0), P(0, 0, 1)) == 2
 
+    def test_second_common_zero_on_the_projection_line(self):
+        # Affine germs y^2 - y + x and y^2 - y + 2x also meet at (0, 1) on x = 0,
+        # so the unmoved germs are not in good position for the resultant path.
+        f = H(2, {(0, 0, 2): 1, (1, 0, 1): -1, (1, 1, 0): 1})
+        g = H(2, {(0, 0, 2): 1, (1, 0, 1): -1, (1, 1, 0): 2})
+        assert local_intersection(f, g, P(1, 0, 0)) == 1
+
 
 class TestIrrationalTangents:
     # Two nodes at (0:0:1) sharing the irrational tangents y = +-sqrt(2) x.

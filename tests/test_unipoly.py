@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from unisecant.errors import DomainError, UnisecantError
@@ -68,12 +68,10 @@ class TestResultant:
         with pytest.raises(DomainError):
             resultant(P(()), P(()))
 
-    @settings(max_examples=60, deadline=None)
     @given(small_poly, small_poly)
     def test_matches_sylvester_determinant(self, f, g):
         assert resultant(f, g) == sylvester_det_oracle(f, g)
 
-    @settings(max_examples=60, deadline=None)
     @given(small_poly, small_poly)
     def test_antisymmetry(self, f, g):
         sign = -1 if (f.degree * g.degree) % 2 else 1
@@ -96,7 +94,6 @@ class TestDiscriminant:
         with pytest.raises(DomainError):
             discriminant(P((5,)))
 
-    @settings(max_examples=40, deadline=None)
     @given(st.lists(rational, min_size=2, max_size=9).map(P))
     def test_zero_iff_not_squarefree(self, f):
         if f.degree < 1:
@@ -154,19 +151,16 @@ big_poly = st.lists(st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10
 
 
 class TestSympyDifferential:
-    @settings(max_examples=50, deadline=None)
     @given(nonzero_poly, nonzero_poly, nonzero_poly)
     def test_gcd_matches_sympy(self, a, b, c):
         f, g = a * c, b * c
         assert poly_gcd(f, g) == from_sympy(sympy.gcd(to_sympy(f), to_sympy(g))).monic()
 
-    @settings(max_examples=50, deadline=None)
     @given(nonzero_poly, nonzero_poly, st.integers(1, 3))
     def test_squarefree_part_matches_sympy(self, a, b, e):
         f = a * b**e
         assert squarefree_part(f) == from_sympy(sympy.sqf_part(to_sympy(f))).monic()
 
-    @settings(max_examples=40, deadline=None)
     @given(big_poly, big_poly, big_poly)
     def test_gcd_matches_sympy_at_eliminant_size(self, a, b, c):
         f, g = a * c, b * c
@@ -195,7 +189,6 @@ irrational = st.sampled_from([P((-2, 0, 1)), P((1, 0, 1)), P((-3, 0, 0, 1)), P((
 
 
 class TestRationalRoots:
-    @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(root, st.integers(1, 3)), max_size=4),
            st.lists(st.tuples(irrational, st.integers(1, 2)), max_size=2),
            st.integers(0, 3), rational.filter(lambda c: c != 0))
@@ -205,7 +198,6 @@ class TestRationalRoots:
             f = f * q**m
         assert rational_roots(f) == sympy_rational_roots(f)
 
-    @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(-10**12, 10**12), min_size=2, max_size=21).map(P).filter(
                lambda p: p.degree > 0),
            st.lists(st.tuples(root, st.integers(1, 2)), max_size=2),
@@ -264,7 +256,6 @@ class TestInterpolation:
         f = binomial(5) - binomial(3).scale(7)
         assert interpolate([(a, f.evaluate(a)) for a in range(-3, 4)]) == f
 
-    @settings(max_examples=50, deadline=None)
     @given(st.lists(rational, min_size=1, max_size=8).map(P),
            st.lists(st.integers(-3, 3), min_size=6, max_size=6),
            st.integers(1, 4),
