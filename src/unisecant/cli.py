@@ -162,6 +162,12 @@ def load_family_file(path: str) -> CurveFamily:
                 [rational_from_string(str(s)) for s in poly])
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"cannot read family file {path}: {exc}") from exc
+    if degree > MAX_CURVE_DEGREE:
+        raise InputError(f"family file {path} has degree {degree}, "
+                         f"above MAX_CURVE_DEGREE = {MAX_CURVE_DEGREE}")
+    if any(abs(v).bit_length() > MAX_COEFF_BITS for p in coeffs.values() for v in (p.den, *p.num)):
+        raise InputError(f"family file {path} has a coefficient numerator or common "
+                         f"denominator above MAX_COEFF_BITS = {MAX_COEFF_BITS} bits")
     return CurveFamily(degree, coeffs)
 
 

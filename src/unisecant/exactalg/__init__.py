@@ -3,7 +3,7 @@
 Re-exports the working set: rationals/matrices, univariate polynomials with
 resultants and squarefree machinery, ternary homogeneous forms with
 projective substitution, bivariate germs, and the elimination layer
-(Macaulay resultants, good-position intersections, singular-locus search).
+(resultants of quadrics, good-position intersections, singular-locus search).
 """
 
 from .rationals import (

@@ -1,14 +1,16 @@
-"""Projective elimination over Q: Macaulay resultants, discriminants,
+"""Projective elimination over Q: resultants of quadrics, discriminants,
 intersection bookkeeping, and singular-locus location.
 
 Three capabilities live here.
 
-* The Macaulay resultant of three ternary quadrics (matrix of size 15 with
-  the classical 3x3 extraneous minor), applied to the partials of a cubic,
-  decides smoothness exactly; along a pencil u*g + f the matrix is linear
-  in u, and the degree-12 pencil discriminant is one exact quotient of two
-  determinant polynomials.  Degenerate minors are escaped by unimodular
-  changes, which leave the resultant unchanged (the factor is det^8 = 1).
+* The resultant of three ternary quadrics is -det(S)/512 for Sylvester's
+  6x6 matrix S of the quadrics and the three partials of their Jacobian
+  determinant (Salmon, *Modern Higher Algebra*; Cox–Little–O'Shea, *Using
+  Algebraic Geometry*, ch. 3 §2).  Applied to the partials of a cubic,
+  whose Jacobian is the Hessian, it decides smoothness exactly, in the
+  given coordinates.  Along a pencil u*g + f the matrix is a polynomial of
+  degree 3 in u, and the degree-12 pencil discriminant is interpolated
+  from 13 integer determinants.
 
 * "Good position" projection: given two forms with no common component, a
   unimodular change is found so that (0:0:1) lies on neither curve and no
@@ -25,18 +27,17 @@ Three capabilities live here.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import islice, product
 
 import sympy
 
 from ..errors import CommonComponentError, DomainError, UnisecantError, UnsupportedFieldError
 from .forms import HomogeneousForm, ProjectivePoint
-from .rationals import (Mat3, bareiss_det_int, det_fractions, integer_image, mat3,
+from .rationals import (Mat3, bareiss_det_int, det_fractions, integer_image, mat3, mat3_det,
                         mat3_identity, mat3_transpose, mat3_vec)
 from .unipoly import (
     UnivariatePoly,
@@ -52,12 +53,8 @@ from .bipoly import BivariatePoly, resultant_y
 
 _MAX_ATTEMPTS = 64
 
-_DEG4_MONOMIALS = [(a, b, 4 - a - b) for a in range(4, -1, -1) for b in range(4 - a, -1, -1)]
-_NON_REDUCED = [(2, 2, 0), (2, 0, 2), (0, 2, 2)]
-
-
-class MacaulayDegenerate(UnisecantError):
-    """The extraneous minor vanished; retry in different coordinates."""
+# Columns of the 6x6 Sylvester matrix, ordered so that Res(X0^2, X1^2, X2^2) = 1.
+_QUADRIC_MONOMIALS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
 
 
 def unimodular_matrices(seed: int = 20231115):
@@ -81,107 +78,81 @@ def unimodular_matrices(seed: int = 20231115):
         yield mat3(m)
 
 
-_DEG4_INDEX = {m: i for i, m in enumerate(_DEG4_MONOMIALS)}
-_MINOR = [_DEG4_INDEX[m] for m in _NON_REDUCED]  # rows and columns of the extraneous minor
-
-
-def _macaulay_rows(qs, den: int) -> list[list[int]]:
-    """den times the 15x15 Macaulay matrix of three quadrics (den a common denominator)."""
-    if any(q.degree != 2 for q in qs):
-        raise DomainError("all three forms must be quadrics")
-    rows = []
-    for mono in _DEG4_MONOMIALS:
-        i = 0 if mono[0] >= 2 else 1 if mono[1] >= 2 else 2  # first X_i with X_i^2 | mono
-        shift = list(mono)
-        shift[i] -= 2
-        scale = den // qs[i].den
-        row = [0] * 15
-        for expo, v in qs[i].num.items():
-            target = (expo[0] + shift[0], expo[1] + shift[1], expo[2] + shift[2])
-            row[_DEG4_INDEX[target]] += scale * v
-        rows.append(row)
-    return rows
+def _sylvester_rows(quadrics, jacobian: HomogeneousForm) -> list[list[Fraction]]:
+    """Coefficient rows of the three quadrics and the three partials of their Jacobian."""
+    return [[q.coefficient(m) for m in _QUADRIC_MONOMIALS]
+            for q in (*quadrics, *jacobian.gradient())]
 
 
 def macaulay_resultant_quadrics(q0: HomogeneousForm, q1: HomogeneousForm,
                                 q2: HomogeneousForm) -> Fraction:
-    """Resultant of three ternary quadrics (Macaulay's quotient formula).
+    """Resultant of three ternary quadrics: zero iff they have a common projective zero.
 
-    Zero iff the quadrics have a common projective zero.  Raises
-    MacaulayDegenerate if the extraneous minor vanishes for these
-    coefficients; callers retry after a unimodular change of coordinates.
+    This is the Macaulay (multipolynomial) resultant, normalized by
+    Res(X0^2, X1^2, X2^2) = 1, computed as -det(S)/512 for Sylvester's 6x6
+    matrix S: its rows are the coefficients of q0, q1, q2 and of the three
+    partials of the Jacobian determinant J = det(dq_i/dX_j), in the six
+    quadric monomials (Salmon, *Modern Higher Algebra*; Cox–Little–O'Shea,
+    *Using Algebraic Geometry*, ch. 3 §2).  No extraneous factor is divided
+    out, so the formula holds for all coefficients.
     """
-    den = math.lcm(q0.den, q1.den, q2.den)
-    rows = _macaulay_rows((q0, q1, q2), den)
-    det_minor = det_fractions([[rows[i][j] for j in _MINOR] for i in _MINOR])
-    if det_minor == 0:
-        raise MacaulayDegenerate("extraneous minor vanished")
-    return det_fractions(rows) / (det_minor * den**12)  # den^15 over den^3
+    qs = (q0, q1, q2)
+    if any(q.degree != 2 for q in qs):
+        raise DomainError("all three forms must be quadrics")
+    jacobian = mat3_det([q.gradient() for q in qs])
+    return -det_fractions(_sylvester_rows(qs, jacobian)) / 512
 
 
 def ternary_discriminant(f: HomogeneousForm) -> Fraction:
-    """Resultant of the three partials: zero iff the curve {f = 0} is singular.
+    """Resultant of the three partials of a cubic: zero iff {f = 0} is singular.
 
-    Normalized as the Macaulay resultant itself, which is invariant under the
-    unimodular retries (det = 1), so values are comparable across calls —
-    in particular with ``discriminant_along_pencil``, which gives them as one
-    polynomial along a pencil.  Implemented for conics and cubics.
+    ``macaulay_resultant_quadrics`` of the gradient: Sylvester's 6x6
+    formula, in which the Jacobian of the partials is the Hessian of f
+    (Salmon, *Modern Higher Algebra*; Cox–Little–O'Shea, *Using Algebraic
+    Geometry*, ch. 3 §2).  It is computed in the given coordinates, with no
+    retry.  ``discriminant_along_pencil`` gives the same values as one
+    polynomial along a pencil.
     """
-    if f.is_zero():
-        raise DomainError("zero form has no discriminant")
-    if f.degree == 2:
-        # Partials are linear: resultant is the determinant of the matrix of
-        # coefficients, i.e. (up to 2^3) the symmetric matrix determinant.
-        g = f.gradient()
-        rows = [[g[i].coefficient((1, 0, 0)), g[i].coefficient((0, 1, 0)),
-                 g[i].coefficient((0, 0, 1))] for i in range(3)]
-        return det_fractions(rows)
-    if f.degree != 3:
-        raise DomainError("discriminant implemented for degrees 2 and 3 only")
-    for m in unimodular_matrices():
-        try:
-            g = f.substitute(m).gradient()
-            return macaulay_resultant_quadrics(*g)
-        except MacaulayDegenerate:
-            continue
-    raise UnisecantError("no usable coordinates for the Macaulay resultant")
+    if f.is_zero() or f.degree != 3:
+        raise DomainError("discriminant implemented for nonzero cubics only")
+    return macaulay_resultant_quadrics(*f.gradient())
 
 
 def discriminant_along_pencil(g: HomogeneousForm, f: HomogeneousForm) -> UnivariatePoly:
     """ternary_discriminant(u*g + f) for cubics g and f, as a polynomial in u.
 
-    The Macaulay matrix of the partials is linear in the member, M(u) =
-    u*M_g + M_f, and so is its extraneous minor M'(u).  Macaulay's
-    det M = Res * det M' is a polynomial identity in the coefficients
-    (Cox–Little–O'Shea, *Using Algebraic Geometry*, ch. 3 §4), so
-    det M(u) = Res(u) * det M'(u) in Q[u] and the division is exact.  In
-    the first unimodular frame (Res unchanged) with det M'(u) != 0, the
-    common denominator D of the six partials makes D*M_g and D*M_f integer,
-    and 4 and 16 integer determinants give det M'(u) (degree <= 3) and
-    det M(u) (degree <= 15).
+    Sylvester's 6x6 matrix S of the partials (see
+    ``macaulay_resultant_quadrics``; Salmon, *Modern Higher Algebra*;
+    Cox–Little–O'Shea, *Using Algebraic Geometry*, ch. 3 §2) has gradient
+    rows linear in u and Hessian rows cubic in u: Hess(u*g + f) = sum u^k J_k
+    for k = 0..3, J_k the sum of the determinants with k rows of second
+    partials taken from g and 3 - k from f (the determinant is multilinear
+    in its rows).  So S(u) = sum u^k S_k and det S(u) has degree <= 12.  One
+    common denominator D makes every D*S_k integer, and 13 integer
+    determinants at integer nodes give det(D*S(u)) = D^6 det S(u) by
+    interpolation: no division, no coordinate change.
     """
-    for m in unimodular_matrices():
-        grads = [h.substitute(m).gradient() for h in (g, f)]
-        den = math.lcm(*(q.den for qs in grads for q in qs))
-        mg, mf = (_macaulay_rows(qs, den) for qs in grads)
-        extraneous = _det_along(mg, mf, _MINOR, 4)
-        if extraneous.is_zero():
-            continue
-        res, rem = _det_along(mg, mf, range(15), 16).divmod(extraneous)
-        if not rem.is_zero():
-            raise UnisecantError("Macaulay quotient along the pencil is not exact")
-        return res.scale(Fraction(1, den ** 12))  # the quotient is D^12 * Res(u)
-    raise UnisecantError("no usable coordinates for the Macaulay resultant")
-
-
-def _det_along(a, b, idx, nodes: int) -> UnivariatePoly:
-    """det(u*a + b) on rows and columns ``idx`` of integer matrices, from ``nodes`` values."""
-    return interpolate([(u, bareiss_det_int([[u * a[i][j] + b[i][j] for j in idx] for i in idx]))
-                        for u in islice(integer_nodes(), nodes)])
+    if any(h.degree != 3 for h in (g, f)):
+        raise DomainError("discriminant_along_pencil expects two cubics")
+    second = [[q.gradient() for q in h.gradient()] for h in (f, g)]
+    jacobians = [HomogeneousForm.zero(3)] * 4
+    for picks in product((0, 1), repeat=3):
+        minor = mat3_det([second[k][i] for i, k in enumerate(picks)])
+        jacobians[sum(picks)] = jacobians[sum(picks)] + minor
+    zero = (HomogeneousForm.zero(2),) * 3
+    parts = [_sylvester_rows(grads, j)
+             for grads, j in zip((f.gradient(), g.gradient(), zero, zero), jacobians)]
+    ints, den = integer_image(x for rows in parts for row in rows for x in row)
+    # entries[i][j] lists (D*S_k)[i][j] for k = 0..3
+    entries = [[ints[6 * i + j::36] for j in range(6)] for i in range(6)]
+    values = [(u, bareiss_det_int([[((c3 * u + c2) * u + c1) * u + c0 for c0, c1, c2, c3 in row]
+                                   for row in entries]))
+              for u in islice(integer_nodes(), 13)]
+    return interpolate(values).scale(Fraction(-1, 512 * den**6))
 
 
 def is_smooth_form(f: HomogeneousForm) -> bool:
-    """True iff {f = 0} is nonsingular over the complex numbers (deg 2 or 3)."""
+    """True iff the cubic {f = 0} is nonsingular over the complex numbers."""
     return ternary_discriminant(f) != 0
 
 
@@ -303,9 +274,18 @@ def plane_intersection(f: HomogeneousForm, g: HomogeneousForm, *,
 
 
 def forms_share_component(f: HomogeneousForm, g: HomogeneousForm) -> bool:
-    """True iff the two curves have a common component (nontrivial gcd)."""
-    xs = sympy.symbols("X0 X1 X2")
-    h = sympy.gcd(to_sympy_poly(f.coeffs, xs), to_sympy_poly(g.coeffs, xs))
+    """True iff the two curves have a common component (nontrivial gcd).
+
+    Either X0 divides both forms, or the gcd over ZZ of their integer
+    images on the chart X0 = 1 is nonconstant: a common factor not
+    divisible by X0 keeps its degree on the chart, and homogenization is
+    multiplicative, so a nonconstant common factor there lifts back.
+    """
+    if all(e[0] for e in f.num) and all(e[0] for e in g.num):
+        return True
+    xs = sympy.symbols("X1 X2")
+    h = sympy.gcd(*(sympy.Poly.from_dict({e[1:]: v for e, v in q.num.items()}, *xs,
+                                         domain=sympy.ZZ) for q in (f, g)))
     return h.total_degree() >= 1
 
 

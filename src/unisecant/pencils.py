@@ -49,7 +49,6 @@ from .exactalg import (
     rank,
     rational_singular_points,
     rational_to_string,
-    squarefree_part,
     yun_decomposition,
 )
 from .cubic import (
@@ -172,7 +171,7 @@ def contact_system(curve: HomogeneousForm, p: ProjectivePoint, k: int) -> Contac
     equation; one extra dimension appears exactly at contact points.
 
     C must be a smooth cubic.  Only a singular p is refused here; the
-    global smoothness test (a 15x15 Macaulay determinant) is the caller's:
+    global smoothness test (a 6x6 resultant determinant) is the caller's:
     ``contact_conic_check`` and ``unisec pencil-disc`` run it, and
     ``nonflex_fiber_accounting`` has it from ``flexes``.
     """
@@ -283,18 +282,16 @@ class PencilDiscriminant:
         """Vanishing order at the member g, i.e. (1 : 0)."""
         return DISC_DEGREE - self.affine.degree
 
-    def distinct_complex_roots(self) -> int:
-        n = squarefree_part(self.affine).degree
-        return n + (1 if self.multiplicity_at_infinity() > 0 else 0)
-
 
 def pencil_discriminant(pencil: Pencil) -> PencilDiscriminant:
     """Discriminant of the pencil: the resultant of the partials of u g + F.
 
-    ``discriminant_along_pencil`` gets it as one exact Macaulay quotient of
-    polynomials in u; the zero remainder of that division is the
-    certificate.  Degree 12 is forced by homogenization: the deficit of the
-    affine slice is exactly the vanishing order at the member g.
+    ``discriminant_along_pencil`` interpolates it in u from Sylvester's 6x6
+    formula for the resultant of three quadrics (Salmon, *Modern Higher
+    Algebra*; Cox–Little–O'Shea, *Using Algebraic Geometry*, ch. 3 §2), with
+    no division and no change of coordinates.  Degree 12 is forced by
+    homogenization: the deficit of the affine slice is exactly the
+    vanishing order at the member g.
     """
     affine = discriminant_along_pencil(pencil.g, pencil.f)
     if affine.is_zero():

@@ -73,14 +73,6 @@ def curve_germ(f: HomogeneousForm, p: ProjectivePoint) -> BivariatePoly:
     return BivariatePoly.chart(f.substitute(m), chart)
 
 
-def local_multiplicity(f: HomogeneousForm, p: ProjectivePoint) -> int:
-    """0 off the curve, 1 at a smooth point, >= 2 at a singular point."""
-    germ = curve_germ(f, p)
-    if germ.coefficient((0, 0)) != 0:
-        return 0
-    return germ.multiplicity()
-
-
 # ---------------------------------------------------------------------------
 # Resolution trees
 # ---------------------------------------------------------------------------
@@ -259,13 +251,6 @@ def multiplicity_sequence(f: HomogeneousForm, p: ProjectivePoint, *,
     if germ.coefficient((0, 0)) != 0:
         raise DomainError(f"{p} is not on the curve")
     return PointResolution(p, _resolve_germ(germ, 0))
-
-
-def delta_invariant(profile: SingularityProfile | PointResolution) -> int:
-    """Sum of mu(mu-1)/2 over all infinitely near points: the genus drop."""
-    if isinstance(profile, PointResolution):
-        return profile.delta()
-    return profile.delta_total()
 
 
 def genus_profile(f: HomogeneousForm, assume_irreducible: bool = False) -> SingularityProfile:

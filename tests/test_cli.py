@@ -8,7 +8,8 @@ import pytest
 import unisecant.cubic as cubic_mod
 import unisecant.exactalg.elim as elim_mod
 import unisecant.singular as singular_mod
-from unisecant.cli import MAX_COEFF_BITS, MAX_CURVE_DEGREE, load_curve_file, main
+from unisecant.cli import (MAX_COEFF_BITS, MAX_CURVE_DEGREE, load_curve_file, load_family_file,
+                           main)
 from unisecant.cubic import kubert_z6_curve
 from unisecant.exactalg import mat3
 from conftest import count_calls, fixture_path
@@ -237,6 +238,24 @@ class TestVerificationAndErrors:
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"form": form}))
         code, out, err = run_cli(capsys, "genus", "--curve", os.fspath(big))
+        assert code == 2 and out == ""
+        assert bound in err
+
+    @pytest.mark.parametrize("family, bound", [
+        ({"degree": MAX_CURVE_DEGREE + 1, "coeffs": [[MAX_CURVE_DEGREE + 1, 0, 0, ["1"]]]},
+         "MAX_CURVE_DEGREE"),
+        ({"degree": 1, "coeffs": [[1, 0, 0, ["1", str(2**MAX_COEFF_BITS)]]]}, "MAX_COEFF_BITS"),
+        ({"degree": 1, "coeffs": [[1, 0, 0, ["1", f"1/{2**MAX_COEFF_BITS}"]]]}, "MAX_COEFF_BITS"),
+    ], ids=["degree", "numerator", "denominator"])
+    def test_family_above_size_bound_exit_2(self, capsys, tmp_path, family, bound):
+        top = f"{2**MAX_COEFF_BITS - 1}/{2**MAX_COEFF_BITS - 2}"
+        at_bound = tmp_path / "at_bound.json"
+        at_bound.write_text(json.dumps({
+            "degree": MAX_CURVE_DEGREE, "coeffs": [[MAX_CURVE_DEGREE, 0, 0, ["1", top]]]}))
+        assert load_family_file(os.fspath(at_bound)).degree == MAX_CURVE_DEGREE
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(family))
+        code, out, err = run_cli(capsys, "check-family", "--family", os.fspath(big), "--t0", "0")
         assert code == 2 and out == ""
         assert bound in err
 

@@ -1,4 +1,4 @@
-"""Elimination layer: Macaulay resultant, smoothness, intersections,
+"""Elimination layer: resultant of three quadrics, smoothness, intersections,
 singular-locus search."""
 
 import math
@@ -14,7 +14,6 @@ from unisecant import singular
 from unisecant.errors import (
     CommonComponentError,
     DomainError,
-    UnisecantError,
     UnsupportedFieldError,
 )
 from unisecant.exactalg import elim, unipoly
@@ -23,6 +22,7 @@ from unisecant.exactalg import (
     HomogeneousForm,
     ProjectivePoint,
     UnivariatePoly,
+    det_fractions,
     form_factorization,
     is_reduced_form,
     is_smooth_form,
@@ -92,6 +92,61 @@ def form_and_point(draw):
     return f, ProjectivePoint(*coords)
 
 
+_DEG4 = [(a, b, 4 - a - b) for a in range(4, -1, -1) for b in range(4 - a, -1, -1)]
+_EXTRANEOUS = [_DEG4.index(m) for m in [(2, 2, 0), (2, 0, 2), (0, 2, 2)]]
+
+
+def _macaulay_quotient(qs):
+    """Macaulay's 15x15 quotient det M / det M' (test oracle), None when the
+    3x3 extraneous minor M' vanishes.
+
+    Row m of M is X_i^-2 m * q_i for the first X_i whose square divides the
+    quartic monomial m; M' keeps the rows and columns of X0^2 X1^2,
+    X0^2 X2^2 and X1^2 X2^2 (Cox–Little–O'Shea, *Using Algebraic Geometry*,
+    ch. 3 §4).
+    """
+    rows = []
+    for mono in _DEG4:
+        i = next(k for k in range(3) if mono[k] >= 2)
+        row = [F(0)] * 15
+        for (a, b, c), v in qs[i].coeffs.items():
+            shift = [a, b, c]
+            shift[i] += mono[i] - 2
+            for k in range(3):
+                if k != i:
+                    shift[k] += mono[k]
+            row[_DEG4.index(tuple(shift))] += v
+        rows.append(row)
+    minor = det_fractions([[rows[i][j] for j in _EXTRANEOUS] for i in _EXTRANEOUS])
+    return None if minor == 0 else det_fractions(rows) / minor
+
+
+QUADRIC_MONOMIALS = [(a, b, 2 - a - b) for a in range(3) for b in range(3 - a)]
+quadrics = st.lists(rational, min_size=6, max_size=6).map(
+    lambda cs: H(2, dict(zip(QUADRIC_MONOMIALS, cs))))
+triples = st.tuples(quadrics, quadrics, quadrics)
+
+
+def _seeded_triples(count: int, seed: int = 17) -> list:
+    """Random triples with a nonzero extraneous minor and a nonzero resultant."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        qs = tuple(H(2, {m: F(rng.randint(-5, 5), rng.randint(1, 3))
+                         for m in QUADRIC_MONOMIALS}) for _ in range(3))
+        if _macaulay_quotient(qs):
+            out.append(qs)
+    return out
+
+
+def _oracle_disagreements(triples_) -> list:
+    """The triples on which macaulay_resultant_quadrics differs from the 15x15 quotient."""
+    return [qs for qs in triples_ if macaulay_resultant_quadrics(*qs) != _macaulay_quotient(qs)]
+
+
+SQUARES = (H.monomial((2, 0, 0)), H.monomial((0, 2, 0)), H.monomial((0, 0, 2)))
+
+
 class TestMacaulay:
     def test_transverse_quadrics_nonzero(self):
         q0 = H(2, {(2, 0, 0): 1, (0, 2, 0): -1})
@@ -116,17 +171,58 @@ class TestMacaulay:
             ratios.add(d / (F(a) ** 3 + 27 * F(b) ** 2))
         assert len(ratios) == 1
 
-    def test_retry_budget_is_bounded(self, fermat, monkeypatch):
-        calls = []
+    def test_one_resultant_and_no_coordinate_change(self, fermat, monkeypatch):
+        # The 6x6 formula has no extraneous factor that could vanish, so no
+        # coordinate change is tried.
+        calls = count_calls(monkeypatch, "macaulay_resultant_quadrics", elim)
+        moves = count_calls(monkeypatch, "substitute", HomogeneousForm)
+        ternary_discriminant(fermat)
+        assert calls == [fermat.gradient()]
+        assert moves == []
 
-        def always_degenerate(*quadrics):
-            calls.append(quadrics)
-            raise elim.MacaulayDegenerate("forced")
+    def test_normalized_on_the_squares(self):
+        assert macaulay_resultant_quadrics(*SQUARES) == 1
 
-        monkeypatch.setattr(elim, "macaulay_resultant_quadrics", always_degenerate)
-        with pytest.raises(UnisecantError, match="no usable coordinates"):
-            ternary_discriminant(fermat)
-        assert len(calls) == 64
+    @given(triples)
+    def test_matches_the_15x15_quotient(self, qs):
+        expected = _macaulay_quotient(qs)
+        assume(expected is not None)
+        assert macaulay_resultant_quadrics(*qs) == expected
+
+    def test_matches_the_quotient_on_seeded_triples(self):
+        assert _oracle_disagreements(_seeded_triples(12)) == []
+
+    @given(triples, st.lists(st.integers(-3, 3), min_size=9, max_size=9))
+    def test_coordinate_change_scales_by_det_to_the_eighth(self, qs, entries):
+        m = mat3([entries[0:3], entries[3:6], entries[6:9]])
+        det = mat3_det(m)
+        assume(det != 0)
+        moved = [q.substitute(m) for q in qs]
+        assert macaulay_resultant_quadrics(*moved) == det**8 * macaulay_resultant_quadrics(*qs)
+
+    @pytest.mark.parametrize("mutant", ["plus_one_over_512", "two_rows_swapped"])
+    def test_mutants_are_caught(self, monkeypatch, mutant):
+        original = elim.det_fractions
+        if mutant == "plus_one_over_512":
+            monkeypatch.setattr(elim, "det_fractions", lambda rows: original(rows) - 1)
+        else:
+            monkeypatch.setattr(elim, "det_fractions",
+                                lambda rows: original([rows[1], rows[0], *rows[2:]]))
+        triples_ = _seeded_triples(12)
+        assert macaulay_resultant_quadrics(*SQUARES) != 1
+        assert len(_oracle_disagreements(triples_)) == len(triples_)
+
+    def test_non_quadrics_rejected(self, fermat):
+        with pytest.raises(DomainError, match="quadrics"):
+            macaulay_resultant_quadrics(fermat, *SQUARES[1:])
+
+    @pytest.mark.parametrize("form", [
+        H(2, {(2, 0, 0): 1, (0, 1, 1): -1}),
+        H(4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}),
+        H.zero(3)])
+    def test_non_cubic_rejected(self, form):
+        with pytest.raises(DomainError, match="cubics"):
+            ternary_discriminant(form)
 
     def test_smoothness_calls(self, fermat, nodal_cubic, cuspidal_cubic):
         assert is_smooth_form(fermat)
@@ -269,6 +365,60 @@ class TestCoordinateChanges:
             f.linear_change(1, 2, 2, 4)
         with pytest.raises(DomainError, match="singular"):
             BivariatePoly({}).linear_change(0, 0, 1, 1)
+
+
+@st.composite
+def small_form(draw, min_degree=0, max_degree=3):
+    degree = draw(st.integers(min_degree, max_degree))
+    monos = [(a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(monos), max_size=len(monos)))
+    f = H(degree, {m: F(c, 3) for m, c in zip(monos, coeffs)})
+    assume(not f.is_zero())
+    return f
+
+
+@st.composite
+def form_pair(draw):
+    """Two forms, X0 multiplied into both, one or neither, with or without a planted factor."""
+    f, g = draw(small_form()), draw(small_form())
+    x0 = H.monomial((1, 0, 0))
+    if draw(st.booleans()):
+        f = f * x0
+    if draw(st.booleans()):
+        g = g * x0
+    if draw(st.booleans()):
+        h = draw(small_form(1, 2))
+        f, g = f * h, g * h
+    return f, g
+
+
+def _share_component_over_qq(f, g) -> bool:
+    xs = sympy.symbols("X0 X1 X2")
+    h = sympy.gcd(unipoly.to_sympy_poly(f.coeffs, xs), unipoly.to_sympy_poly(g.coeffs, xs))
+    return h.total_degree() >= 1
+
+
+class TestCommonComponent:
+    @given(form_pair())
+    def test_matches_the_trivariate_gcd(self, pair):
+        assert elim.forms_share_component(*pair) == _share_component_over_qq(*pair)
+
+    def test_x0_in_one_form_only(self):
+        f = H(2, {(1, 1, 0): 1})                     # X0 X1
+        g = H(2, {(0, 1, 1): 1, (0, 0, 2): 1})       # X2 (X1 + X2)
+        assert not elim.forms_share_component(f, g)
+
+    def test_shared_conic_raises(self):
+        conic = H(2, {(2, 0, 0): 1, (0, 1, 1): -1, (0, 2, 0): 2})
+        line = H(1, {(1, 0, 0): 1, (0, 1, 0): 3})
+        cubic = H(3, {(0, 3, 0): 1, (1, 1, 1): F(1, 2), (0, 0, 3): -1})
+        with pytest.raises(CommonComponentError):
+            plane_intersection(conic * line, conic * cubic)
+
+    def test_one_sympy_gcd(self, monkeypatch):
+        calls = count_calls(monkeypatch, "gcd", sympy)
+        elim.forms_share_component(H(2, {(0, 2, 0): 1, (1, 0, 1): 1}), H(1, {(0, 1, 0): 1}))
+        assert len(calls) == 1
 
 
 class TestPlaneIntersection:

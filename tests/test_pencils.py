@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import unisecant.exactalg.elim as elim_mod
 from unisecant.errors import DegeneratePencilError, DomainError
@@ -126,7 +128,8 @@ class TestFlexPencil:
         assert disc.affine[1] == 0
         assert 27 * squarefree_part(disc.affine)[0] == F(-64)
         assert disc.multiplicity_at_infinity() == 10
-        assert disc.distinct_complex_roots() == 3
+        # Two simple affine roots and the member g at infinity.
+        assert squarefree_part(disc.affine).degree == 2
 
     def test_alpha_zero_single_double_root(self):
         w = weierstrass_at_flex(weierstrass_normal_form(0, F(-1, 4)), FLEX)
@@ -186,8 +189,17 @@ def _quotient_pencils():
     return cases
 
 
+def _cubic(coeffs) -> HomogeneousForm:
+    monos = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
+    return H(3, dict(zip(monos, coeffs)))
+
+
+small_cubics = st.lists(st.builds(F, st.integers(-4, 4), st.integers(1, 3)),
+                        min_size=10, max_size=10).map(_cubic)
+
+
 class TestDiscriminantQuotient:
-    """The Macaulay quotient against the per-member definition."""
+    """The interpolated 6x6 resultant along a pencil against the per-member definition."""
 
     @pytest.mark.parametrize("pencil", _quotient_pencils())
     def test_matches_member_discriminants(self, pencil):
@@ -202,13 +214,35 @@ class TestDiscriminantQuotient:
             assert value == (scale or 0) * disc.affine.evaluate(u), u
         assert scale is not None
 
-    def test_unmoved_kubert_pencil_retries_the_frame(self, monkeypatch):
-        # The identity frame's extraneous minor vanishes identically along
-        # this pencil: 4 minors there, then 4 + 16 in the second frame.
+    def test_unmoved_kubert_pencil_needs_no_retry(self, monkeypatch):
+        # Macaulay's 15x15 extraneous minor vanishes identically along this
+        # pencil; the 6x6 formula has none: 13 determinants of size 6 and
+        # no coordinate change.
         pencil = pencil_at(contact_system(*kubert_z9_curve(2), 3))
         calls = count_calls(monkeypatch, "bareiss_det_int", elim_mod)
+        moves = count_calls(monkeypatch, "substitute", HomogeneousForm)
         discriminant_along_pencil(pencil.g, pencil.f)
-        assert len(calls) == 24
+        assert [len(m) for (m,) in calls] == [6] * 13
+        assert moves == []
+
+    @given(small_cubics, small_cubics)
+    def test_random_pencils_match_member_discriminants(self, g, f):
+        exact = discriminant_along_pencil(g, f)
+        assert exact.is_zero() or exact.degree <= 12
+        for u in range(-2, 14):
+            member = g.scale(u) + f  # the zero member has a zero Sylvester matrix
+            assert exact.evaluate(u) == (0 if member.is_zero() else ternary_discriminant(member))
+
+    def test_singular_generator_lowers_the_degree(self, nodal_cubic, fermat):
+        # The member g = nodal cubic sits at u = infinity, so the affine
+        # discriminant loses degree; the values still match member by member.
+        exact = discriminant_along_pencil(nodal_cubic, fermat)
+        assert 0 < exact.degree < 12
+        for u in range(-3, 10):
+            assert exact.evaluate(u) == ternary_discriminant(nodal_cubic.scale(u) + fermat)
+
+    def test_all_singular_pencil_vanishes(self, nodal_cubic):
+        assert discriminant_along_pencil(nodal_cubic, nodal_cubic.scale(3)).is_zero()
 
     def test_singular_pencil_is_degenerate(self, nodal_cubic):
         with pytest.raises(DegeneratePencilError):
@@ -216,7 +250,7 @@ class TestDiscriminantQuotient:
 
     def test_non_cubics_rejected(self):
         conic = H(2, {(2, 0, 0): 1, (0, 1, 1): -1})
-        with pytest.raises(DomainError, match="quadrics"):
+        with pytest.raises(DomainError, match="cubics"):
             discriminant_along_pencil(conic, conic)
 
 
@@ -241,8 +275,8 @@ class TestMemberSingularAt:
         pencil = pencil_at(contact_system(form9, p9, 3))
         param = member_singular_at(pencil)
         member = pencil.member_at(param)
-        from unisecant.singular import local_multiplicity
-        assert local_multiplicity(member, p9) == 2
+        from unisecant.singular import curve_germ
+        assert curve_germ(member, p9).multiplicity() == 2
 
     def test_flex_case_flagged(self):
         w = weierstrass_at_flex(weierstrass_normal_form(-4, 0), FLEX)

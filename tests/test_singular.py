@@ -18,13 +18,11 @@ from unisecant.singular import (
     blowup_intersection_identity,
     companion_multiplicities,
     curve_germ,
-    delta_invariant,
     family_derivative_check,
     finiteness_certificate,
     genus_bound,
     geometric_genus,
     local_intersection,
-    local_multiplicity,
     multiplicity_sequence,
     mu_minus_one,
     weak_type_check,
@@ -36,18 +34,20 @@ U = UnivariatePoly
 
 
 class TestLocalMultiplicity:
+    """The multiplicity of the germ at the point: 0 off the curve, 1 at a smooth point."""
+
     def test_smooth_point_on_conic(self):
         conic = H(2, {(0, 2, 0): 1, (1, 0, 1): -1})  # X1^2 = X0 X2
-        assert local_multiplicity(conic, P(1, 0, 0)) == 1
+        assert curve_germ(conic, P(1, 0, 0)).multiplicity() == 1
 
     def test_node_of_nodal_cubic(self, nodal_cubic):
-        assert local_multiplicity(nodal_cubic, P(0, 0, 1)) == 2
+        assert curve_germ(nodal_cubic, P(0, 0, 1)).multiplicity() == 2
 
     def test_cusp_of_tricuspidal(self, tricuspidal_quartic):
-        assert local_multiplicity(tricuspidal_quartic, P(0, 0, 1)) == 2
+        assert curve_germ(tricuspidal_quartic, P(0, 0, 1)).multiplicity() == 2
 
     def test_off_curve(self, nodal_cubic):
-        assert local_multiplicity(nodal_cubic, P(1, 1, 1)) == 0
+        assert curve_germ(nodal_cubic, P(1, 1, 1)).multiplicity() == 0
 
 
 class TestMultiplicitySequence:
@@ -82,11 +82,11 @@ class TestMultiplicitySequence:
 
 class TestDeltaAndGenus:
     def test_delta_examples(self, nodal_cubic, cuspidal_cubic):
-        assert delta_invariant(multiplicity_sequence(nodal_cubic, P(0, 0, 1))) == 1
-        assert delta_invariant(multiplicity_sequence(cuspidal_cubic, P(0, 0, 1))) == 1
+        assert multiplicity_sequence(nodal_cubic, P(0, 0, 1)).delta() == 1
+        assert multiplicity_sequence(cuspidal_cubic, P(0, 0, 1)).delta() == 1
 
     def test_smooth_point_delta_zero(self, nodal_cubic):
-        assert delta_invariant(multiplicity_sequence(nodal_cubic, P(-1, 0, 1))) == 0
+        assert multiplicity_sequence(nodal_cubic, P(-1, 0, 1)).delta() == 0
 
     @pytest.mark.parametrize("fixture,expected", [
         ("fermat", 1), ("nodal_cubic", 0), ("cuspidal_cubic", 0),
