@@ -19,10 +19,11 @@ Three capabilities live here.
   the local intersection numbers fiber by fiber — the exact bookkeeping
   behind Bezout verification and flex counting.
 
-* Rational singular points of a plane curve: rational fibers of a
-  good-position eliminant of the partials are lifted, irrational factors
-  are decided over Q by resultants of a generic combination, and an
-  irrational singular point raises an unsupported-field error.
+* Rational singular points of a plane curve: the rational roots of a
+  good-position eliminant of the partials are its rational fibers, which
+  are lifted; what is left of the eliminant is tested by gcds with the
+  resultants of a generic combination, over Q and without factoring, and
+  an irrational singular point raises an unsupported-field error.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .rationals import (Mat3, bareiss_det_int, det_fractions, integer_image, mat
                         mat3_identity, mat3_transpose, mat3_vec)
 from .unipoly import (
     UnivariatePoly,
-    factor_over_q,
     integer_nodes,
     interpolate,
     poly_gcd,
@@ -329,12 +329,17 @@ def rational_singular_points(f: HomogeneousForm) -> list[ProjectivePoint]:
     After a unimodular change, the combinations c0 = g0 + r1*g2 and
     c1 = g1 + r2*g2 of the partials are in good position, so every singular
     point lies over a root of elim = res_X2(c0, c1) (chart X1 = 1, degree
-    d^2, d = deg f - 1).  A linear factor of elim is a rational fiber,
-    lifted by the gcd of the partial slices.  An irreducible factor p of
-    degree >= 2 carries a singular point iff p divides the check resultant
+    d^2, d = deg f - 1).  Each rational root x0 of elim (``rational_roots``,
+    walked in descending order) is a rational fiber, lifted by the gcd of
+    the partial slices, and (x - x0)^mult is divided out of elim.  What is
+    left, q, has only irreducible factors of degree >= 2.  Such a factor p
+    carries a singular point iff p divides the check resultant
     R_t = res_X2(c0, c1 + t*g2) for d distinct t in 1, -1, 2, ... (skipping
     0 and a t with c1 + t*g2 = 0): resultants of a generic combination
     (Cox–Little–O'Shea, *Using Algebraic Geometry*, ch. 3), over Q only.
+    So no factorization is needed: some p divides all d of them iff
+    h = gcd(q, R_t1, ..., R_td) is nonconstant.  The R_t are computed one
+    at a time, and the walk stops as soon as h is constant.
 
     Why this is exact: c0 has a nonzero constant X2-leading coefficient.
     Fix a root a of p and let z_1, ..., z_d be the roots of c0(a, z).  Then
@@ -367,22 +372,19 @@ def rational_singular_points(f: HomogeneousForm) -> list[ProjectivePoint]:
 
 def _singular_points_from_eliminant(gt, c0, c1, m, elim) -> list[ProjectivePoint]:
     back = mat3_transpose(m)
-    checks = _check_resultants(c0, c1, gt[2])
-    seen: list[UnivariatePoly] = []  # R_t computed so far, shared across factors
     points = []
-    _, factors = factor_over_q(elim)
-    for factor, _mult in factors:
-        if factor.degree == 1:
-            fiber_points, complete = _lift_fiber(gt, back, -factor.coeffs[0] / factor.coeffs[1])
-            if not complete:
-                raise UnsupportedFieldError(
-                    "singular point with irrational coordinates over a rational fiber")
-            points.extend(fiber_points)
-            continue
-        for k in range(c0.degree):
-            if k == len(seen):
-                seen.append(next(checks))
-            if not (seen[k] % factor).is_zero():
+    h = elim  # elim without its rational roots, then its gcd with the R_t so far
+    for x0, mult in reversed(rational_roots(elim)):
+        fiber_points, complete = _lift_fiber(gt, back, x0)
+        if not complete:
+            raise UnsupportedFieldError(
+                "singular point with irrational coordinates over a rational fiber")
+        points.extend(fiber_points)
+        h = h // UnivariatePoly((-x0, 1)) ** mult
+    if h.degree > 0:
+        for check in islice(_check_resultants(c0, c1, gt[2]), c0.degree):
+            h = poly_gcd(h, check)
+            if h.degree == 0:
                 break
         else:
             raise UnsupportedFieldError("singular point with irrational coordinates")

@@ -3,8 +3,9 @@
 A polynomial is stored as integer numerators over one positive denominator
 in lowest terms, and its arithmetic (division included) runs on ``int``;
 coefficients cross the API as ``Fraction``.  The elimination workhorse: resultants (Sylvester determinant, evaluated
-fraction-free), discriminants, gcds (primitive PRS on integers), squarefree
-parts, Yun squarefree decomposition, and rational roots (p-adic lifting).
+fraction-free), discriminants, gcds (small-prime modular, checked by trial
+division in Z[x]), squarefree parts, Yun squarefree decomposition, and
+rational roots (p-adic lifting).
 Root multiplicity data from these routines is what turns "count distinct
 complex roots" questions into exact degree arithmetic, with no root
 isolation anywhere.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 
 import sympy
 
@@ -230,50 +231,148 @@ def _coerce(p) -> UnivariatePoly:
 
 
 def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
-    """Monic gcd over Q by a primitive PRS on integer coefficients.
+    """Monic gcd over Q by a small-prime modular algorithm (Brown 1971).
 
-    f and g are converted once to their primitive integer images (a gcd over
-    Q is unchanged by scaling).  Each step replaces (a, b) by (b, pp(r)), r
-    the pseudo-remainder of a by b and pp its primitive part, so every
-    remainder stays in Z[x] with its content divided out (von zur Gathen &
-    Gerhard, *Modern Computer Algebra*, ch. 6).  The last nonzero remainder
-    is an integer multiple of the gcd; it is converted back once and made
-    monic.
+    Works on the primitive integer images a and b of f and g (a gcd over Q
+    is unchanged by scaling), with gamma = gcd(lc a, lc b).  Primes p that
+    divide neither leading coefficient are taken one at a time, and the
+    monic gcd of a and b mod p is computed.  Its degree is at least that of
+    the gcd G over Q, with equality for all but finitely many p, so a
+    degree-0 image proves f and g coprime at once.  Images of the least
+    degree seen so far are scaled by gamma and combined by CRT with a
+    symmetric lift; once the modulus exceeds twice the coefficients of
+    gamma*G/lc(G), an integer polynomial, the lift equals it.  After each
+    image the primitive part of the lift is tried, and it is accepted only
+    if it divides both a and b exactly in Z[x]: a common divisor whose
+    degree is at least that of the gcd is the gcd, so an answer is never
+    wrong (von zur Gathen & Gerhard, *Modern Computer Algebra*, section
+    6.7).  Those coefficients are below 2^k·||b||_2 for k = deg G, b the
+    image of lower degree (Landau–Mignotte, with |gamma| <= |lc b|), which
+    fixes how many primes a run needs; one that has drawn
+    ``UNLUCKY_PRIMES`` more than that raises UnisecantError.
     """
     if f.is_zero():
         return g.monic()
     if g.is_zero():
         return f.monic()
+    if f.degree == 0 or g.degree == 0:
+        return UnivariatePoly._from_ints((1,))
     a, b = primitive_part(list(f.num)), primitive_part(list(g.num))
     if len(a) < len(b):
         a, b = b, a
-    while b:
-        a, b = b, _primitive_pseudo_remainder(a, b)
-    return UnivariatePoly._from_ints(a).monic()
+    gamma = math.gcd(a[-1], b[-1])
+    bound_bits = len(b) + len(b).bit_length() + max(map(abs, b)).bit_length()
+    budget = -(-bound_bits // (_PRIME_BITS - 1)) + UNLUCKY_PRIMES
+    least, lift, modulus = len(b) + 1, [], 1
+    for p in islice(_gcd_primes(), budget):
+        if a[-1] % p == 0 or b[-1] % p == 0:
+            continue
+        h = _gcd_mod(a, b, p)
+        if len(h) == 1:
+            return UnivariatePoly._from_ints((1,))
+        if len(h) > least:
+            continue
+        if len(h) < least:
+            least, lift, modulus = len(h), [gamma * r % p for r in h], p
+        else:
+            m_inv = pow(modulus, -1, p)
+            lift = [c + modulus * ((gamma * r - c) * m_inv % p) for c, r in zip(lift, h)]
+            modulus *= p
+        lift = [c - modulus if 2 * c > modulus else c for c in lift]
+        cand = primitive_part(lift)
+        if _divides(a, cand) and _divides(b, cand):
+            return UnivariatePoly._from_ints(cand, cand[-1])
+    raise UnisecantError(f"poly_gcd: no gcd found within {budget} primes "
+                         f"(the coefficient bound's count plus UNLUCKY_PRIMES)")
 
 
-def _primitive_pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """pp(c·a mod b) for some nonzero integer c, ascending int coefficients.
+# Bits of the primes poly_gcd works modulo, and how many primes past the
+# count its coefficient bound needs it may draw before it gives up.  A
+# prime is unlucky (shows too large a gcd) only if it divides a nonzero
+# subresultant of the inputs, so an unlucky prime of this size is rare.
+_PRIME_BITS = 62
+UNLUCKY_PRIMES = 32
+_PRIMES: list[int] = []  # the primes below 2^_PRIME_BITS found so far, descending
+_SMALL_PRIMES = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47
 
-    Each elimination step scales the remainder by lc(b)/g and subtracts
-    (lead/g)·x^k·b, g = gcd(lead, lc(b)), so the arithmetic stays in Z.
-    The empty list is the zero remainder.
+
+def _gcd_primes():
+    """The primes below 2^62 in descending order, unbounded.
+
+    Each is found once per process, when first needed: a gcd with the
+    primes up to 47 screens out most candidates, then a Miller–Rabin test
+    with the first twelve primes as bases (deterministic below 3.3e24).
     """
-    r = list(a)
-    lb = b[-1]
-    while len(r) >= len(b):
-        lead = r[-1]
-        g = math.gcd(lead, lb)
-        s, t = lb // g, lead // g
-        shift = len(r) - len(b)
-        if s != 1:
-            r = [s * c for c in r]
-        for j, c in enumerate(b):
-            r[shift + j] -= t * c
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return primitive_part(r)
+    for i in count():
+        if i == len(_PRIMES):
+            n = (_PRIMES[-1] if _PRIMES else 1 << _PRIME_BITS) - 1
+            while math.gcd(n, _SMALL_PRIMES) > 1 or not _is_prime(n):
+                n -= 2 if n % 2 else 1
+            _PRIMES.append(n)
+        yield _PRIMES[i]
+
+
+def _is_prime(n: int) -> bool:
+    """Miller–Rabin with bases 2..37, for odd n > 37 below 3.3e24."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a and b in F_p[x] (ascending integer coefficients).
+
+    p is prime and divides neither leading coefficient; deg a >= deg b >= 1.
+    """
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+    while len(b) > 1:
+        inv, n = pow(b[-1], -1, p), len(b) - 1
+        for i in range(len(a) - 1, n - 1, -1):
+            c = a[i] * inv % p
+            if c:
+                s = i - n
+                for j in range(n):
+                    a[s + j] = (a[s + j] - c * b[j]) % p
+        del a[n:]
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            inv = pow(b[-1], -1, p)
+            return [c * inv % p for c in b]
+        a, b = b, a
+    return [1]
+
+
+def _divides(a: list[int], c: list[int]) -> bool:
+    """Whether c divides a in Z[x] (ascending coefficients, c nonzero).
+
+    Long division that stops at the first inexact step, so a wrong
+    candidate usually costs one or two integer divisions.
+    """
+    if c[0] and a[0] % c[0]:
+        return False
+    r, lc, n = list(a), c[-1], len(c) - 1
+    for i in range(len(a) - 1, n - 1, -1):
+        q, rest = divmod(r[i], lc)
+        if rest:
+            return False
+        if q:
+            s = i - n
+            for j in range(n):
+                r[s + j] -= q * c[j]
+    return not any(r[:n])
 
 
 def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:

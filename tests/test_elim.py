@@ -448,9 +448,10 @@ class TestPlaneIntersection:
         # p-adic lifting; no irreducible factorization runs.
         parabola = H(2, {(0, 1, 1): 1, (2, 0, 0): -1})     # X1 X2 = X0^2
         tangent = H(1, {(0, 1, 0): 1})                    # X1 = 0, at (0:0:1)
-        calls = count_calls(monkeypatch, "factor_over_q", unipoly, elim)
+        calls = count_calls(monkeypatch, "factor_over_q", unipoly)
+        sympy_calls = count_calls(monkeypatch, "factor_list", sympy)
         data = plane_intersection(parabola, tangent)
-        assert calls == []
+        assert calls == [] and sympy_calls == []
         assert [(p, fb.multiplicity) for fb in data.fibers for p in fb.points] == [
             (ProjectivePoint(0, 0, 1), 2)]
 
@@ -604,6 +605,94 @@ class TestSingularLocusCheck:
         # Cuspidal cubic: the eliminant plus one check resultant.
         assert rational_singular_points(cuspidal_cubic) == [ProjectivePoint(0, 0, 1)]
         assert len(calls) == 2
+
+
+def _factor_route(gt, c0, c1, m, eliminant):
+    """The singular points by factoring the eliminant: a reference for the gcd route.
+
+    Linear factors come sorted as factor_over_q sorts them and are lifted
+    as rational fibers; a factor of degree >= 2 carries a singular point
+    iff every one of the first c0.degree check resultants vanishes on it.
+    """
+    back = mat3_transpose(m)
+    checks = elim._check_resultants(c0, c1, gt[2])
+    seen, points = [], []
+    for factor, _ in unipoly.factor_over_q(eliminant)[1]:
+        if factor.degree == 1:
+            fiber, complete = elim._lift_fiber(gt, back, -factor.coeffs[0] / factor.coeffs[1])
+            if not complete:
+                raise UnsupportedFieldError(
+                    "singular point with irrational coordinates over a rational fiber")
+            points.extend(fiber)
+            continue
+        for k in range(c0.degree):
+            if k == len(seen):
+                seen.append(next(checks))
+            if not (seen[k] % factor).is_zero():
+                break
+        else:
+            raise UnsupportedFieldError("singular point with irrational coordinates")
+    return list(dict.fromkeys(points))
+
+
+def _singular_outcome(f):
+    try:
+        return rational_singular_points(f)
+    except UnsupportedFieldError as exc:
+        return str(exc)
+
+
+def _lines_and_conic_corpus():
+    for seed in range(16):
+        lines, conic = _random_lines_and_conic(random.Random(seed))
+        f = conic
+        for line in lines:
+            f = f * H.linear(*line)
+        yield f
+
+
+def _moved_unibranch_corpus():
+    """X1^p X2^(d-p) = X0^d for gcd(p, d) = 1, d = 4..6, each under two
+    random unimodular changes."""
+    rng = random.Random(3)
+    for d in (4, 5, 6):
+        for p in range(1, d):
+            if math.gcd(p, d) != 1:
+                continue
+            f = H(d, {(0, p, d - p): 1, (d, 0, 0): -1})
+            for _ in range(2):
+                m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+                for _ in range(4):
+                    i, j = rng.sample(range(3), 2)
+                    lam = rng.choice([-2, -1, 1, 2])
+                    m[i] = [a + lam * b for a, b in zip(m[i], m[j])]
+                yield f.substitute(mat3(m))
+
+
+class TestSingularLocusWithoutFactoring:
+    """The rational roots and gcds with the check resultants replace factoring."""
+
+    def test_no_factorization_runs(self, nodal_cubic, tricuspidal_quartic, monkeypatch):
+        calls = count_calls(monkeypatch, "factor_over_q", unipoly)
+        sympy_calls = count_calls(monkeypatch, "factor_list", sympy)
+        outcomes = [_singular_outcome(f) for f in [nodal_cubic, tricuspidal_quartic,
+                                                   *_lines_and_conic_corpus()]]
+        assert calls == [] and sympy_calls == []
+        assert len({type(o) for o in outcomes}) == 2  # point lists and refusals
+
+    @pytest.mark.parametrize("corpus", [_lines_and_conic_corpus, _moved_unibranch_corpus])
+    def test_matches_the_factor_route_in_order(self, corpus, monkeypatch):
+        forms = list(corpus())
+        gcd_route = [_singular_outcome(f) for f in forms]
+        monkeypatch.setattr(elim, "_singular_points_from_eliminant", _factor_route)
+        assert gcd_route == [_singular_outcome(f) for f in forms]
+        assert any(isinstance(o, list) and len(o) >= 2 for o in gcd_route)
+
+    def test_moved_cusps_come_in_descending_fiber_order(self, tricuspidal_quartic):
+        m = mat3([[1, 1, 0], [0, 1, 2], [1, 0, 1]])
+        assert rational_singular_points(tricuspidal_quartic.substitute(m)) == [
+            ProjectivePoint(1, F(1, 2), -1), ProjectivePoint(1, -1, 2),
+            ProjectivePoint(1, -1, -1)]
 
 
 class TestFactorization:

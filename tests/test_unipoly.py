@@ -5,6 +5,7 @@ sympy (sympy.resultant itself normalizes signs differently in corner
 cases, so the matrix determinant is the unambiguous reference).
 """
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -165,6 +166,86 @@ class TestSympyDifferential:
     def test_gcd_matches_sympy_at_eliminant_size(self, a, b, c):
         f, g = a * c, b * c
         assert poly_gcd(f, g) == from_sympy(sympy.gcd(to_sympy(f), to_sympy(g))).monic()
+
+
+# The primes poly_gcd draws first.  Inputs that agree modulo the first
+# of them, or whose leading coefficients it divides, are the cases the
+# modular gcd must step past.
+GCD_PRIMES = list(itertools.islice(unipoly._gcd_primes(), 3))
+
+
+class TestModularGcd:
+    def test_unlucky_first_prime_coprime(self):
+        # x and x + p have the gcd x mod p but are coprime over Q.
+        p = GCD_PRIMES[0]
+        assert poly_gcd(P((0, 1)), P((p, 1))) == P((1,))
+
+    def test_unlucky_first_prime_with_common_factor(self):
+        p = GCD_PRIMES[0]
+        c = P((-1, 1)) * P((2, 3))
+        assert poly_gcd(c * P((0, 1)), c * P((p, 1))) == c.monic()
+
+    def test_unlucky_prime_after_a_lucky_one_is_passed_over(self):
+        # The lift of x + B needs two primes.  Mod the second, x and x + q
+        # merge, so that image has degree 2 and is skipped; the third
+        # completes the lift.
+        q = GCD_PRIMES[1]
+        c = P((2**100 + 7, 1))
+        assert poly_gcd(c * P((0, 1)), c * P((q, 1))) == c
+
+    @pytest.mark.parametrize("lc", [GCD_PRIMES[0], GCD_PRIMES[0] * GCD_PRIMES[1],
+                                    GCD_PRIMES[0] ** 2 * GCD_PRIMES[1] * GCD_PRIMES[2]],
+                             ids=["p", "pq", "p2qr"])
+    def test_leading_coefficients_divisible_by_the_first_primes(self, lc):
+        # Mod those primes the common factor lc*x + 1 drops to a constant.
+        c = P((1, lc))
+        assert poly_gcd(c * P((2, 1)), c * P((3, 1))) == c.monic()
+        assert poly_gcd(c * P((2, 1)), P((3, 1))) == P((1,))
+        assert poly_gcd(c * c * P((5, 7)), c * P((0, 0, 1, GCD_PRIMES[1]))) == c.monic()
+
+    @given(st.lists(st.tuples(st.sampled_from(GCD_PRIMES + [1]), st.integers(-9, 9)),
+                    min_size=1, max_size=3),
+           nonzero_poly, nonzero_poly)
+    def test_planted_prime_factors_match_sympy(self, factors, a, b):
+        c = P((1,))
+        for lc, root in factors:
+            c = c * P((root, lc))
+        f, g = a * c, b * c
+        assert poly_gcd(f, g) == from_sympy(sympy.gcd(to_sympy(f), to_sympy(g))).monic()
+
+    # 40 primes; in the inputs below one side has coefficients 0 and 1, so
+    # the budget is 1 prime for the coefficient bound plus UNLUCKY_PRIMES.
+    SMALL = list(sympy.primerange(2, 174))
+
+    def recording_source(self, monkeypatch):
+        drawn = []
+
+        def source():
+            for q in self.SMALL:
+                drawn.append(q)
+                yield q
+
+        monkeypatch.setattr(unipoly, "_gcd_primes", source)
+        return drawn
+
+    def test_prime_budget_raises_when_every_prime_is_unlucky(self, monkeypatch):
+        # x and x + N agree mod every prime dividing N.
+        drawn = self.recording_source(monkeypatch)
+        with pytest.raises(UnisecantError, match="UNLUCKY_PRIMES"):
+            poly_gcd(P((math.prod(self.SMALL), 1)), P((0, 1)))
+        assert len(drawn) == 1 + unipoly.UNLUCKY_PRIMES < len(self.SMALL)
+
+    def test_prime_budget_raises_when_every_prime_divides_a_leading_coefficient(
+            self, monkeypatch):
+        drawn = self.recording_source(monkeypatch)
+        with pytest.raises(UnisecantError, match="UNLUCKY_PRIMES"):
+            poly_gcd(P((1, math.prod(self.SMALL))), P((1, 1)))
+        assert len(drawn) == 1 + unipoly.UNLUCKY_PRIMES < len(self.SMALL)
+
+    def test_primes_are_descending_primes_below_2_62(self):
+        assert GCD_PRIMES == sorted(GCD_PRIMES, reverse=True)
+        assert all(2**61 < q < 2**62 and sympy.isprime(q) for q in GCD_PRIMES)
+        assert sympy.prevprime(GCD_PRIMES[0]) == GCD_PRIMES[1]
 
 
 def sympy_rational_roots(f: P) -> list:
