@@ -24,6 +24,12 @@ Three capabilities live here.
   are lifted; what is left of the eliminant is tested by gcds with the
   resultants of a generic combination, over Q and without factoring, and
   an irrational singular point raises an unsupported-field error.
+
+A curve is proved irreducible over Q without factoring it when a
+full-degree line slice of it, after a unimodular change, has factor
+degrees modulo small primes that no proper factor could have
+(``form_factorization``); sympy factors only the curves no slice
+certifies, reducible ones among them.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .rationals import (Mat3, bareiss_det_int, det_fractions, integer_image, mat
                         mat3_identity, mat3_transpose, mat3_vec)
 from .unipoly import (
     UnivariatePoly,
+    _certified_irreducible,
     integer_nodes,
     interpolate,
     poly_gcd,
@@ -290,9 +297,27 @@ def forms_share_component(f: HomogeneousForm, g: HomogeneousForm) -> bool:
 
 
 def form_factorization(f: HomogeneousForm) -> list[tuple[HomogeneousForm, int]]:
-    """Irreducible factorization of a ternary form over Q (sympy backend)."""
+    """Irreducible factorization of a ternary form over Q, normalized as sympy's.
+
+    Each factor is a primitive integer form whose lex-largest monomial has a
+    positive coefficient, and the list is sorted by degree and coefficients;
+    a nonzero constant has no factor.  Most curves are irreducible, and that
+    is certified without factoring.  After the first of the first four
+    changes of ``unimodular_matrices`` that moves (0:0:1) off the curve,
+    the slices ft(x, 1, z) for x = 0, 1, 2 are tried, and one that
+    ``_certified_irreducible`` proves irreducible over Q proves f is: with
+    ft(0, 0, 1) != 0 every slice has the full degree d in z, so a
+    factorization ft = g·h into positive degrees, g = h included, would
+    restrict to one of the slice into the degrees deg g and deg h, and the
+    change is invertible over Z.  A curve that no slice certifies (a
+    reducible one, or one whose slices split modulo every prime) is
+    factored by sympy's multivariate ``factor_list``.
+    """
     if f.is_zero():
         raise DomainError("cannot factor the zero form")
+    if f.degree >= 1 and _slice_certifies_irreducible(f):
+        g = f.primitive()
+        return [(g if g.num[max(g.num)] > 0 else -g, 1)]
     _, factors = sympy.factor_list(to_sympy_poly(f.coeffs, sympy.symbols("X0 X1 X2")))
     out = []
     for poly, mult in factors:
@@ -304,6 +329,19 @@ def form_factorization(f: HomogeneousForm) -> list[tuple[HomogeneousForm, int]]:
         out.append((HomogeneousForm(deg, coeffs), int(mult)))
     out.sort(key=lambda t: (t[0].degree, sorted(t[0].coeffs.items())))
     return out
+
+
+def _slice_certifies_irreducible(f: HomogeneousForm) -> bool:
+    """Whether a full-degree slice of f, moved off (0:0:1), is certified irreducible over Q.
+
+    One change is sliced: a curve reducible over Q has no irreducible slice,
+    so every further slice would only add to the cost of refusing it.
+    """
+    for m in islice(unimodular_matrices(), 4):
+        ft = f.substitute(m)
+        if ft.coefficient((0, 0, f.degree)) != 0:
+            return any(_certified_irreducible(list(_slice_poly(ft, x).num)) for x in range(3))
+    return False
 
 
 def is_reduced_form(f: HomogeneousForm) -> bool:

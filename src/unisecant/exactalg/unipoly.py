@@ -4,14 +4,16 @@ A polynomial is stored as integer numerators over one positive denominator
 in lowest terms, and its arithmetic (division included) runs on ``int``;
 coefficients cross the API as ``Fraction``.  The elimination workhorse: resultants (Sylvester determinant, evaluated
 fraction-free), discriminants, gcds (small-prime modular, checked by trial
-division in Z[x]), squarefree parts, Yun squarefree decomposition, and
-rational roots (p-adic lifting).
+division in Z[x]), squarefree parts, Yun squarefree decomposition,
+rational roots (p-adic lifting), and a certificate of irreducibility over
+Q from the factor degrees modulo small primes, found without factoring.
 Root multiplicity data from these routines is what turns "count distinct
 complex roots" questions into exact degree arithmetic, with no root
 isolation anywhere.
 
 Only irreducible factorization over Q (``factor_over_q``) is delegated to
-sympy (Zassenhaus); everything else is self-contained.
+sympy (Zassenhaus); everything else, the irreducibility certificate
+included, is self-contained.
 """
 
 from __future__ import annotations
@@ -552,6 +554,90 @@ def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
                 roots.append((x, mult))
     roots.sort(key=lambda t: t[0])
     return roots
+
+
+def _certified_irreducible(image: list[int]) -> bool:
+    """True only if the integer polynomial ``image`` is irreducible over Q.
+
+    ``image`` is ascending with a nonzero leading coefficient and degree
+    d >= 1.  If image = G·H over Z, then at every prime p not dividing
+    lc(image), G mod p is a product of irreducible factors of image mod p
+    and keeps its degree, so deg G is a sum of some of their degrees.  Each
+    prime of ``ROOT_PRIMES`` that divides neither lc(image) nor the
+    discriminant mod p (gcd(F, F') = 1 for F = image mod p) gives its
+    factor degrees by distinct-degree factorization: gcd(F, x^(p^i) - x) is
+    the product of the factors whose degree divides i, and x^(p^i) mod F
+    follows from x^(p^(i-1)) by the matrix of the linear map h -> h^p.  The degrees a factor over Q could
+    have are intersected with the subset sums of each pattern, and image is
+    certified once only 0 and d are left (Musser 1978; von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, sections 14.2 and 15.6).  False
+    means no certificate, not reducible: x^4 + 1 splits modulo every prime.
+    """
+    d = len(image) - 1
+    if d == 1:
+        return True
+    possible, irreducible = (2 << d) - 1, 1 | 1 << d
+    for p in ROOT_PRIMES:
+        if image[-1] % p == 0:
+            continue
+        inv = pow(image[-1], -1, p)
+        f = [c * inv % p for c in image]
+        df = _strip([i * c % p for i, c in enumerate(f)][1:])
+        if not df or len(_gcd_mod(f, df, p)) > 1:
+            continue
+        # frobenius[k] = x^(p·k) mod f, so h^p mod f = sum_k h_k frobenius[k].
+        h = _pow_mod([0, 1] + [0] * (d - 2), p, f, p)
+        frobenius = [[1] + [0] * (d - 1), h]
+        while len(frobenius) < d:
+            frobenius.append(_mul_mod(frobenius[-1], h, f, p))
+        sums, exact = 1, {}
+        for i in range(1, d // 2 + 1):
+            if i > 1:
+                h = [sum(c * row[j] for c, row in zip(h, frobenius)) % p for j in range(d)]
+            g = _strip([(c - (k == 1)) % p for k, c in enumerate(h)])
+            shared = len(_gcd_mod(f, g, p)) - 1 if g else d
+            exact[i] = shared - sum(e for j, e in exact.items() if i % j == 0)
+            for _ in range(exact[i] // i):
+                sums |= sums << i
+        rest = d - sum(exact.values())
+        possible &= sums | sums << rest
+        if possible == irreducible:
+            return True
+    return False
+
+
+def _strip(cs: list[int]) -> list[int]:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _pow_mod(h: list[int], n: int, f: list[int], p: int) -> list[int]:
+    """h^n mod f in F_p[x], square and multiply; f monic of degree d >= 2, h of length d."""
+    out = [1] + [0] * (len(h) - 1)
+    while n:
+        if n & 1:
+            out = _mul_mod(out, h, f, p)
+        n >>= 1
+        if n:
+            h = _mul_mod(h, h, f, p)
+    return out
+
+
+def _mul_mod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    """a·b mod f in F_p[x] as a list of length d = deg f, for f monic and a, b of length d."""
+    d = len(f) - 1
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k] % p
+        if c:
+            for j in range(d):
+                prod[k - d + j] -= c * f[j]
+    return [c % p for c in prod[:d]]
 
 
 def _suited_prime(g: list[int], first_only: bool = False) -> tuple[int, list[int]] | None:

@@ -39,7 +39,7 @@ from unisecant.exactalg import (
 )
 from unisecant.cubic import weierstrass_normal_form
 
-from conftest import count_calls
+from conftest import count_calls, load_form
 
 H = HomogeneousForm
 
@@ -695,14 +695,31 @@ class TestSingularLocusWithoutFactoring:
             ProjectivePoint(1, -1, -1)]
 
 
+FORM_FIXTURES = ["cuspidal_cubic.json", "fermat.json", "genus_d12_64bit.json",
+                 "nodal_cubic.json", "tricuspidal_quartic.json", "weier_a-4_b0.json",
+                 "weier_a0.json", "z6_c1.json", "z9_d2.json"]
+
+
+def _sympy_factorization(f: HomogeneousForm) -> list:
+    """form_factorization by sympy's multivariate factor_list alone: the reference."""
+    _, factors = sympy.factor_list(unipoly.to_sympy_poly(f.coeffs, sympy.symbols("X0 X1 X2")))
+    out = []
+    for poly, mult in factors:
+        coeffs = {e: F(int(c.p), int(c.q)) for e, c in poly.terms()}
+        out.append((H(max(sum(e) for e in coeffs), coeffs), int(mult)))
+    return sorted(out, key=lambda t: (t[0].degree, sorted(t[0].coeffs.items())))
+
+
 class TestFactorization:
     def test_reduced_detection(self, nodal_cubic):
         assert is_reduced_form(nodal_cubic)
         assert not is_reduced_form(H.monomial((3, 0, 0)))
 
-    def test_slice_shortcut_matches_factorization(self, monkeypatch):
+    def test_slice_shortcut_matches_factorization(self, monkeypatch, nodal_cubic,
+                                                  cuspidal_cubic, tricuspidal_quartic):
         # Against form_factorization multiplicities, including repeated
-        # factors through (0 : 0 : 1), where the slices cannot decide.
+        # factors through (0 : 0 : 1), where the slices cannot decide, and
+        # irreducible curves through it, which form_factorization certifies.
         rng = random.Random(11)
 
         def line(through_vertex=False):
@@ -736,8 +753,37 @@ class TestFactorization:
                 cases.append(concurrent[0] * concurrent[1] * concurrent[2])
             if not through_origin.is_zero():
                 cases.append(through_origin)
+        cases += [nodal_cubic, cuspidal_cubic, tricuspidal_quartic, load_form("z9_d2.json")]
         expected = [all(mult == 1 for _, mult in form_factorization(f)) for f in cases]
         calls = count_calls(monkeypatch, "form_factorization", elim)
         assert [is_reduced_form(f) for f in cases] == expected
         assert set(expected) == {True, False}
         assert 0 < len(calls) < len(cases)  # both the shortcut and the fallback ran
+
+    @pytest.mark.parametrize("name", FORM_FIXTURES)
+    def test_matches_the_sympy_route(self, name):
+        f = load_form(name)
+        for c in (1, -3, F(2, 7)):
+            assert form_factorization(f.scale(c)) == _sympy_factorization(f.scale(c))
+
+    @pytest.mark.parametrize("name", ["nodal_cubic.json", "tricuspidal_quartic.json",
+                                      "genus_d12_64bit.json"])
+    def test_irreducible_curves_are_certified_without_sympy(self, name, monkeypatch):
+        f = load_form(name)
+        calls = count_calls(monkeypatch, "factor_list", sympy)
+        assert [mult for _, mult in form_factorization(f)] == [1]
+        assert calls == []
+
+    def test_curves_no_slice_certifies_are_factored(self, monkeypatch):
+        # Four lines over Q(sqrt 2, sqrt 3), irreducible over Q: every
+        # slice is x^4 - 10x^2 + 1 up to a change of x, which splits modulo
+        # every prime.
+        f = H(4, {(0, 4, 0): 1, (0, 2, 2): -10, (0, 0, 4): 1})
+        calls = count_calls(monkeypatch, "factor_list", sympy)
+        assert form_factorization(f) == [(f, 1)]
+        assert len(calls) == 1
+        # An ordinary quadruple point: 3 - 6.
+        assert singular.geometric_genus(f) == -3
+
+    def test_nonzero_constant_has_no_factor(self):
+        assert form_factorization(H(0, {(0, 0, 0): F(-5, 3)})) == []

@@ -10,7 +10,7 @@ from unisecant.errors import (
     DomainError,
     UnsupportedFieldError,
 )
-from unisecant.exactalg import HomogeneousForm, ProjectivePoint, UnivariatePoly
+from unisecant.exactalg import HomogeneousForm, ProjectivePoint, UnivariatePoly, mat3
 from unisecant.singular import (
     CurveFamily,
     SingularityProfile,
@@ -106,6 +106,27 @@ class TestDeltaAndGenus:
         pair = H(2, {(1, 1, 0): 1})
         with pytest.raises(DomainError):
             geometric_genus(pair)
+
+    # A line and a conic meeting in (0:1:1) and (0:1:-1), moved so that
+    # (0:0:1) is off the curve: the slice certificate runs and must fail.
+    MOVE = mat3([[1, 0, 0], [0, 1, 0], [1, 1, 1]])
+    LINE = H.linear(1, 0, 0)
+    CONIC = H(2, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1})
+
+    def test_line_times_conic_is_refused_as_reducible(self):
+        f = (self.LINE * self.CONIC).substitute(self.MOVE)
+        assert f.coefficient((0, 0, 3)) != 0
+        with pytest.raises(DomainError, match="reducible over Q"):
+            geometric_genus(f)
+        # Two nodes on a curve of arithmetic genus 1.
+        assert geometric_genus(f, assume_irreducible=True) == -1
+
+    def test_line_squared_times_conic_is_refused_as_not_reduced(self):
+        f = (self.LINE * self.LINE * self.CONIC).substitute(self.MOVE)
+        assert f.coefficient((0, 0, 4)) != 0
+        for assume_irreducible in (False, True):
+            with pytest.raises(DomainError, match="not reduced"):
+                geometric_genus(f, assume_irreducible=assume_irreducible)
 
 
 class TestLocalIntersection:

@@ -403,3 +403,42 @@ class TestIntegerRepresentation:
         zero = P((0, F(0, 3)))
         assert (zero.num, zero.den, zero.coeffs, zero.degree) == ((), 1, (), -1)
         assert zero == P.zero() == P((1,)) - P((1,))
+
+
+# Leading coefficients of the factors; 11 * 13 and its multiples make the
+# certificate skip the first primes of ROOT_PRIMES.
+FACTOR_LEADS = [1, -1, 2, 11 * 13, -11 * 13 * 17, 11 * 13 * 17 * 19 * 23 * 29]
+int_factor = st.builds(lambda rest, lc: P(rest + [lc]),
+                       st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+                       st.sampled_from(FACTOR_LEADS))
+
+
+def certified(f: P) -> bool:
+    return unipoly._certified_irreducible(list(f.num))
+
+
+class TestIrreducibilityCertificate:
+    @given(int_factor, int_factor, st.booleans())
+    def test_never_certifies_a_product(self, g, h, square):
+        f = g * (g if square else h)
+        assert not to_sympy(f).is_irreducible
+        assert not certified(f)
+
+    @pytest.mark.parametrize("lc", [1, 11 * 13])
+    def test_certifies_planted_irreducibles(self, lc):
+        # Eisenstein at 2: x^d - 2 is irreducible for every d.
+        for d in range(1, 13):
+            assert certified(P([-2] + [0] * (d - 1) + [lc]))
+
+    def test_a_square_modulo_a_prime_is_not_a_pattern(self):
+        # (x^2 - 11)(x^3 - x^2 - 2) is x^2 (x^3 - x^2 - 2) mod 11, not
+        # squarefree; read as a pattern it would leave only 0 and 5 once
+        # the other primes are intersected in.
+        assert not certified(P((-11, 0, 1)) * P((-2, 0, -1, 1)))
+
+    @pytest.mark.parametrize("coeffs", [(1, 0, 0, 0, 1), (1, 0, -10, 0, 1)],
+                             ids=["x^4+1", "x^4-10x^2+1"])
+    def test_irreducibles_that_split_modulo_every_prime_are_not_certified(self, coeffs):
+        f = P(coeffs)
+        assert to_sympy(f).is_irreducible
+        assert not certified(f)
