@@ -156,11 +156,20 @@ def resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
     Computed by evaluation and interpolation on the integer images
     F = df*f and G = dg*g (``num`` over ``den``): at each integer node
     x = a where neither leading y-coefficient vanishes (there the
-    specialized Sylvester matrix has the generic shape, so the evaluation
-    equals the specialization), the y-coefficients are evaluated by integer
-    Horner and the integer resultant is taken; Newton interpolation through
-    these values gives res_y(F, G), and res_y(f, g) = res_y(F, G) /
-    (df^n * dg^m) with m = deg_y f, n = deg_y g.
+    evaluation of res_y equals the resultant of the evaluations), the
+    y-coefficients are evaluated by integer Horner and the integer
+    resultant is taken; Newton interpolation through these values gives
+    res_y(F, G), and res_y(f, g) = res_y(F, G) / (df^n * dg^m) with
+    m = deg_y f, n = deg_y g.
+
+    Nodes are taken until one more than the degree bound
+    min(n deg_x f + m deg_x g, n a + m b - m n), a and b the total degrees.
+    The second term is a weight count: in the Sylvester matrix the entry
+    of f-row r and column c is the coefficient of y^(m - c + r), of
+    x-degree <= (a - m) + c - r, and the g-rows are alike.  So every term
+    of the determinant has degree <= n(a - m) + m(b - n) + mn
+    = ab - (a - m)(b - n) <= ab: the Bezout number for the charts of two
+    plane curves.
     """
     if f.is_zero() or g.is_zero():
         raise DomainError("resultant with a zero polynomial")
@@ -171,7 +180,8 @@ def resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
     if n == 0:
         return UnivariatePoly._from_ints(g.columns()[0], g.den) ** m
     fcols, gcols = f.columns(), g.columns()
-    deg_bound = n * f.degree_x() + m * g.degree_x()
+    deg_bound = min(n * f.degree_x() + m * g.degree_x(),
+                    n * f.total_degree() + m * g.total_degree() - m * n)
     points: list[tuple[int, Fraction]] = []
     for x0 in integer_nodes():
         if len(points) > deg_bound:
@@ -180,8 +190,6 @@ def resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
         gv = [_horner(col, x0) for col in gcols]
         if fv[-1] == 0 or gv[-1] == 0:
             continue
-        # The leading y-coefficients are nonzero at x0, so the degrees
-        # (hence the Sylvester matrix shape) are the generic ones.
         points.append((x0, resultant(UnivariatePoly._from_ints(fv),
                                      UnivariatePoly._from_ints(gv))))
     return interpolate(points).scale(Fraction(1, f.den**n * g.den**m))

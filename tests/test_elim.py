@@ -16,7 +16,7 @@ from unisecant.errors import (
     DomainError,
     UnsupportedFieldError,
 )
-from unisecant.exactalg import elim, unipoly
+from unisecant.exactalg import bipoly, elim, unipoly
 from unisecant.exactalg import (
     BivariatePoly,
     HomogeneousForm,
@@ -59,6 +59,35 @@ def bivariate_with_lead(draw):
         for i in range(draw(st.integers(0, 3))):
             coeffs[(i, j)] = draw(rational)
     return BivariatePoly(coeffs)
+
+
+@st.composite
+def y_deficient(draw):
+    """A polynomial of total degree a and y-degree m < a, dense up to
+    degree a, so that n a + m b - m n is usually the smaller term of the
+    node bound of resultant_y."""
+    a = draw(st.integers(2, 4))
+    m = draw(st.integers(1, a - 1))
+    coeffs = {(i, j): draw(rational) for j in range(m + 1) for i in range(a - j + 1)}
+    coeffs[(a - m, m)] = draw(rational.filter(lambda c: c != 0))
+    return BivariatePoly(coeffs)
+
+
+def sympy_resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
+    """res_y(f, g) from sympy.resultant, with the Sylvester sign.
+
+    sympy.resultant keeps the Sylvester sign only when its first argument
+    has the larger degree; res(f, g) = (-1)^(mn) res(g, f).
+    """
+    x, y = sympy.symbols("x y")
+    fs, gs = to_sympy_expr(f, x, y), to_sympy_expr(g, x, y)
+    m, n = f.degree_y(), g.degree_y()
+    if m >= n:
+        res = sympy.resultant(fs, gs, y)
+    else:
+        res = (-1) ** (m * n) * sympy.resultant(gs, fs, y)
+    expected = sympy.Poly(res, x, domain=sympy.QQ)
+    return UnivariatePoly([F(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())])
 
 
 def to_sympy_expr(f: BivariatePoly, x, y):
@@ -241,18 +270,40 @@ class TestBivariateResultant:
 
     @given(bivariate_with_lead(), bivariate_with_lead())
     def test_matches_sympy(self, f, g):
-        # sympy.resultant keeps the Sylvester sign only when its first
-        # argument has the larger degree; res(f, g) = (-1)^(mn) res(g, f).
-        x, y = sympy.symbols("x y")
-        fs, gs = to_sympy_expr(f, x, y), to_sympy_expr(g, x, y)
-        m, n = f.degree_y(), g.degree_y()
-        if m >= n:
-            res = sympy.resultant(fs, gs, y)
-        else:
-            res = (-1) ** (m * n) * sympy.resultant(gs, fs, y)
-        expected = sympy.Poly(res, x, domain=sympy.QQ)
-        coeffs = [F(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]
-        assert resultant_y(f, g) == UnivariatePoly(coeffs)
+        assert resultant_y(f, g) == sympy_resultant_y(f, g)
+
+    @given(y_deficient(), y_deficient())
+    def test_y_deficient_pairs_match_sympy(self, f, g):
+        assert resultant_y(f, g) == sympy_resultant_y(f, g)
+
+    def test_x_degree_bound_when_it_is_the_smaller(self, monkeypatch):
+        # a = b = 3, m = n = 2, deg_x = 1: min(2 + 2, 6 + 6 - 4) = 4.  The
+        # leading y-coefficients are x, so the node 0 is skipped.
+        f = BivariatePoly({(1, 2): F(1), (0, 0): F(1)})
+        g = BivariatePoly({(1, 2): F(2), (0, 1): F(1), (0, 0): F(-3)})
+        calls = count_calls(monkeypatch, "resultant", bipoly)
+        assert resultant_y(f, g) == sympy_resultant_y(f, g)
+        assert len(calls) == 5
+
+    def test_two_general_cubics_take_the_bezout_number_of_nodes(self, monkeypatch):
+        coeffs = {e: F(k + 1) for k, e in enumerate(
+            (a, b, 3 - a - b) for a in range(4) for b in range(4 - a))}
+        f = BivariatePoly.chart(H(3, coeffs), 0)
+        g = BivariatePoly.chart(H(3, {e: c * c - 7 for e, c in coeffs.items()}), 0)
+        calls = count_calls(monkeypatch, "resultant", bipoly)
+        assert resultant_y(f, g) == sympy_resultant_y(f, g)
+        assert len(calls) == 3 * 3 + 1
+
+    def test_skipped_nodes_leave_the_bezout_number_accepted(self, monkeypatch):
+        # f: a = 4, m = 1, lead x^3 - x (zero at the nodes 0, 1 and -1);
+        # g: a general conic chart, b = n = 2.  So n a + m b - m n = ab = 8.
+        f = BivariatePoly({(1, 1): F(-1), (3, 1): F(1), (4, 0): F(2), (0, 0): F(5)})
+        g = BivariatePoly({(0, 2): F(1), (1, 1): F(3), (2, 0): F(-1), (0, 1): F(2),
+                           (1, 0): F(1, 2), (0, 0): F(-4)})
+        calls = count_calls(monkeypatch, "resultant", bipoly)
+        assert resultant_y(f, g) == sympy_resultant_y(f, g)
+        assert len(calls) == 4 * 2 + 1
+        assert all(fv.degree == 1 for fv, _ in calls)
 
 
 def assert_canonical(f: BivariatePoly) -> None:

@@ -54,6 +54,49 @@ small_poly = st.lists(rational, min_size=1, max_size=6).map(P).filter(
     lambda p: not p.is_zero())
 
 
+@st.composite
+def integer_image_poly(draw, degree: int, sparse: bool = False) -> P:
+    """A polynomial of the given degree: up to 100-bit numerators, negative
+    leading coefficients, a non-unit content and a rational denominator.
+    ``sparse`` zeroes every coefficient strictly between the lowest and the
+    leading one."""
+    bits = draw(st.sampled_from([4, 8, 40, 100]))
+    coeff = st.integers(-2**bits, 2**bits)
+    cs = [draw(coeff) for _ in range(degree)] + [draw(coeff.filter(bool))]
+    if sparse:
+        cs[1:degree] = [0] * (degree - 1)
+    content = draw(st.sampled_from([1, -1, 6, 2**31 - 1]))
+    den = draw(st.sampled_from([1, 4, 15, 2**20 + 7]))
+    return P([F(c * content, den) for c in cs])
+
+
+@st.composite
+def resultant_pair(draw, shape: str) -> tuple[P, P]:
+    if shape == "linear":
+        return draw(integer_image_poly(1)), draw(integer_image_poly(1))
+    if shape == "constant":
+        c, f = draw(integer_image_poly(0)), draw(integer_image_poly(draw(st.integers(1, 6))))
+        return (c, f) if draw(st.booleans()) else (f, c)
+    if shape == "odd_below":
+        m = draw(st.sampled_from([1, 3]))
+        return (draw(integer_image_poly(m)),
+                draw(integer_image_poly(draw(st.sampled_from([n for n in (3, 5) if n > m])))))
+    if shape == "sparse":
+        return (draw(integer_image_poly(draw(st.integers(2, 7)), sparse=True)),
+                draw(integer_image_poly(draw(st.integers(2, 7)), sparse=True)))
+    if shape == "gap":
+        # f = q*g + r with deg r <= deg g - 2: the sequence drops by >= 2.
+        g = draw(integer_image_poly(draw(st.integers(2, 5))))
+        q = draw(integer_image_poly(draw(st.integers(0, 2))))
+        r = draw(integer_image_poly(draw(st.integers(0, g.degree - 2))))
+        return q * g + r, g
+    if shape == "common":
+        h = draw(integer_image_poly(draw(st.integers(1, 3))))
+        return (h * draw(integer_image_poly(draw(st.integers(0, 3)))),
+                h * draw(integer_image_poly(draw(st.integers(0, 3)))))
+    raise ValueError(shape)
+
+
 class TestResultant:
     def test_distinct_linear_factors(self):
         assert resultant(P((-1, 1)), P((1, 1))) == 2
@@ -78,6 +121,26 @@ class TestResultant:
         sign = -1 if (f.degree * g.degree) % 2 else 1
         assert resultant(f, g) == sign * resultant(g, f)
 
+    @pytest.mark.parametrize("shape", ["linear", "constant", "odd_below", "sparse", "gap",
+                                       "common"])
+    @given(data=st.data())
+    def test_matches_sylvester_determinant_by_shape(self, shape, data):
+        f, g = data.draw(resultant_pair(shape))
+        value = resultant(f, g)
+        assert value == sylvester_det_oracle(f, g)
+        if shape == "common":
+            assert value == 0
+
+    def test_linear_pair_is_the_2x2_determinant(self, monkeypatch):
+        dets = []
+        monkeypatch.setattr(unipoly, "bareiss_det_int",
+                            lambda m: dets.append(m) or m[0][0] * m[1][1] - m[0][1] * m[1][0])
+        # The integer images are 3 - 2x and (1 + 10x)/2.
+        assert resultant(P((3, -2)), P((F(1, 2), 5))) == -16
+        assert dets == [[[-2, 3], [10, 1]]]
+        # Size 3 runs the PRS.
+        assert resultant(P((3, -2, 1)), P((1, 5))) == 86 and len(dets) == 1
+
 
 class TestDiscriminant:
     @pytest.mark.parametrize("b,c", [(3, 1), (0, -2), (F(1, 2), F(-1, 3))])
@@ -101,6 +164,11 @@ class TestDiscriminant:
             return
         sf = squarefree_part(f)
         assert (discriminant(f) == 0) == (sf != f.monic())
+
+    @given(st.integers(1, 7).flatmap(integer_image_poly))
+    def test_matches_sympy(self, f):
+        expected = sympy.discriminant(to_sympy(f))
+        assert discriminant(f) == F(int(expected.p), int(expected.q))
 
 
 class TestSquarefree:
