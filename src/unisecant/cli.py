@@ -18,6 +18,9 @@ Curve files carry a form plus optional metadata claims:
 Claims are re-verified on load (a flex must actually be a flex, a torsion
 order is recomputed by scalar multiplication with some rational flex as the
 origin); any failure aborts the run.
+
+A handler imports the geometry it uses when its subcommand is dispatched,
+so ``nk`` and ``torsion`` start without ``exactalg`` and sympy.
 """
 
 from __future__ import annotations
@@ -27,56 +30,15 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, InputError, UnisecantError
-from .exactalg import (
-    HomogeneousForm,
-    IntersectionData,
-    ProjectivePoint,
-    UnivariatePoly,
-    euler_combination,
-    mat3,
-    mat3_det,
-    mat3_mul,
-    mat3_identity,
-    rational_from_string,
-    rational_to_string,
-    resultant,
-)
-from . import cubic as cubic_mod
-from .cubic import (
-    AffineECPoint,
-    ec_add,
-    ec_scalar_mul,
-    first_rational_flex,
-    flexes,
-    is_smooth_cubic,
-    j_invariant,
-    normalized_curve_with_point,
-    point_order,
-    weierstrass_at_flex,
-)
 from .kontsevich import nk_table
-from .pencils import (
-    contact_conic_check,
-    contact_system,
-    pencil_at,
-    singular_member_report,
-    unisecant_count_k3,
-)
-from .singular import (
-    CurveFamily,
-    ambient_genus_bound,
-    bezout_check,
-    family_derivative_check,
-    finiteness_certificate,
-    genus_bound,
-    genus_profile,
-    geometric_genus,
-    local_intersection,
-    multiplicity_sequence,
-)
 from .torsion import contact_count, enumerate_contact_classes, level_census
+
+if TYPE_CHECKING:
+    from .exactalg import HomogeneousForm, IntersectionData, ProjectivePoint
+    from .singular import CurveFamily
 
 # Bound on ``selftest --rounds``: below 1 no check would run.
 MAX_SELFTEST_ROUNDS = 10_000
@@ -92,6 +54,8 @@ MAX_COEFF_BITS = 64
 # ---------------------------------------------------------------------------
 
 def _parse_point(text: str) -> ProjectivePoint:
+    from .exactalg import ProjectivePoint, rational_from_string
+
     parts = text.split(",")
     if len(parts) != 3:
         raise InputError("point must be written as x,y,z")
@@ -107,6 +71,9 @@ def load_curve_file(path: str) -> tuple[HomogeneousForm, IntersectionData | None
     Returns the form and, when the file makes a torsion claim, the flex
     data (``flexes``) computed to check it, else None.
     """
+    from .cubic import first_rational_flex, flexes, is_flex, normalized_curve_with_point, point_order
+    from .exactalg import HomogeneousForm, ProjectivePoint
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -130,7 +97,7 @@ def load_curve_file(path: str) -> tuple[HomogeneousForm, IntersectionData | None
     if any(order < 1 for _, order in torsion_claims):
         raise InputError(f"curve file {path} claims a torsion order below 1")
     for p in flex_claims:
-        if not cubic_mod.is_flex(form, p):
+        if not is_flex(form, p):
             raise DomainError(f"curve file claims {p} is a flex, but it is not")
     if not torsion_claims:
         return form, None
@@ -152,6 +119,9 @@ def load_curve_file(path: str) -> tuple[HomogeneousForm, IntersectionData | None
 
 
 def load_family_file(path: str) -> CurveFamily:
+    from .exactalg import UnivariatePoly, rational_from_string
+    from .singular import CurveFamily
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -200,6 +170,8 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_flexes(args) -> int:
+    from .cubic import flexes
+
     form, flex_data = load_curve_file(args.cubic)
     data = flex_data or flexes(form)
     _emit({
@@ -211,6 +183,9 @@ def _cmd_flexes(args) -> int:
 
 
 def _cmd_jinv(args) -> int:
+    from .cubic import first_rational_flex, flexes, j_invariant, weierstrass_at_flex
+    from .exactalg import rational_to_string
+
     form, flex_data = load_curve_file(args.cubic)
     if args.flex:
         flex = _parse_point(args.flex)
@@ -224,6 +199,8 @@ def _cmd_jinv(args) -> int:
 
 
 def _cmd_genus(args) -> int:
+    from .singular import genus_profile, geometric_genus
+
     form, _ = load_curve_file(args.curve)
     profile = genus_profile(form, assume_irreducible=args.assume_irreducible)
     _emit({
@@ -236,6 +213,8 @@ def _cmd_genus(args) -> int:
 
 
 def _cmd_resolve(args) -> int:
+    from .singular import multiplicity_sequence
+
     form, _ = load_curve_file(args.curve)
     point = _parse_point(args.point)
     pr = multiplicity_sequence(form, point)
@@ -244,6 +223,8 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_intersect(args) -> int:
+    from .singular import bezout_check, local_intersection
+
     f, _ = load_curve_file(args.f)
     g, _ = load_curve_file(args.g)
     if args.point:
@@ -266,6 +247,9 @@ def _cmd_intersect(args) -> int:
 
 
 def _cmd_pencil_disc(args) -> int:
+    from .cubic import is_smooth_cubic
+    from .pencils import contact_system, pencil_at, singular_member_report
+
     form, _ = load_curve_file(args.cubic)
     point = _parse_point(args.point)
     if not is_smooth_cubic(form):
@@ -284,6 +268,8 @@ def _cmd_pencil_disc(args) -> int:
 
 
 def _cmd_unisecant(args) -> int:
+    from .pencils import unisecant_count_k3
+
     if args.k != 3:
         raise DomainError("unisecant counting is exact only for k = 3")
     form, _ = load_curve_file(args.cubic)
@@ -292,6 +278,9 @@ def _cmd_unisecant(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .exactalg import rational_to_string
+    from .singular import ambient_genus_bound, finiteness_certificate, genus_bound
+
     out = {
         "contact_bound": rational_to_string(genus_bound(args.deg_c, args.deg_a)),
         "ambient_bound": rational_to_string(ambient_genus_bound(args.deg_a)),
@@ -312,6 +301,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_check_family(args) -> int:
+    from .exactalg import rational_from_string, rational_to_string
+    from .singular import family_derivative_check
+
     fam = load_family_file(args.family)
     t0 = rational_from_string(args.t0)
     ok = family_derivative_check(fam, t0, samples=args.samples)
@@ -324,6 +316,8 @@ def _cmd_check_family(args) -> int:
 
 
 def _cmd_conic(args) -> int:
+    from .pencils import contact_conic_check
+
     form, _ = load_curve_file(args.cubic)
     point = _parse_point(args.point)
     _emit({"kind": contact_conic_check(form, point)})
@@ -331,6 +325,11 @@ def _cmd_conic(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .cubic import (AffineECPoint, ec_add, ec_scalar_mul, weierstrass_at_flex,
+                        weierstrass_normal_form)
+    from .exactalg import (HomogeneousForm, ProjectivePoint, UnivariatePoly, euler_combination,
+                           mat3, mat3_det, mat3_identity, mat3_mul, resultant)
+
     if not 1 <= args.rounds <= MAX_SELFTEST_ROUNDS:
         raise InputError(f"--rounds must be in 1..{MAX_SELFTEST_ROUNDS}, got {args.rounds}")
     rng = random.Random(args.seed)
@@ -378,7 +377,7 @@ def _cmd_selftest(args) -> int:
             ok = False
     checks["euler_and_substitution_action"] = ok
 
-    w = weierstrass_at_flex(cubic_mod.weierstrass_normal_form(-4, 4),
+    w = weierstrass_at_flex(weierstrass_normal_form(-4, 4),
                             ProjectivePoint(0, 0, 1))
     base = AffineECPoint(1, 2)
     pts = [ec_scalar_mul(w, n, base) for n in range(-3, 4)]

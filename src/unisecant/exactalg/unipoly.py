@@ -474,7 +474,8 @@ def squarefree_part(f: UnivariatePoly) -> UnivariatePoly:
         return UnivariatePoly.one()
     g = poly_gcd(f, f.derivative())
     q, r = f.divmod(g)
-    assert r.is_zero()
+    if not r.is_zero():
+        raise UnisecantError("gcd(f, f') does not divide f")
     return q.monic()
 
 

@@ -47,6 +47,7 @@ from .exactalg import (
     nullspace,
     primitive_part,
     rank,
+    rational_roots,
     rational_singular_points,
     rational_to_string,
     yun_decomposition,
@@ -425,6 +426,21 @@ class SingularMemberReport:
         return None
 
 
+def _split_over_q(f: UnivariatePoly) -> list[UnivariatePoly]:
+    """The monic irreducible factors of a monic squarefree f over Q, in the
+    order of ``factor_over_q``: by degree, then by ascending coefficients."""
+    linear = [UnivariatePoly([-r, 1]) for r, _ in reversed(rational_roots(f))]
+    rest = f
+    for p in linear:
+        rest //= p
+    if rest.degree < 4:  # no rational root left, so irreducible
+        return linear + ([rest] if rest.degree > 0 else [])
+    _, factors = factor_over_q(rest)
+    if any(mult != 1 for _, mult in factors):
+        raise UnisecantError("factor_over_q found a repeated factor of a squarefree polynomial")
+    return linear + [p for p, _ in factors]
+
+
 def singular_member_report(pencil: Pencil) -> SingularMemberReport:
     """Classify every singular member of the pencil via the discriminant.
 
@@ -432,13 +448,20 @@ def singular_member_report(pencil: Pencil) -> SingularMemberReport:
     >= 2 become conjugacy-class records whose multiplicity still counts
     (classification stays unresolved, as it would need irrational singular
     points); a root at (1 : 0) classifies the generator g itself.
+
+    Each Yun factor is split over Q by ``_split_over_q``: its rational
+    roots come first (``rational_roots``, divided out exactly), a remainder
+    of degree 2 or 3 then has no rational root and is irreducible, and
+    ``factor_over_q`` (sympy) runs only on a remainder of degree >= 4.  The
+    peel is not inside ``factor_over_q`` because ``perfbench/tracing.py``
+    ``FIRES`` requires ``sympy.factor_list`` in ``bezout_pairs`` and
+    ``singular_curves``, where it fires only through ``factor_over_q`` on
+    low-degree inputs.
     """
     disc = pencil_discriminant(pencil)
     records: list[MemberRecord] = []
     for factor, mult in yun_decomposition(disc.affine):
-        _, irreducibles = factor_over_q(factor)
-        for irr, inner in irreducibles:
-            assert inner == 1
+        for irr in _split_over_q(factor):
             if irr.degree == 1:
                 root = -irr.coeffs[0] / irr.coeffs[1]
                 param = PencilParameter(root, Fraction(1))

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import unisecant
 import unisecant.cubic as cubic_mod
 import unisecant.exactalg.elim as elim_mod
 import unisecant.singular as singular_mod
@@ -55,6 +58,32 @@ class TestTorsion:
     def test_enumerate_length(self, capsys):
         code, out, _ = run_cli(capsys, "torsion", "--k", "2", "--enumerate")
         assert len(json.loads(out)["classes"]) == 36
+
+
+class TestColdStart:
+    # Run in a fresh interpreter: the counts print what the README shows
+    # without loading the exact-algebra layer or sympy.
+    SCRIPT = ("import json, sys\n"
+              "from unisecant.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "loaded = [m for m in sys.modules\n"
+              "          if m.split('.')[0] == 'sympy' or m.startswith('unisecant.exactalg')]\n"
+              "print(json.dumps(loaded), file=sys.stderr)\n"
+              "sys.exit(code)\n")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["nk", "--max", "4"], {"entries": [["1", "1"], ["2", "1"], ["3", "12"], ["4", "620"]]}),
+        (["torsion", "--k", "2"], {"k": "2", "total": "36", "by_level": {"1": "9", "2": "27"}}),
+        (["torsion", "--k", "3"], {"k": "3", "total": "81", "by_level": {"1": "9", "3": "72"}}),
+    ], ids=["nk", "torsion-2", "torsion-3"])
+    def test_counts_start_without_sympy(self, capsys, argv, expected):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(unisecant.__file__)))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr) == []
+        assert json.loads(proc.stdout) == expected
+        assert proc.stdout == run_cli(capsys, *argv)[1]
 
 
 class TestCurveCommands:
@@ -175,6 +204,16 @@ class TestVerificationAndErrors:
         # Hessian; the command must reuse that intersection.
         calls = count_calls(monkeypatch, "plane_intersection", cubic_mod)
         code, _, err = run_cli(capsys, command, "--cubic", fixture_path("z9_d2.json"))
+        assert code == 0, err
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fixture", ["fermat.json", "z9_d2.json"])
+    def test_handlers_resolve_geometry_at_call_time(self, capsys, monkeypatch, fixture):
+        # A patched cubic.flexes is the one called, from the handler (no
+        # claims) or from the loader (a torsion claim): a tracer that wraps
+        # module attributes sees every call.
+        calls = count_calls(monkeypatch, "flexes", cubic_mod)
+        code, _, err = run_cli(capsys, "flexes", "--cubic", fixture_path(fixture))
         assert code == 0, err
         assert len(calls) == 1
 

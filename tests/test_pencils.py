@@ -1,5 +1,7 @@
 """Contact systems, pencil discriminants, member classification, counts."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -8,11 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import unisecant.exactalg.elim as elim_mod
-from unisecant.errors import DegeneratePencilError, DomainError
+import unisecant.pencils as pencils_mod
+from unisecant.cli import main
+from unisecant.errors import DegeneratePencilError, DomainError, UnisecantError
 from unisecant.exactalg import (
     HomogeneousForm,
     ProjectivePoint,
+    UnivariatePoly,
     discriminant_along_pencil,
+    factor_over_q,
+    rational_roots,
     squarefree_part,
     ternary_discriminant,
 )
@@ -43,7 +50,7 @@ from unisecant.pencils import (
     singular_member_report,
     unisecant_count_k3,
 )
-from conftest import count_calls, load_form
+from conftest import count_calls, fixture_path, load_form
 
 H = HomogeneousForm
 P = ProjectivePoint
@@ -405,3 +412,52 @@ class TestDiscriminantInvariants:
             if member.is_zero():
                 continue
             assert local_intersection(member, form9, p9) >= 9
+
+
+# Monic irreducible factors over Q for the split of a Yun factor: rational
+# linear factors, quadratics and cubics without a rational root, and
+# quartics irreducible by Eisenstein's criterion at 2.
+_rationals = st.builds(F, st.integers(-30, 30), st.integers(1, 6))
+_linear = _rationals.map(lambda r: UnivariatePoly([-r, 1]))
+_rootless = st.one_of(
+    st.lists(_rationals, min_size=2, max_size=2),
+    st.lists(_rationals, min_size=3, max_size=3),
+).map(lambda cs: UnivariatePoly(cs + [1])).filter(lambda p: not rational_roots(p))
+_eisenstein_quartic = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
+                                st.integers(-3, 3)).map(
+    lambda t: UnivariatePoly([2 * (2 * t[0] + 1), 2 * t[1], 2 * t[2], 2 * t[3], 1]))
+
+
+class TestYunFactorSplit:
+    """``_split_over_q`` against ``factor_over_q`` on squarefree products."""
+
+    @given(st.lists(_linear, max_size=4, unique=True),
+           st.lists(_rootless, max_size=2, unique=True),
+           st.lists(_eisenstein_quartic, max_size=1))
+    def test_matches_factor_over_q(self, linear, rootless, quartic):
+        f = UnivariatePoly([1])
+        for p in linear + rootless + quartic:
+            f = f * p
+        assert pencils_mod._split_over_q(f) == [p for p, _ in factor_over_q(f)[1]]
+
+    def test_z9_d2_pencil_needs_no_factor_over_q(self, capsys, monkeypatch):
+        # The Yun factors are (linear, 9) and (cubic with one rational root, 1).
+        calls = count_calls(monkeypatch, "factor_over_q", pencils_mod)
+        code = main(["pencil-disc", "--cubic", fixture_path("z9_d2.json"), "--point", "1,0,0"])
+        out = capsys.readouterr().out
+        assert code == 0 and calls == []
+        assert json.loads(out)["records"] == [
+            {"multiplicity": "9", "count": "1", "classification": "node",
+             "parameter": ["1/108", "1"]},
+            {"multiplicity": "1", "count": "1", "classification": "node",
+             "parameter": ["1/96", "1"]},
+            {"multiplicity": "1", "count": "2", "classification": "unresolved",
+             "minimal_polynomial": ["1/12096", "-1/56", "1"]}]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0b9a5cccf7989773208e6661a49474b9e47df1eef8694628cae08f988ab9d7d3")
+
+    def test_repeated_factor_from_factor_over_q_raises(self, monkeypatch):
+        quartic = UnivariatePoly([2, 0, 0, 0, 1])
+        monkeypatch.setattr(pencils_mod, "factor_over_q", lambda f: (F(1), [(f, 2)]))
+        with pytest.raises(UnisecantError, match="repeated factor"):
+            pencils_mod._split_over_q(quartic)

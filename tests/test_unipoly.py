@@ -182,6 +182,13 @@ class TestSquarefree:
     def test_already_squarefree(self):
         assert squarefree_part(P((1, 0, 1))) == P((1, 0, 1))
 
+    def test_gcd_that_does_not_divide_raises(self, monkeypatch):
+        # A named error, not an assert: python -O would strip an assert and
+        # return a wrong quotient.
+        monkeypatch.setattr(unipoly, "poly_gcd", lambda f, g: P((1, 1)))
+        with pytest.raises(UnisecantError, match="does not divide"):
+            squarefree_part(P((1, 0, 1)))
+
     def test_yun_structure(self):
         f = P((-1, 1)) ** 3 * P((1, 1)) ** 2 * P((0, 1))
         decomp = yun_decomposition(f)
