@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import islice, product
+from itertools import islice
 
 import sympy
 
@@ -132,20 +132,20 @@ def discriminant_along_pencil(g: HomogeneousForm, f: HomogeneousForm) -> Univari
     ``macaulay_resultant_quadrics``; Salmon, *Modern Higher Algebra*;
     Cox–Little–O'Shea, *Using Algebraic Geometry*, ch. 3 §2) has gradient
     rows linear in u and Hessian rows cubic in u: Hess(u*g + f) = sum u^k J_k
-    for k = 0..3, J_k the sum of the determinants with k rows of second
-    partials taken from g and 3 - k from f (the determinant is multilinear
-    in its rows).  So S(u) = sum u^k S_k and det S(u) has degree <= 12.  One
-    common denominator D makes every D*S_k integer, and 13 integer
-    determinants at integer nodes give det(D*S(u)) = D^6 det S(u) by
-    interpolation: no division, no coordinate change.
+    for k = 0..3, from four Hessians: J_0 = Hess f, J_3 = Hess g, and
+    H+- = Hess(f +- g) = J_0 +- J_1 + J_2 +- J_3 give
+    J_2 = (H+ + H-)/2 - J_0 and J_1 = (H+ - H-)/2 - J_3.  So S(u) = sum u^k S_k
+    and det S(u) has degree <= 12.  One common denominator D makes every
+    D*S_k integer, and 13 integer determinants at integer nodes give
+    det(D*S(u)) = D^6 det S(u) by interpolation: no division, no coordinate
+    change.
     """
     if any(h.degree != 3 for h in (g, f)):
         raise DomainError("discriminant_along_pencil expects two cubics")
-    second = [[q.gradient() for q in h.gradient()] for h in (f, g)]
-    jacobians = [HomogeneousForm.zero(3)] * 4
-    for picks in product((0, 1), repeat=3):
-        minor = mat3_det([second[k][i] for i, k in enumerate(picks)])
-        jacobians[sum(picks)] = jacobians[sum(picks)] + minor
+    j0, j3, plus, minus = (mat3_det([q.gradient() for q in h.gradient()])
+                           for h in (f, g, f + g, f - g))
+    half = Fraction(1, 2)
+    jacobians = [j0, (plus - minus).scale(half) - j3, (plus + minus).scale(half) - j0, j3]
     zero = (HomogeneousForm.zero(2),) * 3
     parts = [_sylvester_rows(grads, j)
              for grads, j in zip((f.gradient(), g.gradient(), zero, zero), jacobians)]

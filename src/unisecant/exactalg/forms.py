@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from ..errors import DomainError, InputError
 from .rationals import (
@@ -176,7 +177,10 @@ class HomogeneousForm(IntegerImage):
         right group action: substitute(f, M @ N) = substitute(substitute(f, N), M).
 
         Runs on ``int``: f(m x) = (num f)(D m x) / (den * D^degree) for the
-        common denominator D of m's entries.
+        common denominator D of m's entries.  By Horner's rule, with L_j the
+        image of X_j: f = sum_a X0^a G_a(X1, X2) in L0 outside and each G_a in
+        L1 inside, over the powers of L2; each step multiplies by one linear
+        form, O(d^4) products for degree d against O(d^6) monomial by monomial.
         """
         if [len(row) for row in m] != [3, 3, 3]:
             raise DomainError("expected a 3x3 matrix")
@@ -185,18 +189,23 @@ class HomogeneousForm(IntegerImage):
             return self  # forms are immutable
         if mat3_det([flat[0:3], flat[3:6], flat[6:9]]) == 0:
             raise DomainError("substitution matrix is singular")
-        powers = []
-        for j in range(3):
-            line = {tuple(int(k == i) for k in range(3)): flat[3 * i + j]
-                    for i in range(3) if flat[3 * i + j]}
-            powers.append([{(0, 0, 0): 1}])
-            for _ in range(self.degree):
-                powers[j].append(_product(powers[j][-1], line))
-        out: dict[Triple, int] = {}
-        for (a, b, c), k in self.num.items():
-            for expo, v in _product(_product(powers[0][a], powers[1][b]), powers[2][c]).items():
-                out[expo] = out.get(expo, 0) + k * v
-        return HomogeneousForm._from_ints(self.degree, out, self.den * dm ** self.degree)
+        d, w = self.degree, self.degree + 1  # X0^a X1^b X2^c is keyed a * w + b
+        l0, l1, l2 = ([(s, v) for s, v in zip((w, 1, 0), flat[j::3]) if v] for j in range(3))
+        powers2 = list(accumulate([l2] * d, _times_linear, initial={0: 1}))
+        out: dict[int, int] = {}
+        for a in range(d, -1, -1):
+            out = _times_linear(out, l0)
+            inner: dict[int, int] = {}
+            for b in range(d - a, -1, -1):
+                inner = _times_linear(inner, l1)
+                k = self.num.get((a, b, d - a - b))
+                if k:
+                    for e, v in powers2[d - a - b].items():
+                        inner[e] = inner.get(e, 0) + k * v
+            for e, v in inner.items():
+                out[e] = out.get(e, 0) + v
+        num = {(e // w, e % w, d - e // w - e % w): v for e, v in out.items()}
+        return HomogeneousForm._from_ints(d, num, self.den * dm ** d)
 
     def to_json_dict(self) -> dict:
         return {
@@ -216,6 +225,15 @@ class HomogeneousForm(IntegerImage):
             return cls(degree, coeffs)
         except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise InputError(f"malformed form serialization: {exc}") from exc
+
+
+def _times_linear(p: dict[int, int], line: list[tuple[int, int]]) -> dict[int, int]:
+    """p times a linear form given as (key shift, coefficient) pairs."""
+    out: dict[int, int] = {}
+    for k, v in p.items():
+        for s, c in line:
+            out[k + s] = out.get(k + s, 0) + v * c
+    return out
 
 
 def _product(p: dict, q: dict) -> dict:

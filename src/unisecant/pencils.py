@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
     DegeneratePencilError,
@@ -43,8 +44,10 @@ from .exactalg import (
     UnivariatePoly,
     discriminant_along_pencil,
     factor_over_q,
+    integer_image,
     is_reduced_form,
     nullspace,
+    poly_gcd,
     primitive_part,
     rank,
     rational_roots,
@@ -107,14 +110,7 @@ def _series_compose(germ, phi: list[int], den: int, order: int) -> tuple[list[in
     sum n_ij x^i phi^j den^(J - j), over dg * den^J.
     """
     top = max(germ.degree_y(), 0)
-    powers = [[1] + [0] * (order - 1)]
-    for _ in range(top):
-        prev, out = powers[-1], [0] * order
-        for a, ca in enumerate(prev):
-            if ca:
-                for b in range(1, order - a):
-                    out[a + b] += ca * phi[b]
-        powers.append(out)
+    powers = list(accumulate([phi] * top, _truncated_product, initial=[1] + [0] * (order - 1)))
     out = [0] * order
     for (i, j), n in germ.num.items():
         if i < order:
@@ -124,18 +120,14 @@ def _series_compose(germ, phi: list[int], den: int, order: int) -> tuple[list[in
     return out, germ.den * den**top
 
 
-def _monomial_germs(degree: int, p: ProjectivePoint) -> tuple[list[tuple[int, int, int]], list]:
-    """Local affine germs of every degree-``degree`` monomial at p.
-
-    Uses the same chart and translation as curve_germ so that branch
-    conditions line up; returns (monomial order, germ list).
-    """
-    monomials = sorted(
-        ((a, b, degree - a - b) for a in range(degree, -1, -1)
-         for b in range(degree - a, -1, -1)),
-        key=lambda e: (e[0], e[1]), reverse=True)
-    germs = [curve_germ(HomogeneousForm.monomial(e), p) for e in monomials]
-    return monomials, germs
+def _truncated_product(a: list[int], b: list[int]) -> list[int]:
+    """The first len(a) coefficients of the product of two power series."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(len(a) - i):
+                out[i + j] += x * b[j]
+    return out
 
 
 @dataclass
@@ -166,8 +158,11 @@ def contact_system(curve: HomogeneousForm, p: ProjectivePoint, k: int) -> Contac
     """Solve the linear system {degree-k forms vanishing to order 3k at p on C}.
 
     The smooth branch of C at p is expanded to order 3k by undetermined
-    coefficients (exact rational arithmetic); each degree-k monomial is
-    restricted to the branch and the first 3k series coefficients give the
+    coefficients (exact rational arithmetic), in the chart and translation
+    of ``curve_germ``: X_chart = 1, X_u = p_u + t and X_v = p_v + phi(t)
+    for u < v, swapped when ``_branch_series`` swaps.  A degree-k monomial
+    on the branch is a product of truncated powers of these series, all
+    over one denominator; its first 3k coefficients are its column of the
     condition matrix.  The kernel always contains the multiples of C's own
     equation; one extra dimension appears exactly at contact points.
 
@@ -184,10 +179,20 @@ def contact_system(curve: HomogeneousForm, p: ProjectivePoint, k: int) -> Contac
         raise DomainError(f"{p} is not on the cubic")
     order = 3 * k
     phi, den, swapped = _branch_series(curve_germ(curve, p), order)
-    monomials, germs = _monomial_germs(k, p)
-    series = [_series_compose(g.swap() if swapped else g, phi, den, order) for g in germs]
-    common = math.lcm(*(d for _, d in series))  # one denominator for the whole matrix
-    rows = [[s[r] * (common // d) for s, d in series] for r in range(order)]
+    chart = p.first_nonzero_index()
+    others = [i for i in range(3) if i != chart]
+    (pu, pv), d = integer_image(p[i] for i in others)
+    # d * den * X_i along the branch, as integer series in t
+    unit = [1] + [0] * (order - 1)
+    step, tail = [d * den] + [0] * (order - 2), [d * c for c in phi[1:]]
+    series = [[d * den * x for x in unit]] * 3
+    for i, n, rest in zip(others, (pu, pv), (tail, step) if swapped else (step, tail)):
+        series[i] = [n * den] + rest
+    powers = [list(accumulate([s] * k, _truncated_product, initial=unit)) for s in series]
+    monomials = [(a, b, k - a - b) for a in range(k, -1, -1) for b in range(k - a, -1, -1)]
+    columns = [_truncated_product(_truncated_product(powers[0][a], powers[1][b]), powers[2][c])
+               for a, b, c in monomials]
+    rows = [[col[r] for col in columns] for r in range(order)]
     basis = [HomogeneousForm(k, dict(zip(monomials, vec))).primitive()
              for vec in nullspace(rows, len(monomials))]
     return ContactSystem(k, p, curve, basis)
@@ -316,7 +321,8 @@ NON_REDUCED = "non-reduced"
 UNRESOLVED = "unresolved"
 
 
-def classify_singular_member(member: HomogeneousForm) -> str:
+def classify_singular_member(member: HomogeneousForm, point: ProjectivePoint | None = None
+                             ) -> str:
     """node | cusp | non-reduced for a singular cubic member.
 
     A node has two distinct tangent directions (nonzero discriminant of
@@ -325,24 +331,37 @@ def classify_singular_member(member: HomogeneousForm) -> str:
     the exceptional line.  Raises UnsupportedFieldError when the singular
     point is irrational and DomainError when the member is smooth or has a
     singularity outside this classification.
+
+    ``point`` is an optional point P known to be singular on the member M,
+    whose germ there is q + c (quadratic and cubic parts).  If q != 0 and
+    q, c share no linear factor (gcd(q(t, 1), c(t, 1)) = 1 and y does not
+    divide both), P is M's only singular point and ``rational_singular_points``
+    is skipped: a second one Q would make the line PQ a component, M = L * C
+    with the conic C through P, and L's form would divide q and c.
+    Otherwise the search runs as without ``point``: the result is the same.
     """
     if member.is_zero() or member.degree != 3:
         raise DomainError("expected a cubic member")
     if not is_reduced_form(member):
         return NON_REDUCED
-    points = rational_singular_points(member)
-    if not points:
-        raise DomainError("member is smooth; nothing to classify")
-    if len(points) > 1:
-        raise DomainError("member has several singular points (reducible cubic)")
-    p = points[0]
-    germ = curve_germ(member, p)
+    if point is not None:
+        germ = curve_germ(member, point)
+        q, c = (UnivariatePoly([germ.num.get((i, n - i), 0) for i in range(n + 1)]) for n in (2, 3))
+        if germ.multiplicity() != 2 or (q.degree < 2 and c.degree < 3) or poly_gcd(q, c).degree:
+            point = None  # not certified
+    if point is None:
+        points = rational_singular_points(member)
+        if not points:
+            raise DomainError("member is smooth; nothing to classify")
+        if len(points) > 1:
+            raise DomainError("member has several singular points (reducible cubic)")
+        point, germ = points[0], curve_germ(member, points[0])
     if germ.multiplicity() != 2:
         raise DomainError("singular point is not a double point")
     a, b, c = (germ.num.get(k, 0) for k in ((2, 0), (1, 1), (0, 2)))
     if b * b - 4 * a * c != 0:
         return NODE
-    tree = multiplicity_sequence(member, p, check_reduced=False)
+    tree = multiplicity_sequence(member, point, check_reduced=False)
     if tree.multiplicities() == [2]:
         return CUSP
     raise DomainError("double point is neither a node nor a simple cusp")
@@ -456,31 +475,32 @@ def singular_member_report(pencil: Pencil) -> SingularMemberReport:
     peel is not inside ``factor_over_q`` because ``perfbench/tracing.py``
     ``FIRES`` requires ``sympy.factor_list`` in ``bezout_pairs`` and
     ``singular_curves``, where it fires only through ``factor_over_q`` on
-    low-degree inputs.
+    low-degree inputs.  A member whose gradient vanishes at the pencil's
+    point is classified with that point known.
     """
     disc = pencil_discriminant(pencil)
+    p = pencil.point
+    grads = [[d.evaluate(p.coords) for d in h.gradient()] for h in (pencil.g, pencil.f)]
+
+    def record(param: PencilParameter, mult: int) -> MemberRecord:
+        at_p = all(param.s1 * a + param.s2 * b == 0 for a, b in zip(*grads))
+        try:
+            cls = classify_singular_member(pencil.member_at(param), p if at_p else None)
+        except (UnsupportedFieldError, DomainError):
+            cls = UNRESOLVED
+        return MemberRecord(param, None, 1, mult, cls)
+
     records: list[MemberRecord] = []
     for factor, mult in yun_decomposition(disc.affine):
         for irr in _split_over_q(factor):
             if irr.degree == 1:
-                root = -irr.coeffs[0] / irr.coeffs[1]
-                param = PencilParameter(root, Fraction(1))
-                member = pencil.member_at(param)
-                try:
-                    cls = classify_singular_member(member)
-                except (UnsupportedFieldError, DomainError):
-                    cls = UNRESOLVED
-                records.append(MemberRecord(param, None, 1, mult, cls))
+                records.append(record(PencilParameter(-irr.coeffs[0] / irr.coeffs[1], Fraction(1)),
+                                      mult))
             else:
                 records.append(MemberRecord(None, irr, irr.degree, mult, UNRESOLVED))
     inf_mult = disc.multiplicity_at_infinity()
     if inf_mult > 0:
-        try:
-            cls = classify_singular_member(pencil.g)
-        except (UnsupportedFieldError, DomainError):
-            cls = UNRESOLVED
-        records.append(MemberRecord(PencilParameter(Fraction(1), Fraction(0)),
-                                    None, 1, inf_mult, cls))
+        records.append(record(PencilParameter(Fraction(1), Fraction(0)), inf_mult))
     records.sort(key=lambda r: -r.multiplicity)
     report = SingularMemberReport(disc, records)
     if report.total_multiplicity() != DISC_DEGREE:

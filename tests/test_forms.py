@@ -124,9 +124,13 @@ def _random_form(rng, degree):
                       for e in rng.sample(monos, rng.randint(1, len(monos)))})
 
 
-def _random_rational_matrix(rng):
+def _random_rational_matrix(rng, zeros=0):
+    """An invertible matrix with a non-integer entry and at least ``zeros`` zero entries."""
     while True:
-        m = mat3([[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(3)] for _ in range(3)])
+        entries = [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(9)]
+        for k in rng.sample(range(9), zeros):
+            entries[k] = F(0)
+        m = mat3([entries[0:3], entries[3:6], entries[6:9]])
         if mat3_det(m) != 0 and any(x.denominator > 1 for row in m for x in row):
             return m
 
@@ -134,11 +138,11 @@ def _random_rational_matrix(rng):
 def _sympy_substitute(f, m):
     """f(M x) expanded by sympy: X_j -> sum_i m[i][j] X_i."""
     xs = sympy.symbols("X0 X1 X2")
-    lin = [sum(sympy.Rational(m[i][j].numerator, m[i][j].denominator) * xs[i] for i in range(3))
-           for j in range(3)]
-    expr = sum(sympy.Rational(q.numerator, q.denominator) * lin[0] ** a * lin[1] ** b * lin[2] ** c
-               for (a, b, c), q in f.coeffs.items())
-    poly = sympy.Poly(expr, *xs, domain=sympy.QQ)
+    lin = [sympy.Poly(sum(sympy.Rational(m[i][j].numerator, m[i][j].denominator) * xs[i]
+                          for i in range(3)), *xs, domain=sympy.QQ) for j in range(3)]
+    poly = sympy.Poly(0, *xs, domain=sympy.QQ)
+    for (a, b, c), q in f.coeffs.items():
+        poly += sympy.Rational(q.numerator, q.denominator) * lin[0] ** a * lin[1] ** b * lin[2] ** c
     return H(f.degree, {tuple(int(e) for e in expo): F(int(c.numerator), int(c.denominator))
                         for expo, c in poly.terms() if c != 0})
 
@@ -153,6 +157,11 @@ class TestSubstitutionDifferential:
             f = _random_form(rng, trial % 6)
             m = rng.choice(unimodular) if trial % 2 else _random_rational_matrix(rng)
             assert f.substitute(m) == _sympy_substitute(f, m), (f, m)
+        # Degrees up to 12, the curve-file bound, and matrices with zero entries.
+        for degree in range(6, 13):
+            f = _random_form(rng, degree)
+            for m in (rng.choice(unimodular), _random_rational_matrix(rng, zeros=degree % 4 + 1)):
+                assert f.substitute(m) == _sympy_substitute(f, m), (f, m)
 
     def test_right_action_on_rational_matrices(self):
         rng = random.Random(7)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import unisecant.exactalg.elim as elim_mod
@@ -19,6 +19,13 @@ from unisecant.exactalg import (
     UnivariatePoly,
     discriminant_along_pencil,
     factor_over_q,
+    mat3,
+    mat3_det,
+    mat3_identity,
+    mat3_inv,
+    mat3_transpose,
+    mat3_vec,
+    nullspace,
     rational_roots,
     squarefree_part,
     ternary_discriminant,
@@ -50,6 +57,7 @@ from unisecant.pencils import (
     singular_member_report,
     unisecant_count_k3,
 )
+from unisecant.singular import curve_germ
 from conftest import count_calls, fixture_path, load_form
 
 H = HomogeneousForm
@@ -181,6 +189,59 @@ class TestFlexPencil:
             flex_pencil_count(w)
 
 
+def _moved(form, point, m):
+    """The form after the change m, with the point moved along."""
+    return form.substitute(m), P(*mat3_vec(mat3_inv(mat3_transpose(m)), point.coords))
+
+
+def _basis_by_monomial_germs(curve, p, k):
+    """The contact basis by the per-monomial route: the germ of every degree-k
+    monomial at p, composed with the branch series of the curve there."""
+    order = 3 * k
+    phi, den, swapped = pencils_mod._branch_series(curve_germ(curve, p), order)
+    monomials = [(a, b, k - a - b) for a in range(k, -1, -1) for b in range(k - a, -1, -1)]
+    germs = [curve_germ(H.monomial(e), p) for e in monomials]
+    series = [pencils_mod._series_compose(g.swap() if swapped else g, phi, den, order)
+              for g in germs]
+    rows = [[F(s[r], d) for s, d in series] for r in range(order)]
+    return [H(k, dict(zip(monomials, vec))).primitive()
+            for vec in nullspace(rows, len(monomials))]
+
+
+_small_q = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+_changes = st.just(mat3_identity()) | st.lists(
+    st.integers(-2, 2), min_size=9, max_size=9).map(
+    lambda v: mat3([v[0:3], v[3:6], v[6:9]])).filter(lambda m: mat3_det(m) != 0)
+
+
+@st.composite
+def _moved_weierstrass_points(draw):
+    """A moved smooth Weierstrass cubic with a rational point on it: the flex
+    (0:0:1) or (1 : x : y) with y = 0 allowed (a vertical tangent there)."""
+    alpha, x, y = draw(st.integers(-4, 4)), draw(_small_q), draw(st.just(F(0)) | _small_q)
+    beta = y * y - 4 * x**3 - alpha * x
+    assume(alpha**3 + 27 * beta**2 != 0)
+    point = draw(st.sampled_from([FLEX, P(1, x, y)]))
+    return _moved(weierstrass_normal_form(alpha, beta), point, draw(_changes))
+
+
+class TestContactRowsDifferential:
+    """contact_system's coordinate-series rows against the per-monomial germs."""
+
+    @given(_moved_weierstrass_points(), st.integers(1, 4))
+    def test_matches_monomial_germs(self, curve_point, k):
+        curve, p = curve_point
+        assert contact_system(curve, p, k).basis == _basis_by_monomial_germs(curve, p, k)
+
+    @pytest.mark.parametrize("point", [FLEX, P(1, 1, 0)], ids=["flex", "order2"])
+    def test_swapped_branch(self, point):
+        # The y-partial of the germ vanishes at both points, so the branch is x = phi(y).
+        curve = weierstrass_normal_form(-4, 0)
+        assert pencils_mod._branch_series(curve_germ(curve, point), 3)[2]
+        for k in range(1, 5):
+            assert contact_system(curve, point, k).basis == _basis_by_monomial_germs(curve, point, k)
+
+
 def _quotient_pencils():
     """z9_d2, both flex pencils of TestFlexPencil and three seeded Kubert d."""
     rng = random.Random(9)
@@ -276,6 +337,60 @@ class TestMemberClassification:
             classify_singular_member(fermat)
 
 
+def _outcome(member, point=None):
+    try:
+        return classify_singular_member(member, point)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+# Members singular at P = (1:0:0): a line through P times a conic through P.
+# Transversal, the second point of the line on the conic is singular too;
+# tangent, P is a tacnode.  The line X2 is y in P's germ coordinates.
+_LINE_TIMES_CONIC = {
+    "transversal": (H.linear(0, 1, 1), H(2, {(1, 0, 1): 1, (0, 2, 0): 1})),
+    "transversal_y": (H.linear(0, 0, 1), H(2, {(1, 1, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})),
+    "tacnode": (H.linear(0, 1, 1), H(2, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 2, 0): 1})),
+    "tacnode_y": (H.linear(0, 0, 1), H(2, {(1, 0, 1): 1, (0, 2, 0): 1})),
+}
+_SOME_CHANGE = mat3([[1, 0, -1], [1, -2, -2], [2, 1, -1]])
+
+
+class TestKnownSingularPoint:
+    """classify_singular_member with the singular point given."""
+
+    @pytest.mark.parametrize("m", [mat3_identity(), _SOME_CHANGE], ids=["unmoved", "moved"])
+    @pytest.mark.parametrize("name", sorted(_LINE_TIMES_CONIC))
+    def test_line_times_conic_is_searched(self, name, m, monkeypatch):
+        line, conic = _LINE_TIMES_CONIC[name]
+        member, point = _moved(line * conic, P(1, 0, 0), m)
+        expected = _outcome(member)
+        assert expected == ("DomainError: member has several singular points (reducible cubic)"
+                            if name.startswith("transversal") else
+                            "DomainError: double point is neither a node nor a simple cusp")
+        calls = count_calls(monkeypatch, "rational_singular_points", pencils_mod)
+        assert _outcome(member, point) == expected
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("m", [mat3_identity(), _SOME_CHANGE], ids=["unmoved", "moved"])
+    def test_irreducible_member_is_certified(self, nodal_cubic, cuspidal_cubic, m, monkeypatch):
+        calls = count_calls(monkeypatch, "rational_singular_points", pencils_mod)
+        for form, kind in [(nodal_cubic, NODE), (cuspidal_cubic, CUSP)]:
+            member, point = _moved(form, P(0, 0, 1), m)
+            assert classify_singular_member(member, point) == kind
+        assert calls == []
+        assert [classify_singular_member(_moved(form, P(0, 0, 1), m)[0])
+                for form in (nodal_cubic, cuspidal_cubic)] == [NODE, CUSP]
+
+    def test_point_not_singular_is_searched(self, nodal_cubic, monkeypatch):
+        # (3:6:1) is a smooth point of the nodal cubic and (1:0:0) is off it;
+        # moved, the germ at the first has coprime parts of degree 2 and 3.
+        calls = count_calls(monkeypatch, "rational_singular_points", pencils_mod)
+        for point in (P(3, 6, 1), P(1, 0, 0)):
+            assert classify_singular_member(*_moved(nodal_cubic, point, _SOME_CHANGE)) == NODE
+        assert len(calls) == 2
+
+
 class TestMemberSingularAt:
     def test_returns_double_point_member(self):
         form9, p9 = kubert_z9_curve(2)
@@ -319,6 +434,14 @@ class TestNonflexAccounting:
         # discriminant is one Macaulay quotient and evaluates no member.
         calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod)
         nonflex_fiber_accounting(*kubert_z9_curve(2))
+        assert len(calls) == 1
+
+    def test_member_at_p_is_not_searched(self, monkeypatch):
+        # The member singular at P is certified from its germ there; only
+        # the other rational member runs the singular-point search.
+        calls = count_calls(monkeypatch, "rational_singular_points", pencils_mod)
+        accounting = nonflex_fiber_accounting(load_form("z9_d2.json"), P(1, 0, 0))
+        assert accounting.classification_at_point == NODE
         assert len(calls) == 1
 
     def test_wrong_order_rejected(self):
