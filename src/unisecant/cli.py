@@ -65,6 +65,16 @@ def _parse_point(text: str) -> ProjectivePoint:
         raise InputError(str(exc)) from exc
 
 
+def _check_size(kind: str, path: str, degree: int, integers) -> None:
+    """Refuse a curve or family file above MAX_CURVE_DEGREE or MAX_COEFF_BITS."""
+    if degree > MAX_CURVE_DEGREE:
+        raise InputError(f"{kind} file {path} has degree {degree}, "
+                         f"above MAX_CURVE_DEGREE = {MAX_CURVE_DEGREE}")
+    if any(abs(v).bit_length() > MAX_COEFF_BITS for v in integers):
+        raise InputError(f"{kind} file {path} has a coefficient numerator or common "
+                         f"denominator above MAX_COEFF_BITS = {MAX_COEFF_BITS} bits")
+
+
 def load_curve_file(path: str) -> tuple[HomogeneousForm, IntersectionData | None]:
     """Read a curve file and re-verify every metadata claim it makes.
 
@@ -82,12 +92,7 @@ def load_curve_file(path: str) -> tuple[HomogeneousForm, IntersectionData | None
     if not isinstance(data, dict) or "form" not in data:
         raise InputError(f"curve file {path} lacks a form")
     form = HomogeneousForm.from_json_dict(data["form"])
-    if form.degree > MAX_CURVE_DEGREE:
-        raise InputError(f"curve file {path} has degree {form.degree}, "
-                         f"above MAX_CURVE_DEGREE = {MAX_CURVE_DEGREE}")
-    if max(abs(v) for v in (form.den, *form.num.values())).bit_length() > MAX_COEFF_BITS:
-        raise InputError(f"curve file {path} has a coefficient numerator or common "
-                         f"denominator above MAX_COEFF_BITS = {MAX_COEFF_BITS} bits")
+    _check_size("curve", path, form.degree, (form.den, *form.num.values()))
     try:
         flex_claims = [ProjectivePoint.from_json_list(c) for c in data.get("flexes", [])]
         torsion_claims = [(ProjectivePoint.from_json_list(c["point"]), int(str(c["order"]), 10))
@@ -132,12 +137,7 @@ def load_family_file(path: str) -> CurveFamily:
                 [rational_from_string(str(s)) for s in poly])
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"cannot read family file {path}: {exc}") from exc
-    if degree > MAX_CURVE_DEGREE:
-        raise InputError(f"family file {path} has degree {degree}, "
-                         f"above MAX_CURVE_DEGREE = {MAX_CURVE_DEGREE}")
-    if any(abs(v).bit_length() > MAX_COEFF_BITS for p in coeffs.values() for v in (p.den, *p.num)):
-        raise InputError(f"family file {path} has a coefficient numerator or common "
-                         f"denominator above MAX_COEFF_BITS = {MAX_COEFF_BITS} bits")
+    _check_size("family", path, degree, (v for p in coeffs.values() for v in (p.den, *p.num)))
     return CurveFamily(degree, coeffs)
 
 
@@ -286,10 +286,10 @@ def _cmd_bounds(args) -> int:
         "ambient_bound": rational_to_string(ambient_genus_bound(args.deg_a)),
     }
     if args.certificate:
-        parts = args.certificate.split(",")
-        if len(parts) != 3:
-            raise InputError("--certificate expects A_SQ,SUM_MU,A_DOT_C")
-        a_sq, sum_mu, a_dot_c = (int(x) for x in parts)
+        try:  # a wrong number of parts or a non-integer part
+            a_sq, sum_mu, a_dot_c = (int(x) for x in args.certificate.split(","))
+        except ValueError as exc:
+            raise InputError("--certificate expects A_SQ,SUM_MU,A_DOT_C") from exc
         out["certificate"] = {
             "a_sq": str(a_sq),
             "sum_mu": str(sum_mu),

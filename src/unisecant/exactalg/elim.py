@@ -59,19 +59,20 @@ from .unipoly import (
 from .bipoly import BivariatePoly, resultant_y
 
 _MAX_ATTEMPTS = 64
+_MATRIX_SEED = 20231115
 
 # Columns of the 6x6 Sylvester matrix, ordered so that Res(X0^2, X1^2, X2^2) = 1.
 _QUADRIC_MONOMIALS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
 
 
-def unimodular_matrices(seed: int = 20231115):
+def unimodular_matrices():
     """Deterministic stream of _MAX_ATTEMPTS unimodular 3x3 integer matrices.
 
     The identity comes first; every retry loop over coordinate changes draws
     from this stream, so each is bounded by the same budget.
     """
     yield mat3_identity()
-    rng = random.Random(seed)
+    rng = random.Random(_MATRIX_SEED)
     for _ in range(_MAX_ATTEMPTS - 1):
         m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         for _ in range(rng.randint(2, 4)):

@@ -137,14 +137,9 @@ class HomogeneousForm(IntegerImage):
         return HomogeneousForm._from_ints(self.degree,
                                           {e: v // g for e, v in self.num.items()}, 1)
 
-    def __mul__(self, other) -> "HomogeneousForm":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
         return HomogeneousForm._from_ints(self.degree + other.degree,
                                           _product(self.num, other.num), self.den * other.den)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def partial_derivative(self, var: int) -> "HomogeneousForm":
         """Formal partial with respect to X_var; Euler's relation holds."""
@@ -264,9 +259,6 @@ class ProjectivePoint:
 
     def __setattr__(self, *args):
         raise AttributeError("ProjectivePoint is immutable")
-
-    def __iter__(self):
-        return iter(self.coords)
 
     def __getitem__(self, i):
         return self.coords[i]

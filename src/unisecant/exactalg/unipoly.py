@@ -14,7 +14,11 @@ isolation anywhere.
 
 Only irreducible factorization over Q (``factor_over_q``) is delegated to
 sympy (Zassenhaus); everything else, the irreducibility certificate
-included, is self-contained.
+included, is self-contained.  The arithmetic in F_p[x] (remainder, gcd,
+product modulo f, Horner evaluation, the distinct-degree pattern) lives in
+``modp``; this module keeps the algorithms over Q and every choice of
+primes (``ROOT_PRIMES``, ``_gcd_primes``, ``UNLUCKY_PRIMES``), the CRT
+lift, rational reconstruction and the exact quotients in Z[x].
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from itertools import count, islice
 import sympy
 
 from ..errors import DomainError, UnisecantError
+from . import modp
 from .rationals import bareiss_det_int, integer_image, primitive_part
 
 
@@ -66,10 +71,6 @@ class UnivariatePoly:
     @classmethod
     def one(cls) -> "UnivariatePoly":
         return cls((1,))
-
-    @classmethod
-    def constant(cls, c) -> "UnivariatePoly":
-        return cls((c,))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -115,8 +116,7 @@ class UnivariatePoly:
                 terms.append(f"{c}*x^{i}")
         return "UnivariatePoly(" + " + ".join(terms) + ")"
 
-    def __add__(self, other) -> "UnivariatePoly":
-        other = _coerce(other)
+    def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
         den = math.lcm(self.den, other.den)
         a, b = ([v * (den // p.den) for v in p.num] for p in (self, other))
         if len(a) < len(b):
@@ -125,20 +125,13 @@ class UnivariatePoly:
             a[i] += v
         return UnivariatePoly._from_ints(a, den)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self) -> "UnivariatePoly":
         return UnivariatePoly._from_ints([-v for v in self.num], self.den)
 
-    def __sub__(self, other) -> "UnivariatePoly":
-        return self + (-_coerce(other))
+    def __sub__(self, other: "UnivariatePoly") -> "UnivariatePoly":
+        return self + (-other)
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other) -> "UnivariatePoly":
-        other = _coerce(other)
+    def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
         if self.is_zero() or other.is_zero():
             return UnivariatePoly.zero()
         out = [0] * (len(self.num) + len(other.num) - 1)
@@ -147,9 +140,6 @@ class UnivariatePoly:
                 for j, b in enumerate(other.num):
                     out[i + j] += a * b
         return UnivariatePoly._from_ints(out, self.den * other.den)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __pow__(self, n: int) -> "UnivariatePoly":
         if n < 0:
@@ -170,7 +160,6 @@ class UnivariatePoly:
         s*A = Q*B + R in Z[x], s the product of the factors lc(B)/gcd(lead,
         lc(B)) applied on the way; the quotient is Q*b/(s*a), the rest R/(s*a).
         """
-        other = _coerce(other)
         if other.is_zero():
             raise DomainError("division by zero polynomial")
         d = other.degree
@@ -227,12 +216,6 @@ class UnivariatePoly:
         return next(i for i, v in enumerate(self.num) if v)
 
 
-def _coerce(p) -> UnivariatePoly:
-    if isinstance(p, UnivariatePoly):
-        return p
-    return UnivariatePoly.constant(p)
-
-
 def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
     """Monic gcd over Q by a small-prime modular algorithm (Brown 1971).
 
@@ -270,7 +253,7 @@ def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
     for p in islice(_gcd_primes(), budget):
         if a[-1] % p == 0 or b[-1] % p == 0:
             continue
-        h = _gcd_mod(a, b, p)
+        h = modp.gcd(a, b, p)
         if len(h) == 1:
             return UnivariatePoly._from_ints((1,))
         if len(h) > least:
@@ -283,7 +266,7 @@ def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
             modulus *= p
         lift = [c - modulus if 2 * c > modulus else c for c in lift]
         cand = primitive_part(lift)
-        if _divides(a, cand) and _divides(b, cand):
+        if _exact_quotient(a, cand) is not None and _exact_quotient(b, cand) is not None:
             return UnivariatePoly._from_ints(cand, cand[-1])
     raise UnisecantError(f"poly_gcd: no gcd found within {budget} primes "
                          f"(the coefficient bound's count plus UNLUCKY_PRIMES)")
@@ -333,49 +316,28 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd of a and b in F_p[x] (ascending integer coefficients).
+def _exact_quotient(a: list[int], c: list[int]) -> list[int] | None:
+    """a / c in Z[x] (ascending coefficients, c nonzero), or None if c does not divide a.
 
-    p is prime and divides neither leading coefficient; deg a >= deg b >= 1.
-    """
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while len(b) > 1:
-        inv, n = pow(b[-1], -1, p), len(b) - 1
-        for i in range(len(a) - 1, n - 1, -1):
-            c = a[i] * inv % p
-            if c:
-                s = i - n
-                for j in range(n):
-                    a[s + j] = (a[s + j] - c * b[j]) % p
-        del a[n:]
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            inv = pow(b[-1], -1, p)
-            return [c * inv % p for c in b]
-        a, b = b, a
-    return [1]
-
-
-def _divides(a: list[int], c: list[int]) -> bool:
-    """Whether c divides a in Z[x] (ascending coefficients, c nonzero).
-
-    Long division that stops at the first inexact step, so a wrong
-    candidate usually costs one or two integer divisions.
+    Long division from the top that stops at the first inexact step, so a
+    wrong divisor usually costs one or two integer divisions.  Each quotient
+    digit t takes t·c[n-k] off the k-th coefficient below the current one.
     """
     if c[0] and a[0] % c[0]:
-        return False
+        return None
     r, lc, n = list(a), c[-1], len(c) - 1
+    shares, q = c[-2::-1], []
     for i in range(len(a) - 1, n - 1, -1):
-        q, rest = divmod(r[i], lc)
+        t, rest = divmod(r[i], lc)
         if rest:
-            return False
-        if q:
-            s = i - n
-            for j in range(n):
-                r[s + j] -= q * c[j]
-    return not any(r[:n])
+            return None
+        q.append(t)
+        k = i
+        for w in shares:
+            k -= 1
+            r[k] -= t * w
+    q.reverse()
+    return None if any(r[:n]) else q
 
 
 def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
@@ -445,7 +407,7 @@ def _resultant_int(a: list[int], b: list[int]) -> int:
             if lead:
                 for j in range(db):
                     r[shift + j] -= lead * b[j]
-        r = _strip(r)
+        r = modp.strip(r)
         if not r:
             return 0
         delta = da - db
@@ -495,14 +457,11 @@ def yun_decomposition(f: UnivariatePoly) -> list[tuple[UnivariatePoly, int]]:
     c, _ = f.divmod(g)
     d = (f.derivative() // g) - c.derivative()
     i = 1
-    while True:
-        if c.degree == 0:
-            break
+    while c.degree > 0:
         p = poly_gcd(c, d)
         if p.degree > 0:
             out.append((p.monic(), i))
-        c2, _ = c.divmod(p)
-        c = c2
+        c = c // p
         d = (d // p) - c.derivative()
         i += 1
     return out
@@ -573,9 +532,8 @@ def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
     """
     if f.is_zero():
         raise DomainError("zero polynomial")
-    image = primitive_part(list(f.num))
     v = f.valuation()
-    image = image[v:]
+    image = primitive_part(list(f.num))[v:]
     roots = [(Fraction(0), v)] if v else []
     if len(image) > 1:
         g = image
@@ -592,16 +550,14 @@ def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
             modulus = p
             while modulus <= 2 * bound**2:
                 modulus *= modulus
-                r = (r - _eval_mod(g, r, modulus)
-                     * pow(_eval_mod(dg, r, modulus), -1, modulus)) % modulus
+                r = (r - modp.eval_mod(g, r, modulus)
+                     * pow(modp.eval_mod(dg, r, modulus), -1, modulus)) % modulus
             x = _reconstruct(r, modulus, bound)
             if x is None:
                 continue
-            mult = 0
-            q = _divide_linear(image, x.numerator, x.denominator)
-            while q is not None:
+            mult, linear = 0, [-x.numerator, x.denominator]
+            while (q := _exact_quotient(image, linear)) is not None:
                 mult, image = mult + 1, q
-                q = _divide_linear(image, x.numerator, x.denominator)
             if mult:
                 roots.append((x, mult))
     roots.sort(key=lambda t: t[0])
@@ -617,79 +573,28 @@ def _certified_irreducible(image: list[int]) -> bool:
     and keeps its degree, so deg G is a sum of some of their degrees.  Each
     prime of ``ROOT_PRIMES`` that divides neither lc(image) nor the
     discriminant mod p (gcd(F, F') = 1 for F = image mod p) gives its
-    factor degrees by distinct-degree factorization: gcd(F, x^(p^i) - x) is
-    the product of the factors whose degree divides i, and x^(p^i) mod F
-    follows from x^(p^(i-1)) by the matrix of the linear map h -> h^p.  The degrees a factor over Q could
-    have are intersected with the subset sums of each pattern, and image is
-    certified once only 0 and d are left (Musser 1978; von zur Gathen &
-    Gerhard, *Modern Computer Algebra*, sections 14.2 and 15.6).  False
-    means no certificate, not reducible: x^4 + 1 splits modulo every prime.
+    factor degrees by distinct-degree factorization (``modp.degree_pattern``).
+    The degrees a factor over Q could have are intersected with the subset
+    sums of each pattern, and image is certified once only 0 and d are left
+    (Musser 1978; von zur Gathen & Gerhard, *Modern Computer Algebra*,
+    sections 14.2 and 15.6).  False means no certificate, not reducible:
+    x^4 + 1 splits modulo every prime.
     """
     d = len(image) - 1
     if d == 1:
         return True
     possible, irreducible = (2 << d) - 1, 1 | 1 << d
     for p in ROOT_PRIMES:
-        if image[-1] % p == 0:
+        pattern = modp.degree_pattern(image, p)
+        if pattern is None:
             continue
-        inv = pow(image[-1], -1, p)
-        f = [c * inv % p for c in image]
-        df = _strip([i * c % p for i, c in enumerate(f)][1:])
-        if not df or len(_gcd_mod(f, df, p)) > 1:
-            continue
-        # frobenius[k] = x^(p·k) mod f, so h^p mod f = sum_k h_k frobenius[k].
-        h = _pow_mod([0, 1] + [0] * (d - 2), p, f, p)
-        frobenius = [[1] + [0] * (d - 1), h]
-        while len(frobenius) < d:
-            frobenius.append(_mul_mod(frobenius[-1], h, f, p))
-        sums, exact = 1, {}
-        for i in range(1, d // 2 + 1):
-            if i > 1:
-                h = [sum(c * row[j] for c, row in zip(h, frobenius)) % p for j in range(d)]
-            g = _strip([(c - (k == 1)) % p for k, c in enumerate(h)])
-            shared = len(_gcd_mod(f, g, p)) - 1 if g else d
-            exact[i] = shared - sum(e for j, e in exact.items() if i % j == 0)
-            for _ in range(exact[i] // i):
-                sums |= sums << i
-        rest = d - sum(exact.values())
-        possible &= sums | sums << rest
+        sums = 1
+        for e in pattern:
+            sums |= sums << e
+        possible &= sums
         if possible == irreducible:
             return True
     return False
-
-
-def _strip(cs: list[int]) -> list[int]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _pow_mod(h: list[int], n: int, f: list[int], p: int) -> list[int]:
-    """h^n mod f in F_p[x], square and multiply; f monic of degree d >= 2, h of length d."""
-    out = [1] + [0] * (len(h) - 1)
-    while n:
-        if n & 1:
-            out = _mul_mod(out, h, f, p)
-        n >>= 1
-        if n:
-            h = _mul_mod(h, h, f, p)
-    return out
-
-
-def _mul_mod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    """a·b mod f in F_p[x] as a list of length d = deg f, for f monic and a, b of length d."""
-    d = len(f) - 1
-    prod = [0] * (2 * d - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    for k in range(2 * d - 2, d - 1, -1):
-        c = prod[k] % p
-        if c:
-            for j in range(d):
-                prod[k - d + j] -= c * f[j]
-    return [c % p for c in prod[:d]]
 
 
 def _suited_prime(g: list[int], first_only: bool = False) -> tuple[int, list[int]] | None:
@@ -702,19 +607,12 @@ def _suited_prime(g: list[int], first_only: bool = False) -> tuple[int, list[int
             continue
         cs = [c % p for c in g]
         dcs = [i * c % p for i, c in enumerate(cs)][1:]
-        residues = [r for r in range(p) if _eval_mod(cs, r, p) == 0]
-        if all(_eval_mod(dcs, r, p) for r in residues):
+        residues = [r for r in range(p) if modp.eval_mod(cs, r, p) == 0]
+        if all(modp.eval_mod(dcs, r, p) for r in residues):
             return p, residues
         if first_only:
             return None
     return None
-
-
-def _eval_mod(cs: list[int], x: int, m: int) -> int:
-    acc = 0
-    for c in reversed(cs):
-        acc = (acc * x + c) % m
-    return acc
 
 
 def _reconstruct(u: int, m: int, bound: int) -> Fraction | None:
@@ -731,18 +629,6 @@ def _reconstruct(u: int, m: int, bound: int) -> Fraction | None:
     if t1 == 0 or abs(t1) > bound:
         return None
     return Fraction(r1, t1)
-
-
-def _divide_linear(cs: list[int], a: int, b: int) -> list[int] | None:
-    """cs / (b·x - a) in Z[x] (ascending coefficients), or None if it does not divide."""
-    q = [0] * (len(cs) - 1)
-    carry = 0
-    for i in range(len(cs) - 1, 0, -1):
-        num = cs[i] + a * carry
-        if num % b:
-            return None
-        carry = q[i - 1] = num // b
-    return q if cs[0] + a * carry == 0 else None
 
 
 def integer_nodes():

@@ -33,6 +33,7 @@ from .errors import (
     CommonComponentError,
     DegenerateFamilyError,
     DomainError,
+    InputError,
     ResolutionDepthError,
     UnisecantError,
     UnsupportedFieldError,
@@ -52,6 +53,7 @@ from .exactalg import (
 )
 
 MAX_RESOLUTION_DEPTH = 64
+_ORIGIN_CHANGES = 48  # random changes _origin_changes draws after the two fixed ones
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +290,12 @@ def geometric_genus(f: HomogeneousForm | SingularityProfile,
 # Local intersection numbers
 # ---------------------------------------------------------------------------
 
-def _origin_changes(limit: int = 48):
+def _origin_changes():
     yield (1, 0, 0, 1)
     yield (0, 1, 1, 0)
     rng = random.Random(97531)
     count = 0
-    while count < limit:
+    while count < _ORIGIN_CHANGES:
         a, b, c, d = (rng.randint(-4, 4) for _ in range(4))
         if a * d - b * c != 0:
             count += 1
@@ -603,8 +605,11 @@ def family_derivative_check(fam: CurveFamily, t0, *, samples: int = 5) -> bool:
     checked to meet multiplicity mu_j - 1 at every infinitely near point of
     the t0 fiber's singularities.  Constant or proportional derivatives are
     flagged as degenerate families (a genuine family never has a derivative
-    proportional to itself), never silently accepted.
+    proportional to itself), never silently accepted.  ``samples`` must be
+    in 1..len(_SAMPLE_OFFSETS): with none, equisingularity would go untested.
     """
+    if not 1 <= samples <= len(_SAMPLE_OFFSETS):
+        raise InputError(f"samples must be in 1..{len(_SAMPLE_OFFSETS)}, got {samples}")
     t0 = Fraction(t0)
     f0 = fam.specialize(t0)
     if f0.is_zero() or f0.degree != fam.degree:

@@ -330,3 +330,33 @@ class TestVerificationAndErrors:
         code, out, err = run_cli(capsys, "selftest", "--rounds", rounds)
         assert code == 2 and out == ""
         assert "1..10000" in err
+
+    # y^2 z = x^3 + t z^3: a cusp at t = 0 that smooths out for t != 0.
+    SMOOTHING_CUSP = {"degree": 3, "coeffs": [[0, 2, 1, ["1"]], [3, 0, 0, ["-1"]],
+                                              [0, 0, 3, ["0", "-1"]]]}
+
+    @pytest.mark.parametrize("samples", ["0", "-1", "13"])
+    def test_check_family_samples_out_of_range_exit_2(self, capsys, tmp_path, samples):
+        # With no samples equisingularity goes untested, and a verdict on the
+        # derivative must not be printed.
+        fam = tmp_path / "cusp.json"
+        fam.write_text(json.dumps(self.SMOOTHING_CUSP))
+        code, out, err = run_cli(capsys, "check-family", "--family", os.fspath(fam),
+                                 "--t0", "0", "--samples", samples)
+        assert code == 2 and out == ""
+        assert "1..12" in err
+
+    def test_check_family_one_sample_refuses_a_smoothing_cusp(self, capsys, tmp_path):
+        fam = tmp_path / "cusp.json"
+        fam.write_text(json.dumps(self.SMOOTHING_CUSP))
+        code, out, err = run_cli(capsys, "check-family", "--family", os.fspath(fam),
+                                 "--t0", "0", "--samples", "1")
+        assert code == 1 and out == ""
+        assert "not equisingular" in err
+
+    @pytest.mark.parametrize("certificate", ["1,2,x", "1,2", "1,2,3,4", "1.5,2,3"])
+    def test_bounds_malformed_certificate_exit_2(self, capsys, certificate):
+        code, out, err = run_cli(capsys, "bounds", "--deg-c", "3", "--deg-a", "2",
+                                 "--certificate", certificate)
+        assert code == 2 and out == ""
+        assert err == "error: --certificate expects A_SQ,SUM_MU,A_DOT_C\n"
