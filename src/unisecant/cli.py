@@ -101,6 +101,9 @@ def load_curve_file(path: str) -> tuple[HomogeneousForm, IntersectionData | None
         raise InputError(f"malformed claim in curve file {path}: {exc!r}") from exc
     if any(order < 1 for _, order in torsion_claims):
         raise InputError(f"curve file {path} claims a torsion order below 1")
+    if any(order > 12 for _, order in torsion_claims):
+        raise DomainError(f"curve file {path} claims a torsion order above 12: by Mazur's "
+                          "theorem a rational torsion point over Q has order at most 12")
     for p in flex_claims:
         if not is_flex(form, p):
             raise DomainError(f"curve file claims {p} is a flex, but it is not")
@@ -133,8 +136,10 @@ def load_family_file(path: str) -> CurveFamily:
         degree = int(data["degree"])
         coeffs = {}
         for a, b, c, poly in data["coeffs"]:
-            coeffs[(int(a), int(b), int(c))] = UnivariatePoly(
-                [rational_from_string(str(s)) for s in poly])
+            key = (int(a), int(b), int(c))
+            if key in coeffs:
+                raise ValueError(f"monomial {list(key)} is listed twice")
+            coeffs[key] = UnivariatePoly([rational_from_string(str(s)) for s in poly])
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"cannot read family file {path}: {exc}") from exc
     _check_size("family", path, degree, (v for p in coeffs.values() for v in (p.den, *p.num)))

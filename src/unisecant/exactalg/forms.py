@@ -216,7 +216,10 @@ class HomogeneousForm(IntegerImage):
             entries = data["coeffs"]
             coeffs = {}
             for a, b, c, s in entries:
-                coeffs[(int(a), int(b), int(c))] = rational_from_string(str(s))
+                key = (int(a), int(b), int(c))
+                if key in coeffs:
+                    raise ValueError(f"monomial {list(key)} is listed twice")
+                coeffs[key] = rational_from_string(str(s))
             return cls(degree, coeffs)
         except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise InputError(f"malformed form serialization: {exc}") from exc

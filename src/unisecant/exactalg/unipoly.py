@@ -1,16 +1,17 @@
 """Dense univariate polynomials over Q.
 
 A polynomial is stored as integer numerators over one positive denominator
-in lowest terms, and its arithmetic (division included) runs on ``int``;
-coefficients cross the API as ``Fraction``.  The elimination workhorse:
-resultants (the subresultant PRS on the integer images), discriminants,
-gcds (small-prime modular, checked by trial division in Z[x]), squarefree
-parts, Yun squarefree decomposition, rational roots (p-adic lifting), and
-a certificate of irreducibility over Q from the factor degrees modulo
-small primes, found without factoring.
-Root multiplicity data from these routines is what turns "count distinct
-complex roots" questions into exact degree arithmetic, with no root
-isolation anywhere.
+in lowest terms, and its arithmetic runs on ``int``; coefficients cross the
+API as ``Fraction``.  A quotient is exact or refused: ``f // g`` raises
+UnisecantError unless g divides f, and there is no remainder.  The
+elimination workhorse: resultants (the subresultant PRS on the integer
+images), discriminants, gcds (small-prime modular, checked by trial
+division in Z[x]), squarefree parts, Yun squarefree decomposition, rational
+roots (p-adic lifting), and a certificate of irreducibility over Q from the
+factor degrees modulo small primes, found without factoring.  Root
+multiplicity data from these routines is what turns "count distinct complex
+roots" questions into exact degree arithmetic, with no root isolation
+anywhere.
 
 Only irreducible factorization over Q (``factor_over_q``) is delegated to
 sympy (Zassenhaus); everything else, the irreducibility certificate
@@ -18,7 +19,7 @@ included, is self-contained.  The arithmetic in F_p[x] (remainder, gcd,
 product modulo f, Horner evaluation, the distinct-degree pattern) lives in
 ``modp``; this module keeps the algorithms over Q and every choice of
 primes (``ROOT_PRIMES``, ``_gcd_primes``, ``UNLUCKY_PRIMES``), the CRT
-lift, rational reconstruction and the exact quotients in Z[x].
+lift, rational reconstruction and the one exact quotient in Z[x].
 """
 
 from __future__ import annotations
@@ -153,42 +154,23 @@ class UnivariatePoly:
             n >>= 1
         return result
 
-    def divmod(self, other: "UnivariatePoly"):
-        """Exact polynomial division with remainder over Q.
+    def __floordiv__(self, other: "UnivariatePoly") -> "UnivariatePoly":
+        """The exact quotient self / other over Q; UnisecantError if other does not divide.
 
-        Integer pseudo-division of the numerators A = a*self by B = b*other:
-        s*A = Q*B + R in Z[x], s the product of the factors lc(B)/gcd(lead,
-        lc(B)) applied on the way; the quotient is Q*b/(s*a), the rest R/(s*a).
+        Gauss's lemma (a product of primitive integer polynomials is primitive)
+        makes other divide self over Q iff the primitive part B of its integer
+        image divides that of self, A, in Z[x].  With self = (ca/da)·A and
+        other = (cb/db)·B the quotient is (ca·db)/(cb·da)·(A / B).
         """
         if other.is_zero():
             raise DomainError("division by zero polynomial")
-        d = other.degree
-        if self.degree < d:
-            return UnivariatePoly.zero(), self
-        rem, b, lb = list(self.num), other.num, other.num[-1]
-        quot = [0] * (self.degree - d + 1)
-        s = 1
-        for i in range(self.degree - d, -1, -1):
-            lead = rem[i + d]
-            if lead == 0:
-                continue
-            g = math.gcd(lead, lb)
-            mult, t = lb // g, lead // g
-            if mult != 1:
-                rem = [mult * v for v in rem]
-                quot = [mult * v for v in quot]
-                s *= mult
-            quot[i] = t
-            for j, v in enumerate(b):
-                rem[i + j] -= t * v
-        return (UnivariatePoly._from_ints([v * other.den for v in quot], s * self.den),
-                UnivariatePoly._from_ints(rem, s * self.den))
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
+        if self.is_zero():
+            return self
+        ca, cb = math.gcd(*self.num), math.gcd(*other.num)
+        q = _exact_quotient([v // ca for v in self.num], [v // cb for v in other.num])
+        if q is None:
+            raise UnisecantError(f"divisor of degree {other.degree} does not divide the dividend")
+        return UnivariatePoly._from_ints([ca * other.den * v for v in q], cb * self.den)
 
     def derivative(self) -> "UnivariatePoly":
         return UnivariatePoly._from_ints([i * v for i, v in enumerate(self.num)][1:], self.den)
@@ -434,18 +416,16 @@ def squarefree_part(f: UnivariatePoly) -> UnivariatePoly:
         raise DomainError("squarefree part of the zero polynomial")
     if f.degree == 0:
         return UnivariatePoly.one()
-    g = poly_gcd(f, f.derivative())
-    q, r = f.divmod(g)
-    if not r.is_zero():
-        raise UnisecantError("gcd(f, f') does not divide f")
-    return q.monic()
+    return (f // poly_gcd(f, f.derivative())).monic()
 
 
 def yun_decomposition(f: UnivariatePoly) -> list[tuple[UnivariatePoly, int]]:
     """Squarefree decomposition f = lc * prod f_i^i (Yun's algorithm).
 
     Returns [(f_i, i)] with each f_i monic squarefree, pairwise coprime,
-    deg f_i >= 1.
+    deg f_i >= 1.  Round i splits off f_i and no multiplicity exceeds deg f,
+    so the loop ends within deg f rounds; a factor left after that means a
+    wrong gcd, and raises UnisecantError instead of looping on.
     """
     if f.is_zero():
         raise DomainError("squarefree decomposition of the zero polynomial")
@@ -454,17 +434,17 @@ def yun_decomposition(f: UnivariatePoly) -> list[tuple[UnivariatePoly, int]]:
         return []
     out = []
     g = poly_gcd(f, f.derivative())
-    c, _ = f.divmod(g)
+    c = f // g
     d = (f.derivative() // g) - c.derivative()
-    i = 1
-    while c.degree > 0:
+    for i in range(1, f.degree + 1):
         p = poly_gcd(c, d)
         if p.degree > 0:
             out.append((p.monic(), i))
         c = c // p
         d = (d // p) - c.derivative()
-        i += 1
-    return out
+        if c.degree == 0:
+            return out
+    raise UnisecantError(f"yun_decomposition: a factor is left after {f.degree} rounds")
 
 
 def to_sympy_poly(coeffs: dict[tuple[int, ...], Fraction], gens) -> sympy.Poly:

@@ -298,6 +298,37 @@ class TestVerificationAndErrors:
         assert code == 2 and out == ""
         assert bound in err
 
+    # A curve X0 X2^2 - 4 X1^3 + X0^3, then 2 X0^3, and a family t X0^3, then
+    # 5 X0^3: keeping the last value would change the curve or drop t.
+    @pytest.mark.parametrize("argv, content", [
+        (["jinv", "--cubic"], {"form": {"degree": 3, "coeffs": [
+            [1, 0, 2, "1"], [0, 3, 0, "-4"], [3, 0, 0, "1"], [3, 0, 0, "2"]]}}),
+        (["check-family", "--t0", "0", "--family"], {"degree": 3, "coeffs": [
+            [0, 2, 1, ["1"]], [3, 0, 0, ["0", "1"]], [3, 0, 0, ["5"]]]}),
+    ], ids=["curve", "family"])
+    def test_monomial_listed_twice_exit_2(self, capsys, tmp_path, argv, content):
+        twice = tmp_path / "twice.json"
+        twice.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, *argv, os.fspath(twice))
+        assert code == 2 and out == ""
+        assert "monomial [3, 0, 0] is listed twice" in err
+
+    def test_torsion_claim_above_mazur_bound_exit_1(self, tmp_path):
+        # (1 : 1 : 2), the point (1, 2) of y^2 = 4x^3 - 4x + 4, has infinite
+        # order: walking the group law to a claimed 10^9 would never end.  A
+        # fresh interpreter with a timeout, so a walk fails instead of hanging.
+        curve = tmp_path / "mazur.json"
+        curve.write_text(json.dumps({
+            "form": {"degree": 3, "coeffs": [[1, 0, 2, "1"], [0, 3, 0, "-4"],
+                                             [2, 1, 0, "4"], [3, 0, 0, "-4"]]},
+            "torsion_points": [{"point": ["1", "1", "2"], "order": str(10**9)}]}))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(unisecant.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "unisecant.cli", "flexes", "--cubic",
+                               os.fspath(curve)], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=30)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Mazur" in proc.stderr
+
     def test_point_at_origin_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "resolve", "--curve",
                                  fixture_path("nodal_cubic.json"), "--point", "0,0,0")

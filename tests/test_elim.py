@@ -679,11 +679,17 @@ def _factor_route(gt, c0, c1, m, eliminant):
         for k in range(c0.degree):
             if k == len(seen):
                 seen.append(next(checks))
-            if not (seen[k] % factor).is_zero():
+            if not sympy.rem(_sympy_poly(seen[k]), _sympy_poly(factor)).is_zero:
                 break
         else:
             raise UnsupportedFieldError("singular point with irrational coordinates")
     return list(dict.fromkeys(points))
+
+
+def _sympy_poly(f):
+    """The same polynomial as a sympy Poly over QQ, built without the package."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)],
+                      sympy.Symbol("x"), domain=sympy.QQ)
 
 
 def _singular_outcome(f):

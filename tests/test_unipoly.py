@@ -189,6 +189,23 @@ class TestSquarefree:
         with pytest.raises(UnisecantError, match="does not divide"):
             squarefree_part(P((1, 0, 1)))
 
+    def test_yun_stops_after_deg_f_rounds_on_a_wrong_gcd(self, monkeypatch):
+        # The true gcd on the first call, 1 after it: c never shrinks.  The
+        # fake stops by itself after 100 calls, so an unbounded loop fails
+        # with a different error instead of hanging.
+        true_gcd, calls = unipoly.poly_gcd, []
+
+        def wrong_gcd(f, g):
+            calls.append(None)
+            if len(calls) > 100:
+                raise RuntimeError("yun_decomposition did not stop")
+            return true_gcd(f, g) if len(calls) == 1 else P((1,))
+
+        monkeypatch.setattr(unipoly, "poly_gcd", wrong_gcd)
+        f = P((-1, 1)) ** 3 * P((2, 1))
+        with pytest.raises(UnisecantError, match="after 4 rounds"):
+            yun_decomposition(f)
+
     def test_yun_structure(self):
         f = P((-1, 1)) ** 3 * P((1, 1)) ** 2 * P((0, 1))
         decomp = yun_decomposition(f)
@@ -459,12 +476,17 @@ class TestIntegerRepresentation:
         assert f.evaluate(x) == F(int(value.p), int(value.q))
 
     @given(any_poly, nonzero_poly)
-    def test_divmod_and_monic_match_sympy(self, f, g):
-        q, r = f.divmod(g)
-        sq, sr = sympy.div(to_sympy(f), to_sympy(g))
+    def test_exact_quotient_and_monic_match_sympy(self, f, g):
+        q = (f * g) // g
         assert_canonical(q)
-        assert_canonical(r)
-        assert (q, r) == (from_sympy(sq), from_sympy(sr))
+        assert q == f
+        sq, sr = sympy.div(to_sympy(f), to_sympy(g))
+        if sr.is_zero:
+            assert_canonical(f // g)
+            assert f // g == from_sympy(sq)
+        else:
+            with pytest.raises(UnisecantError, match="does not divide"):
+                f // g
         assert g.monic() == from_sympy(to_sympy(g).monic())
         assert_canonical(g.monic())
 
