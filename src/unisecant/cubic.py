@@ -29,6 +29,7 @@ from .exactalg import (
     IntersectionData,
     Mat3,
     ProjectivePoint,
+    hessian,
     is_smooth_form,
     mat3,
     mat3_det,
@@ -39,15 +40,6 @@ from .exactalg import (
     plane_intersection,
     rational_to_string,
 )
-
-
-def hessian(f: HomogeneousForm) -> HomogeneousForm:
-    """Determinant of the matrix of second partials; degree 3(d - 2)."""
-    if f.degree < 2:
-        raise DomainError("hessian requires degree >= 2")
-    second = [[f.partial_derivative(i).partial_derivative(j) for j in range(3)]
-              for i in range(3)]
-    return mat3_det(second)
 
 
 def is_smooth_cubic(f: HomogeneousForm) -> bool:

@@ -36,7 +36,7 @@ from .unipoly import (
     squarefree_part,
     yun_decomposition,
 )
-from .forms import HomogeneousForm, ProjectivePoint, euler_combination
+from .forms import HomogeneousForm, ProjectivePoint, euler_combination, hessian
 from .bipoly import BivariatePoly, resultant_y
 from .elim import (
     FiberData,
@@ -82,6 +82,7 @@ __all__ = [
     "HomogeneousForm",
     "ProjectivePoint",
     "euler_combination",
+    "hessian",
     "BivariatePoly",
     "resultant_y",
     "FiberData",

@@ -43,7 +43,7 @@ from itertools import islice
 import sympy
 
 from ..errors import CommonComponentError, DomainError, UnisecantError, UnsupportedFieldError
-from .forms import HomogeneousForm, ProjectivePoint
+from .forms import HomogeneousForm, ProjectivePoint, hessian
 from .rationals import (Mat3, bareiss_det_int, det_fractions, integer_image, mat3, mat3_det,
                         mat3_identity, mat3_transpose, mat3_vec)
 from .unipoly import (
@@ -143,8 +143,7 @@ def discriminant_along_pencil(g: HomogeneousForm, f: HomogeneousForm) -> Univari
     """
     if any(h.degree != 3 for h in (g, f)):
         raise DomainError("discriminant_along_pencil expects two cubics")
-    j0, j3, plus, minus = (mat3_det([q.gradient() for q in h.gradient()])
-                           for h in (f, g, f + g, f - g))
+    j0, j3, plus, minus = (hessian(h) for h in (f, g, f + g, f - g))
     half = Fraction(1, 2)
     jacobians = [j0, (plus - minus).scale(half) - j3, (plus + minus).scale(half) - j0, j3]
     zero = (HomogeneousForm.zero(2),) * 3

@@ -147,14 +147,7 @@ class HomogeneousForm(IntegerImage):
             raise DomainError("variable index must be 0, 1 or 2")
         if self.degree == 0:
             return HomogeneousForm.zero(0)
-        out: dict[Triple, int] = {}
-        for expo, v in self.num.items():
-            e = expo[var]
-            if e:
-                new = list(expo)
-                new[var] = e - 1
-                out[(new[0], new[1], new[2])] = e * v
-        return HomogeneousForm._from_ints(self.degree - 1, out, self.den)
+        return HomogeneousForm._from_ints(self.degree - 1, _partial(self.num, var), self.den)
 
     def gradient(self) -> tuple["HomogeneousForm", "HomogeneousForm", "HomogeneousForm"]:
         return tuple(self.partial_derivative(i) for i in range(3))
@@ -231,6 +224,35 @@ def _times_linear(p: dict[int, int], line: list[tuple[int, int]]) -> dict[int, i
     for k, v in p.items():
         for s, c in line:
             out[k + s] = out.get(k + s, 0) + v * c
+    return out
+
+
+def hessian(f: HomogeneousForm) -> HomogeneousForm:
+    """Determinant of the matrix of second partials; degree 3(d - 2).
+
+    On ``int``: the six determinant terms of the second partials of num f,
+    expanded with ``_product``, over den f^3.
+    """
+    if f.degree < 2:
+        raise DomainError("hessian requires degree >= 2")
+    h = [[_partial(_partial(f.num, i), j) for j in range(3)] for i in range(3)]
+    out: dict[Triple, int] = {}
+    for (a, b, c), sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                            ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1)):
+        for e, v in _product(_product(h[0][a], h[1][b]), h[2][c]).items():
+            out[e] = out.get(e, 0) + sign * v
+    return HomogeneousForm._from_ints(3 * f.degree - 6, out, f.den**3)
+
+
+def _partial(num: dict[Triple, int], var: int) -> dict[Triple, int]:
+    """The coefficient map of the partial with respect to X_var."""
+    out: dict[Triple, int] = {}
+    for expo, v in num.items():
+        e = expo[var]
+        if e:
+            new = list(expo)
+            new[var] = e - 1
+            out[(new[0], new[1], new[2])] = e * v
     return out
 
 

@@ -497,7 +497,9 @@ def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
     and rationally reconstructed as a/b with |a|, |b| <= B.  It is kept
     only if b·x - a divides F exactly in Z[x], which is the integer test
     b^n·F(a/b) = 0 (Gauss's lemma: b·x - a is primitive); the number of
-    times it divides F is the multiplicity.
+    times it divides F is the multiplicity.  When G is the image itself,
+    every rational root is simple (p divides no denominator, so a repeated
+    root would stay repeated mod p) and one division counts it.
 
     Completeness: a rational root a/b of G in lowest terms has a | G(0) and
     b | lc(G), so |a|, |b| <= B, and p does not divide b.  It therefore
@@ -518,6 +520,7 @@ def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
     if len(image) > 1:
         g = image
         found = _suited_prime(g, first_only=True)
+        simple = found is not None
         if found is None:
             g = primitive_part(list(squarefree_part(UnivariatePoly(image)).num))
             found = _suited_prime(g)
@@ -538,6 +541,8 @@ def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
             mult, linear = 0, [-x.numerator, x.denominator]
             while (q := _exact_quotient(image, linear)) is not None:
                 mult, image = mult + 1, q
+                if simple:
+                    break
             if mult:
                 roots.append((x, mult))
     roots.sort(key=lambda t: t[0])

@@ -18,7 +18,7 @@ the two headline counts:
 * flex pencils carry 2 nodal members (alpha != 0) or 1 cuspidal member
   (alpha = 0, the j = 0 class), and
 * a non-flex pencil at a point of order 9 shows multiplicities {9, 1, 1, 1}
-  with the 9 sitting at the unique member singular at P.
+  with the 9 at the unique member singular at P and nodes at the simple roots.
 
 Together with the 72 primitive third-level points this assembles
 9*2 + 72*4 = 306 rational unisecant cubics in general and 9*1 + 288 = 297
@@ -428,6 +428,7 @@ class SingularMemberReport:
 
     discriminant: PencilDiscriminant
     records: list[MemberRecord]
+    singular_at_point: PencilParameter  # from member_singular_at
 
     def total_multiplicity(self) -> int:
         return sum(r.count * r.multiplicity for r in self.records)
@@ -460,6 +461,19 @@ def _split_over_q(f: UnivariatePoly) -> list[UnivariatePoly]:
     return linear + [p for p, _ in factors]
 
 
+def _yun_with_root(f: UnivariatePoly, r: Fraction) -> list[tuple[UnivariatePoly, int]]:
+    """``yun_decomposition(f)`` for an f with the known root r, by uniqueness:
+    (u - r) is divided out m times, Yun runs on the cofactor only, and
+    (u - r), coprime to it, joins its multiplicity-m factor."""
+    linear, m = UnivariatePoly([-r, 1]), 0
+    while f.degree > 0 and f.evaluate(r) == 0:
+        f, m = f // linear, m + 1
+    parts = {k: p for p, k in yun_decomposition(f)}
+    if m:
+        parts[m] = parts.get(m, UnivariatePoly.one()) * linear
+    return [(p, k) for k, p in sorted(parts.items())]
+
+
 def singular_member_report(pencil: Pencil) -> SingularMemberReport:
     """Classify every singular member of the pencil via the discriminant.
 
@@ -468,30 +482,38 @@ def singular_member_report(pencil: Pencil) -> SingularMemberReport:
     (classification stays unresolved, as it would need irrational singular
     points); a root at (1 : 0) classifies the generator g itself.
 
-    Each Yun factor is split over Q by ``_split_over_q``: its rational
-    roots come first (``rational_roots``, divided out exactly), a remainder
-    of degree 2 or 3 then has no rational root and is irreducible, and
-    ``factor_over_q`` (sympy) runs only on a remainder of degree >= 4.  The
-    peel is not inside ``factor_over_q`` because ``perfbench/tracing.py``
-    ``FIRES`` requires ``sympy.factor_list`` in ``bezout_pairs`` and
-    ``singular_curves``, where it fires only through ``factor_over_q`` on
-    low-degree inputs.  A member whose gradient vanishes at the pencil's
-    point is classified with that point known.
+    The member singular at the pencil's point P (``member_singular_at``, kept
+    as ``singular_at_point``) is classified with P known, and its root is
+    peeled off before Yun (``_yun_with_root``).  Any other rational member of
+    multiplicity 1 is a node, with no search: the discriminant is the resultant
+    of the partials, for cubics the discriminant hypersurface up to a constant;
+    a line (the pencil) meets a hypersurface with multiplicity 1 only at a
+    smooth point, and its smooth points are the cubics whose only singular
+    point is an ordinary node (Dolgachev, *Classical Algebraic Geometry*, §1.1;
+    Arnold, Gusein-Zade & Varchenko, *Singularities of Differentiable Maps* I).
+
+    Each Yun factor is split over Q by ``_split_over_q`` (rational roots
+    first, ``factor_over_q`` only on a remainder of degree >= 4), not inside
+    ``factor_over_q``: ``perfbench/tracing.py`` ``FIRES`` requires it to
+    reach ``sympy.factor_list`` on low-degree inputs of other workloads.
     """
     disc = pencil_discriminant(pencil)
-    p = pencil.point
-    grads = [[d.evaluate(p.coords) for d in h.gradient()] for h in (pencil.g, pencil.f)]
+    at_p = member_singular_at(pencil)
 
     def record(param: PencilParameter, mult: int) -> MemberRecord:
-        at_p = all(param.s1 * a + param.s2 * b == 0 for a, b in zip(*grads))
+        if mult == 1 and param != at_p:
+            return MemberRecord(param, None, 1, mult, NODE)
         try:
-            cls = classify_singular_member(pencil.member_at(param), p if at_p else None)
+            cls = classify_singular_member(pencil.member_at(param),
+                                           pencil.point if param == at_p else None)
         except (UnsupportedFieldError, DomainError):
             cls = UNRESOLVED
         return MemberRecord(param, None, 1, mult, cls)
 
     records: list[MemberRecord] = []
-    for factor, mult in yun_decomposition(disc.affine):
+    factors = (_yun_with_root(disc.affine, at_p.s1 / at_p.s2) if at_p.s2 else
+               yun_decomposition(disc.affine))
+    for factor, mult in factors:
         for irr in _split_over_q(factor):
             if irr.degree == 1:
                 records.append(record(PencilParameter(-irr.coeffs[0] / irr.coeffs[1], Fraction(1)),
@@ -502,7 +524,7 @@ def singular_member_report(pencil: Pencil) -> SingularMemberReport:
     if inf_mult > 0:
         records.append(record(PencilParameter(Fraction(1), Fraction(0)), inf_mult))
     records.sort(key=lambda r: -r.multiplicity)
-    report = SingularMemberReport(disc, records)
+    report = SingularMemberReport(disc, records, at_p)
     if report.total_multiplicity() != DISC_DEGREE:
         raise UnisecantError("discriminant multiplicities do not sum to 12")
     return report
@@ -569,9 +591,8 @@ def nonflex_fiber_accounting(curve: HomogeneousForm, p: ProjectivePoint
     system = contact_system(curve, p, 3)
     if not system.is_contact_point():
         raise UnisecantError("order-9 point failed the contact-dimension test")
-    pencil = pencil_at(system)
-    report = singular_member_report(pencil)
-    param = member_singular_at(pencil)
+    report = singular_member_report(pencil_at(system))
+    param = report.singular_at_point
     rec = report.record_at(param)
     if rec is None:
         raise UnisecantError("member singular at P is not a discriminant root")

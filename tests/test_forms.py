@@ -15,6 +15,7 @@ from unisecant.exactalg import (
     HomogeneousForm,
     ProjectivePoint,
     euler_combination,
+    hessian,
     mat3,
     mat3_det,
     mat3_identity,
@@ -76,6 +77,19 @@ class TestPartials:
     @given(form_strategy())
     def test_euler_relation(self, f):
         assert euler_combination(f) == f.scale(f.degree)
+
+    @given(form_strategy(max_degree=6).filter(lambda f: f.degree >= 2))
+    def test_hessian_is_the_determinant_of_second_partials(self, f):
+        second = [[f.partial_derivative(i).partial_derivative(j) for j in range(3)]
+                  for i in range(3)]
+        h = hessian(f)
+        assert h == mat3_det(second) and h.degree == 3 * (f.degree - 2)
+
+    def test_hessian_of_a_cone_vanishes(self):
+        # A form in two variables is a cone: its Hessian is zero in degree 3(d - 2).
+        f = H(4, {(4, 0, 0): F(1, 3), (1, 3, 0): -2})
+        assert hessian(f) == H.zero(6) == mat3_det(
+            [[f.partial_derivative(i).partial_derivative(j) for j in range(3)] for i in range(3)])
 
 
 class TestSubstitution:

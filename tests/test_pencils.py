@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import unisecant.exactalg.elim as elim_mod
 import unisecant.pencils as pencils_mod
 from unisecant.cli import main
-from unisecant.errors import DegeneratePencilError, DomainError, UnisecantError
+from unisecant.errors import (DegeneratePencilError, DomainError, UnisecantError,
+                              UnsupportedFieldError)
 from unisecant.exactalg import (
     HomogeneousForm,
     ProjectivePoint,
@@ -29,6 +31,8 @@ from unisecant.exactalg import (
     rational_roots,
     squarefree_part,
     ternary_discriminant,
+    unimodular_matrices,
+    yun_decomposition,
 )
 from unisecant.cubic import (
     flexes,
@@ -43,6 +47,8 @@ from unisecant.pencils import (
     IRREDUCIBLE_CONIC,
     NODE,
     NON_REDUCED,
+    UNRESOLVED,
+    MemberRecord,
     Pencil,
     PencilParameter,
     classify_singular_member,
@@ -437,12 +443,13 @@ class TestNonflexAccounting:
         assert len(calls) == 1
 
     def test_member_at_p_is_not_searched(self, monkeypatch):
-        # The member singular at P is certified from its germ there; only
-        # the other rational member runs the singular-point search.
+        # The member singular at P is certified from its germ there, and the
+        # other rational member, a simple root, from the discriminant: no
+        # singular-point search runs.
         calls = count_calls(monkeypatch, "rational_singular_points", pencils_mod)
         accounting = nonflex_fiber_accounting(load_form("z9_d2.json"), P(1, 0, 0))
         assert accounting.classification_at_point == NODE
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_wrong_order_rejected(self):
         form6, p6 = kubert_z6_curve(1)
@@ -584,3 +591,86 @@ class TestYunFactorSplit:
         monkeypatch.setattr(pencils_mod, "factor_over_q", lambda f: (F(1), [(f, 2)]))
         with pytest.raises(UnisecantError, match="repeated factor"):
             pencils_mod._split_over_q(quartic)
+
+
+# A known root r, peeled m times, and a cofactor c with repeated factors of
+# its own; c may or may not vanish at r.
+_small_polys = st.lists(st.integers(-5, 5), min_size=2, max_size=3).map(UnivariatePoly).filter(
+    lambda p: p.degree > 0)
+
+
+class TestPeeledYun:
+    """``_yun_with_root`` against ``yun_decomposition`` on the whole polynomial."""
+
+    @given(_rationals, st.integers(1, 10),
+           st.lists(st.tuples(_small_polys, st.integers(1, 4)), min_size=1, max_size=3),
+           _rationals.filter(lambda c: c != 0))
+    def test_matches_yun_on_the_product(self, r, m, factors, scale):
+        c = UnivariatePoly([scale])
+        for p, k in factors:
+            c = c * p**k
+        f = UnivariatePoly([-r, 1]) ** m * c
+        assert pencils_mod._yun_with_root(f, r) == yun_decomposition(f)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_root_joins_the_factor_of_its_multiplicity(self, m):
+        # c = (u + 1)(u - 2)^2 (u^2 + 1)^3: (u - 5) goes into the factor of multiplicity m.
+        c = UnivariatePoly([1, 1]) * UnivariatePoly([-2, 1]) ** 2 * UnivariatePoly([1, 0, 1]) ** 3
+        f = UnivariatePoly([-5, 1]) ** m * c
+        peeled = pencils_mod._yun_with_root(f, F(5))
+        assert peeled == yun_decomposition(f)
+        assert [k for _, k in peeled] == [1, 2, 3]
+        assert peeled[m - 1][0].evaluate(5) == 0
+
+
+def _reference_report(pencil):
+    """The records with no peel and no certificate: Yun on the whole discriminant,
+    factors from sympy, and the singular-point search on every rational member."""
+    disc = pencil_discriminant(pencil)
+
+    def record(param, mult):
+        try:
+            kind = classify_singular_member(pencil.member_at(param))
+        except (UnsupportedFieldError, DomainError):
+            kind = UNRESOLVED
+        return MemberRecord(param, None, 1, mult, kind)
+
+    records = []
+    for factor, mult in yun_decomposition(disc.affine):
+        for irr, _ in factor_over_q(factor)[1]:
+            if irr.degree == 1:
+                records.append(record(PencilParameter(-irr.coeffs[0], F(1)), mult))
+            else:
+                records.append(MemberRecord(None, irr, irr.degree, mult, UNRESOLVED))
+    if disc.multiplicity_at_infinity():
+        records.append(record(PencilParameter(F(1), F(0)), disc.multiplicity_at_infinity()))
+    return sorted(records, key=lambda r: -r.multiplicity)
+
+
+def _moved_kubert_pencils():
+    """Moved Kubert Z/9 curves: the pencil at the order-9 point and at every
+    rational flex; and at the flex (0:0:1) of moved y^2 = 4x^3 - 3x (two
+    rational simple members) and y^2 = 4x^3 - 1/4 (a rational cusp, double)."""
+    rng = random.Random(26)
+    changes = list(islice(unimodular_matrices(), 1, 40))
+    cases = []
+    for i in range(5):
+        d = F(rng.choice([-1, 1]) * rng.randint(2, 7), rng.randint(1, 3))
+        curve, p9 = _moved(*kubert_z9_curve(d), rng.choice(changes))
+        for j, p in enumerate([p9] + flexes(curve).points):
+            cases.append(pytest.param(curve, p, id=f"kubert{i}-{'p9' if j == 0 else f'flex{j}'}"))
+    for a, b in [(-3, 0), (0, F(-1, 4))]:
+        curve, flex = _moved(weierstrass_normal_form(a, b), FLEX, rng.choice(changes))
+        cases.append(pytest.param(curve, flex, id=f"weier_a{a}-flex"))
+    return cases
+
+
+class TestReportAgainstSearch:
+    """Every record of the report equals the one the singular-point search gives."""
+
+    @pytest.mark.parametrize("curve,point", _moved_kubert_pencils())
+    def test_records_match_the_search(self, curve, point):
+        pencil = pencil_at(contact_system(curve, point, 3))
+        report = singular_member_report(pencil)
+        assert report.records == _reference_report(pencil)
+        assert report.record_at(report.singular_at_point).multiplicity in (9, 10)

@@ -27,6 +27,7 @@ from unisecant.exactalg import (
     yun_decomposition,
 )
 from unisecant.exactalg import unipoly
+from conftest import count_calls
 
 P = UnivariatePoly
 
@@ -399,6 +400,22 @@ class TestRationalRoots:
         assert rational_roots(f) == [(F(-2), 1), (F(1), 2)] == sympy_rational_roots(f)
         # 11 shows the double root 1 mod 11; the squarefree part is suited by 11.
         assert tried == [11, 11]
+
+    def test_simple_roots_take_one_division_each(self, monkeypatch):
+        # 11 suits the image itself, so every rational root is simple: one
+        # exact division counts each, with no failing division after it.
+        divisions = count_calls(monkeypatch, "_exact_quotient", unipoly)
+        f = P((-1, 1)) * P((2, 1)) * P((-3, 2)) * P((1, 0, 1))
+        assert rational_roots(f) == [(F(-2), 1), (F(1), 1), (F(3, 2), 1)]
+        assert len(divisions) == 3
+
+    def test_double_root_of_the_image_counts_two_through_the_squarefree_part(
+            self, monkeypatch):
+        sqf = count_calls(monkeypatch, "squarefree_part", unipoly)
+        f = P((-3, 2)) ** 2 * P((5, 1)) * P((1, 0, 1)) * P((-1, 1)) ** 3
+        roots = rational_roots(f)
+        assert len(sqf) == 1
+        assert roots == [(F(-5), 1), (F(1), 3), (F(3, 2), 2)] == sympy_rational_roots(f)
 
 
 def binomial(k: int) -> P:
