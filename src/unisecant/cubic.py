@@ -124,12 +124,14 @@ def is_flex(f: HomogeneousForm, p: ProjectivePoint) -> bool:
 def weierstrass_at_flex(f: HomogeneousForm, p: ProjectivePoint) -> WeierstrassData:
     """Normalize a smooth cubic at a rational flex.
 
-    The transform is assembled in four exact steps: move the flex to
-    (0:0:1) with tangent {X0 = 0}; complete the square in X2; complete the
-    cube in X1; rescale X0 to make the coefficients (1, -4).  Each step is
-    a rational matrix, so the composite is exact.  Smoothness is decided
-    once, on the verified normal form: the cubic is smooth exactly when
-    alpha^3 + 27 beta^2 != 0, and a singular one raises DomainError there.
+    One substitution g1 = f∘t1 moves the flex to (0:0:1) with tangent
+    {X0 = 0}.  Completing the square in X2, the cube in X1 and rescaling X0
+    to make the coefficients (1, -4) are read off the coefficients of g1 in
+    closed form: alpha, beta and the upper triangular matrix t4·t3·t2, all
+    exact.  One more substitution checks the composite against the normal
+    form.  Smoothness is decided once, on the verified normal form: the
+    cubic is smooth exactly when alpha^3 + 27 beta^2 != 0, and a singular
+    one raises DomainError there.
     """
     if not is_flex(f, p):
         raise DomainError(f"{p} is not a flex of the cubic")
@@ -145,20 +147,20 @@ def weierstrass_at_flex(f: HomogeneousForm, p: ProjectivePoint) -> WeierstrassDa
         raise DomainError("degenerate tangent frame; cubic is singular at the point")
     b1 = g1.coefficient((2, 0, 1))
     b2 = g1.coefficient((1, 1, 1))
-    t2 = mat3([[1, 0, -b1 / (2 * a)], [0, 1, -b2 / (2 * a)], [0, 0, 1]])
-    g2 = g1.substitute(t2)
-    c2 = g2.coefficient((1, 2, 0))
-    t3 = mat3([[1, -c2 / (3 * c), 0], [0, 1, 0], [0, 0, 1]])
-    g3 = g2.substitute(t3)
+    u, v = -b1 / (2 * a), -b2 / (2 * a)
+    # X2 -> X2 + u X0 + v X1 leaves a X0 X2^2 + c X1^3 + X0 (e2 X1^2 + e1 X0 X1 + e0 X0^2).
+    e2 = g1.coefficient((1, 2, 0)) - b2 * b2 / (4 * a)
+    e1 = g1.coefficient((2, 1, 0)) - b1 * b2 / (2 * a)
+    e0 = g1.coefficient((3, 0, 0)) - b1 * b1 / (4 * a)
+    # X1 -> X1 + s X0 clears X0 X1^2, leaving f1 X0^2 X1 + f0 X0^3.
+    s = -e2 / (3 * c)
+    f1 = 3 * c * s * s + 2 * e2 * s + e1
+    f0 = c * s**3 + e2 * s * s + e1 * s + e0
+    # X0 -> r X0 makes a r X0 X2^2 + c X1^3 = a r (X0 X2^2 - 4 X1^3).
     r = -c / (4 * a)
-    t4 = mat3([[r, 0, 0], [0, 1, 0], [0, 0, 1]])
-    g4 = g3.substitute(t4)
-    scale = g4.coefficient((1, 0, 2))
-    alpha = -g4.coefficient((2, 1, 0)) / scale
-    beta = -g4.coefficient((3, 0, 0)) / scale
-    transform = mat3_mul(mat3_mul(mat3_mul(t4, t3), t2), t1)
-    data = WeierstrassData(alpha, beta, transform)
-    if f.substitute(transform) != data.normal_form().scale(scale):
+    data = WeierstrassData(-f1 * r / a, -f0 * r * r / a,
+                           mat3_mul(mat3([[r, r * s, r * (u + v * s)], [0, 1, v], [0, 0, 1]]), t1))
+    if f.substitute(data.transform) != data.normal_form().scale(a * r):
         raise DomainError("normalization lost exactness; input is not a smooth cubic "
                           "with a rational flex")
     if not data.is_smooth():

@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import islice
 
 import sympy
@@ -182,6 +182,8 @@ class IntersectionData:
     points and multiplicities sum local intersection numbers per fiber.
     ``points`` are the rational intersection points in the original
     coordinates; fibers record the transformed-coordinate structure.
+    ``eliminant_squarefree`` is computed on first read, so a caller that
+    never reads it never pays for the squarefree part.
     """
 
     transform: Mat3
@@ -189,7 +191,10 @@ class IntersectionData:
     fibers: list[FiberData]
     irrational_mass: int
     points: list[ProjectivePoint] = field(default_factory=list)
-    eliminant_squarefree: bool = False
+
+    @cached_property
+    def eliminant_squarefree(self) -> bool:
+        return squarefree_part(self.eliminant).degree == self.eliminant.degree
 
 
 def _slice_poly(f: HomogeneousForm, x0, x1=1) -> UnivariatePoly:
@@ -246,7 +251,8 @@ def plane_intersection(f: HomogeneousForm, g: HomogeneousForm, *,
     a projection whose eliminant is squarefree; finding one certifies that
     the intersection points are pairwise distinct and transversal as scheme
     points of the eliminant.  (Such a projection exists iff all local
-    intersection numbers are 1.)
+    intersection numbers are 1.)  Without it no squarefree part is computed
+    unless the caller reads ``eliminant_squarefree``.
     """
     if f.is_zero() or g.is_zero():
         raise DomainError("cannot intersect with the zero curve")
@@ -264,15 +270,14 @@ def plane_intersection(f: HomogeneousForm, g: HomogeneousForm, *,
             raise CommonComponentError("curves share a component")
         if elim.degree != product:
             continue
-        is_squarefree = squarefree_part(elim).degree == elim.degree
         back = mat3_transpose(m)
         fibers = []
         for x0, mult in rational_roots(elim):
             fibers.append(FiberData(x0, mult, *_lift_fiber([ft, gt], back, x0)))
         irrational = product - sum(fb.multiplicity for fb in fibers)
         points = [p for fb in fibers for p in fb.points]
-        data = IntersectionData(m, elim, fibers, irrational, points, is_squarefree)
-        if not want_squarefree_eliminant or is_squarefree:
+        data = IntersectionData(m, elim, fibers, irrational, points)
+        if not want_squarefree_eliminant or data.eliminant_squarefree:
             return data
         best = data
     if best is not None:

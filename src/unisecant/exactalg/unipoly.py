@@ -58,6 +58,10 @@ class UnivariatePoly:
     def _set(self, num: list[int], den: int) -> None:
         while num and num[-1] == 0:
             num.pop()
+        if den == 1:  # gcd(1, num) = 1: already in lowest terms
+            object.__setattr__(self, "num", tuple(num))
+            object.__setattr__(self, "den", 1)
+            return
         g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
         object.__setattr__(self, "num", tuple(v // g for v in num))
         object.__setattr__(self, "den", den // g)
@@ -352,6 +356,8 @@ def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
         value = bareiss_det_int([[f.num[1], f.num[0]], [g.num[1], g.num[0]]])
     else:
         value = _resultant_int(list(f.num), list(g.num))
+    if f.den == g.den == 1:
+        return Fraction(value)
     return Fraction(value, f.den**n * g.den**m)
 
 

@@ -55,6 +55,7 @@ from .exactalg import (
     rational_to_string,
     yun_decomposition,
 )
+from .exactalg.unipoly import _exact_quotient
 from .cubic import (
     WeierstrassData,
     first_rational_flex,
@@ -277,8 +278,9 @@ class PencilDiscriminant:
 
     ``binary`` lists the integer coefficients of s1^i s2^(12-i) for
     i = 0..12 (primitive, top nonzero coefficient positive); ``affine`` is
-    the slice s2 = 1 as a polynomial in u = s1/s2, so the member F = C
-    itself sits at u's point at infinity and never contributes a root.
+    the slice s2 = 1 as a polynomial in u = s1/s2.  The member F = C sits
+    at u = 0; the generator g sits at (1 : 0), u's point at infinity, where
+    the vanishing order is the degree deficit of ``affine``.
     """
 
     binary: tuple[int, ...]
@@ -464,13 +466,14 @@ def _split_over_q(f: UnivariatePoly) -> list[UnivariatePoly]:
 def _yun_with_root(f: UnivariatePoly, r: Fraction) -> list[tuple[UnivariatePoly, int]]:
     """``yun_decomposition(f)`` for an f with the known root r, by uniqueness:
     (u - r) is divided out m times, Yun runs on the cofactor only, and
-    (u - r), coprime to it, joins its multiplicity-m factor."""
-    linear, m = UnivariatePoly([-r, 1]), 0
-    while f.degree > 0 and f.evaluate(r) == 0:
-        f, m = f // linear, m + 1
-    parts = {k: p for p, k in yun_decomposition(f)}
+    (u - r), coprime to it, joins its multiplicity-m factor.  The divisions
+    run on the integer image, by b·u - a for r = a/b, until one is inexact."""
+    image, linear, m = list(f.num), [-r.numerator, r.denominator], 0
+    while len(image) > 1 and (q := _exact_quotient(image, linear)) is not None:
+        image, m = q, m + 1
+    parts = {k: p for p, k in yun_decomposition(UnivariatePoly._from_ints(image, f.den))}
     if m:
-        parts[m] = parts.get(m, UnivariatePoly.one()) * linear
+        parts[m] = parts.get(m, UnivariatePoly.one()) * UnivariatePoly([-r, 1])
     return [(p, k) for k, p in sorted(parts.items())]
 
 

@@ -127,6 +127,15 @@ class TestCurveCommands:
         assert code == 0
         assert int(json.loads(out)["multiplicity"]) >= 1
 
+    def test_intersect_bezout_report(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "intersect", "--f", fixture_path("nodal_cubic.json"),
+            "--g", fixture_path("cuspidal_cubic.json"))
+        assert code == 0
+        assert json.loads(out) == {
+            "product": "9", "rational_sum": "9", "irrational_mass": "0",
+            "fibers_fully_rational": "1", "fibers_total": "1", "ok": True}
+
     def test_unisecant_totals(self, capsys):
         code, out, _ = run_cli(capsys, "unisecant", "--cubic",
                                fixture_path("fermat.json"), "--k", "3")

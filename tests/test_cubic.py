@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import count_calls
@@ -16,6 +16,7 @@ from unisecant.exactalg import (
     mat3,
     mat3_det,
     mat3_inv,
+    mat3_mul,
     mat3_transpose,
     mat3_vec,
     squarefree_part,
@@ -178,6 +179,49 @@ class TestWeierstrassNormalization:
         w = weierstrass_at_flex(form, ProjectivePoint(0, 0, 1))
         assert w.alpha.denominator != 0  # exact rational output
         assert is_smooth_cubic(form) == w.is_smooth()
+
+
+def _four_substitutions(f, p):
+    """The normalization built step by step: t1, then t2, t3, t4, each substituted."""
+    t1 = cubic_mod._flex_frame(p, [g.evaluate(p.coords) for g in f.gradient()])
+    g1 = f.substitute(t1)
+    a, c = g1.coefficient((1, 0, 2)), g1.coefficient((0, 3, 0))
+    b1, b2 = g1.coefficient((2, 0, 1)), g1.coefficient((1, 1, 1))
+    t2 = mat3([[1, 0, -b1 / (2 * a)], [0, 1, -b2 / (2 * a)], [0, 0, 1]])
+    g2 = g1.substitute(t2)
+    t3 = mat3([[1, -g2.coefficient((1, 2, 0)) / (3 * c), 0], [0, 1, 0], [0, 0, 1]])
+    g3 = g2.substitute(t3)
+    t4 = mat3([[-c / (4 * a), 0, 0], [0, 1, 0], [0, 0, 1]])
+    g4 = g3.substitute(t4)
+    scale = g4.coefficient((1, 0, 2))
+    transform = mat3_mul(mat3_mul(mat3_mul(t4, t3), t2), t1)
+    return -g4.coefficient((2, 1, 0)) / scale, -g4.coefficient((3, 0, 0)) / scale, transform
+
+
+_flexed_cubics = st.one_of(
+    st.builds(lambda a: general_weierstrass_cubic(*a),
+              st.lists(st.integers(-3, 3), min_size=5, max_size=5)),
+    st.builds(lambda d: kubert_z9_curve(d)[0], st.integers(2, 7)),
+    st.builds(lambda c: kubert_z6_curve(c)[0], st.sampled_from([1, 2, 3, F(1, 2), F(-1, 3)])))
+
+
+class TestWeierstrassClosedForm:
+    """``weierstrass_at_flex`` against the four-substitution construction."""
+
+    @given(_flexed_cubics, st.lists(st.integers(-2, 2), min_size=9, max_size=9))
+    def test_matches_four_substitutions_on_moved_cubics(self, form, entries):
+        m = mat3([entries[0:3], entries[3:6], entries[6:9]])
+        assume(mat3_det(m) != 0 and is_smooth_cubic(form))
+        moved = form.substitute(m)
+        flex = ProjectivePoint(*mat3_vec(mat3_inv(mat3_transpose(m)), (0, 0, 1)))
+        w = weierstrass_at_flex(moved, flex)
+        assert (w.alpha, w.beta, w.transform) == _four_substitutions(moved, flex)
+
+    def test_two_substitutions(self, monkeypatch):
+        form, _ = kubert_z9_curve(3)
+        calls = count_calls(monkeypatch, "substitute", HomogeneousForm)
+        weierstrass_at_flex(form, ProjectivePoint(0, 0, 1))
+        assert len(calls) == 2
 
 
 class TestJInvariant:

@@ -24,6 +24,7 @@ from unisecant.exactalg import (
     UnivariatePoly,
     det_fractions,
     form_factorization,
+    hessian,
     is_reduced_form,
     is_smooth_form,
     macaulay_resultant_quadrics,
@@ -37,7 +38,7 @@ from unisecant.exactalg import (
     resultant_y,
     ternary_discriminant,
 )
-from unisecant.cubic import weierstrass_normal_form
+from unisecant.cubic import flexes, weierstrass_normal_form
 
 from conftest import count_calls, load_form
 
@@ -493,6 +494,31 @@ class TestPlaneIntersection:
         assert expected.issubset(set(data.points))
         assert data.irrational_mass == 9 - sum(
             fb.multiplicity for fb in data.fibers)
+
+    def test_squarefree_certificate_computed_on_first_read(self, monkeypatch, nodal_cubic,
+                                                           cuspidal_cubic, fermat):
+        calls = count_calls(monkeypatch, "squarefree_part", elim)
+        data = plane_intersection(nodal_cubic, cuspidal_cubic)
+        assert calls == []
+        assert data.eliminant_squarefree is False
+        assert data.eliminant_squarefree is False
+        assert len(calls) == 1
+        assert flexes(fermat).eliminant_squarefree is True
+
+    def test_want_squarefree_searches_past_the_first_projection(self, fermat):
+        # Moved so that three flexes share the fiber of the first usable projection.
+        moved = fermat.substitute(mat3([[1, 0, 0], [-1, -1, 0], [1, 0, -1]]))
+        first = plane_intersection(moved, hessian(moved))
+        assert first.eliminant_squarefree is False
+        data = plane_intersection(moved, hessian(moved), want_squarefree_eliminant=True)
+        assert data.eliminant_squarefree is True and data.transform != first.transform
+
+    @given(small_form(1, 3), small_form(1, 3), st.booleans())
+    def test_lazy_certificate_matches_eager_definition(self, f, g, want):
+        assume(not elim.forms_share_component(f, g))
+        data = plane_intersection(f, g, want_squarefree_eliminant=want)
+        eager = unipoly.squarefree_part(data.eliminant).degree == data.eliminant.degree
+        assert data.eliminant_squarefree == eager
 
     def test_tangent_pair_needs_no_factorization(self, monkeypatch):
         # The rational roots of the eliminant and of the fiber gcd come from

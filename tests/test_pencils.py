@@ -622,6 +622,12 @@ class TestPeeledYun:
         assert [k for _, k in peeled] == [1, 2, 3]
         assert peeled[m - 1][0].evaluate(5) == 0
 
+    def test_exact_quotient_decides_without_evaluating(self, monkeypatch):
+        f = UnivariatePoly([F(-1, 3), 1]) ** 3 * UnivariatePoly([1, 0, 1])
+        calls = count_calls(monkeypatch, "evaluate", UnivariatePoly)
+        assert pencils_mod._yun_with_root(f, F(1, 3)) == yun_decomposition(f)
+        assert calls == []
+
 
 def _reference_report(pencil):
     """The records with no peel and no certificate: Yun on the whole discriminant,

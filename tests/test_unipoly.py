@@ -513,6 +513,22 @@ class TestIntegerRepresentation:
         assert g == f and hash(g) == hash(f) and (g.num, g.den) == (f.num, f.den)
         assert repr(g) == repr(f)
 
+    @given(st.lists(st.integers(-9, 9), max_size=6), st.integers(1, 12), st.booleans(),
+           st.integers(0, 3), st.sampled_from([1, -1]))
+    def test_from_ints_matches_the_constructor(self, base, content, negate_lc,
+                                                zeros, den):
+        # Content > 1, a negative leading coefficient and trailing zeros; the
+        # denominator 1 takes the shortcut, -1 must not.
+        num = [content * v for v in base]
+        if negate_lc and num:
+            num[-1] = -num[-1]
+        num += [0] * zeros
+        fast = P._from_ints(num, den)
+        slow = P([F(v, den) for v in num])
+        assert_canonical(fast)
+        assert (fast.num, fast.den) == (slow.num, slow.den)
+        assert fast == slow and hash(fast) == hash(slow)
+
     def test_zero_polynomial(self):
         zero = P((0, F(0, 3)))
         assert (zero.num, zero.den, zero.coeffs, zero.degree) == ((), 1, (), -1)
