@@ -143,7 +143,10 @@ def load_family_file(path: str) -> CurveFamily:
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"cannot read family file {path}: {exc}") from exc
     _check_size("family", path, degree, (v for p in coeffs.values() for v in (p.den, *p.num)))
-    return CurveFamily(degree, coeffs)
+    try:
+        return CurveFamily(degree, coeffs)
+    except DomainError as exc:
+        raise InputError(f"malformed family file {path}: {exc}") from exc
 
 
 def _emit(payload: dict) -> None:

@@ -215,7 +215,7 @@ def _projection_eliminant(f: HomogeneousForm, g: HomogeneousForm) -> UnivariateP
     """
     if f.coefficient((0, 0, f.degree)) == 0 or g.coefficient((0, 0, g.degree)) == 0:
         return None
-    if poly_gcd(_slice_poly(f, 1, 0), _slice_poly(g, 1, 0)).degree > 0:
+    if poly_gcd(_slice_poly(f, 1, 0), _slice_poly(g, 1, 0))[0].degree > 0:
         return None
     try:
         return resultant_y(BivariatePoly.chart(f, 1), BivariatePoly.chart(g, 1))
@@ -230,12 +230,12 @@ def _lift_fiber(forms: list[HomogeneousForm], back: Mat3, x0: Fraction
     The flag says whether they account for the whole gcd of the slices,
     i.e. whether the fiber holds no irrational common zero.
     """
-    h = reduce(poly_gcd, [_slice_poly(f, x0) for f in forms])
+    h = reduce(lambda h, s: poly_gcd(h, s)[0], [_slice_poly(f, x0) for f in forms])
     if h.degree <= 0:
         return [], True
-    roots = rational_roots(h)
+    roots, rest = rational_roots(h)
     points = [ProjectivePoint(*mat3_vec(back, (x0, Fraction(1), z0))) for z0, _ in roots]
-    return points, sum(mult for _, mult in roots) == h.degree
+    return points, rest.degree == 0
 
 
 def plane_intersection(f: HomogeneousForm, g: HomogeneousForm, *,
@@ -272,7 +272,7 @@ def plane_intersection(f: HomogeneousForm, g: HomogeneousForm, *,
             continue
         back = mat3_transpose(m)
         fibers = []
-        for x0, mult in rational_roots(elim):
+        for x0, mult in rational_roots(elim)[0]:
             fibers.append(FiberData(x0, mult, *_lift_fiber([ft, gt], back, x0)))
         irrational = product - sum(fb.multiplicity for fb in fibers)
         points = [p for fb in fibers for p in fb.points]
@@ -374,11 +374,11 @@ def rational_singular_points(f: HomogeneousForm) -> list[ProjectivePoint]:
     point lies over a root of elim = res_X2(c0, c1) (chart X1 = 1, degree
     d^2, d = deg f - 1).  Each rational root x0 of elim (``rational_roots``,
     walked in descending order) is a rational fiber, lifted by the gcd of
-    the partial slices, and (x - x0)^mult is divided out of elim.  What is
-    left, q, has only irreducible factors of degree >= 2.  Such a factor p
-    carries a singular point iff p divides the check resultant
-    R_t = res_X2(c0, c1 + t*g2) for d distinct t in 1, -1, 2, ... (skipping
-    0 and a t with c1 + t*g2 = 0): resultants of a generic combination
+    the partial slices.  What ``rational_roots`` leaves of elim once it has
+    divided those roots out, q, has only irreducible factors of degree
+    >= 2.  Such a factor p carries a singular point iff p divides the check
+    resultant R_t = res_X2(c0, c1 + t*g2) for d distinct t in 1, -1, 2, ...
+    (skipping 0 and a t with c1 + t*g2 = 0): resultants of a generic combination
     (Cox–Little–O'Shea, *Using Algebraic Geometry*, ch. 3), over Q only.
     So no factorization is needed: some p divides all d of them iff
     h = gcd(q, R_t1, ..., R_td) is nonconstant.  The R_t are computed one
@@ -416,17 +416,17 @@ def rational_singular_points(f: HomogeneousForm) -> list[ProjectivePoint]:
 def _singular_points_from_eliminant(gt, c0, c1, m, elim) -> list[ProjectivePoint]:
     back = mat3_transpose(m)
     points = []
-    h = elim  # elim without its rational roots, then its gcd with the R_t so far
-    for x0, mult in reversed(rational_roots(elim)):
+    # h: elim without its rational roots, then its gcd with the R_t so far.
+    roots, h = rational_roots(elim)
+    for x0, _ in reversed(roots):
         fiber_points, complete = _lift_fiber(gt, back, x0)
         if not complete:
             raise UnsupportedFieldError(
                 "singular point with irrational coordinates over a rational fiber")
         points.extend(fiber_points)
-        h = h // UnivariatePoly((-x0, 1)) ** mult
     if h.degree > 0:
         for check in islice(_check_resultants(c0, c1, gt[2]), c0.degree):
-            h = poly_gcd(h, check)
+            h = poly_gcd(h, check)[0]
             if h.degree == 0:
                 break
         else:

@@ -2,9 +2,11 @@
 
 A polynomial is stored as integer numerators over one positive denominator
 in lowest terms, and its arithmetic runs on ``int``; coefficients cross the
-API as ``Fraction``.  A quotient is exact or refused: ``f // g`` raises
-UnisecantError unless g divides f, and there is no remainder.  The
-elimination workhorse: resultants (the subresultant PRS on the integer
+API as ``Fraction``.  There is no division operator: the one quotient in
+Z[x], ``_exact_quotient``, is exact or refused, and the quotients callers
+need come out of the routines that already compute them (``poly_gcd``
+returns its cofactors, ``rational_roots`` what is left after its roots).
+The elimination workhorse: resultants (the subresultant PRS on the integer
 images), discriminants, gcds (small-prime modular, checked by trial
 division in Z[x]), squarefree parts, Yun squarefree decomposition, rational
 roots (p-adic lifting), and a certificate of irreducibility over Q from the
@@ -158,24 +160,6 @@ class UnivariatePoly:
             n >>= 1
         return result
 
-    def __floordiv__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        """The exact quotient self / other over Q; UnisecantError if other does not divide.
-
-        Gauss's lemma (a product of primitive integer polynomials is primitive)
-        makes other divide self over Q iff the primitive part B of its integer
-        image divides that of self, A, in Z[x].  With self = (ca/da)·A and
-        other = (cb/db)·B the quotient is (ca·db)/(cb·da)·(A / B).
-        """
-        if other.is_zero():
-            raise DomainError("division by zero polynomial")
-        if self.is_zero():
-            return self
-        ca, cb = math.gcd(*self.num), math.gcd(*other.num)
-        q = _exact_quotient([v // ca for v in self.num], [v // cb for v in other.num])
-        if q is None:
-            raise UnisecantError(f"divisor of degree {other.degree} does not divide the dividend")
-        return UnivariatePoly._from_ints([ca * other.den * v for v in q], cb * self.den)
-
     def derivative(self) -> "UnivariatePoly":
         return UnivariatePoly._from_ints([i * v for i, v in enumerate(self.num)][1:], self.den)
 
@@ -202,8 +186,9 @@ class UnivariatePoly:
         return next(i for i, v in enumerate(self.num) if v)
 
 
-def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
-    """Monic gcd over Q by a small-prime modular algorithm (Brown 1971).
+def poly_gcd(f: UnivariatePoly, g: UnivariatePoly
+             ) -> tuple[UnivariatePoly, UnivariatePoly, UnivariatePoly]:
+    """(h, f/h, g/h): the monic gcd h over Q and its cofactors, small-prime modular (Brown 1971).
 
     Works on the primitive integer images a and b of f and g (a gcd over Q
     is unchanged by scaling), with gamma = gcd(lc a, lc b).  Primes p that
@@ -217,31 +202,36 @@ def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
     image the primitive part of the lift is tried, and it is accepted only
     if it divides both a and b exactly in Z[x]: a common divisor whose
     degree is at least that of the gcd is the gcd, so an answer is never
-    wrong (von zur Gathen & Gerhard, *Modern Computer Algebra*, section
-    6.7).  Those coefficients are below 2^k·||b||_2 for k = deg G, b the
-    image of lower degree (Landau–Mignotte, with |gamma| <= |lc b|), which
-    fixes how many primes a run needs; one that has drawn
+    wrong, and the two quotients of that check, scaled back to f and g, are
+    the cofactors (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+    section 6.7).  Those coefficients are below 2^k·||b||_2 for k = deg G,
+    b the image of lower degree (Landau–Mignotte, with |gamma| <= |lc b|),
+    which fixes how many primes a run needs; one that has drawn
     ``UNLUCKY_PRIMES`` more than that raises UnisecantError.
+
+    A constant input, or a degree-0 image, gives (1, f, g).  A zero input
+    gives the other one made monic, with the cofactors 0 and its leading
+    coefficient; two zeros give three.
     """
-    if f.is_zero():
-        return g.monic()
-    if g.is_zero():
-        return f.monic()
+    if f.is_zero() or g.is_zero():
+        h = (g if f.is_zero() else f).monic()
+        # q/h is lc(q) for a nonzero q and 0 for a zero one: num[-1:] is [lc] or [].
+        return (h, *(UnivariatePoly._from_ints(q.num[-1:], q.den) for q in (f, g)))
     if f.degree == 0 or g.degree == 0:
-        return UnivariatePoly._from_ints((1,))
-    a, b = primitive_part(list(f.num)), primitive_part(list(g.num))
-    if len(a) < len(b):
-        a, b = b, a
+        return UnivariatePoly.one(), f, g
+    ca, cb = math.gcd(*f.num), math.gcd(*g.num)
+    a, b = [v // ca for v in f.num], [v // cb for v in g.num]
+    low = a if len(a) < len(b) else b
     gamma = math.gcd(a[-1], b[-1])
-    bound_bits = len(b) + len(b).bit_length() + max(map(abs, b)).bit_length()
+    bound_bits = len(low) + len(low).bit_length() + max(map(abs, low)).bit_length()
     budget = -(-bound_bits // (_PRIME_BITS - 1)) + UNLUCKY_PRIMES
-    least, lift, modulus = len(b) + 1, [], 1
+    least, lift, modulus = len(low) + 1, [], 1
     for p in islice(_gcd_primes(), budget):
         if a[-1] % p == 0 or b[-1] % p == 0:
             continue
         h = modp.gcd(a, b, p)
         if len(h) == 1:
-            return UnivariatePoly._from_ints((1,))
+            return UnivariatePoly.one(), f, g
         if len(h) > least:
             continue
         if len(h) < least:
@@ -252,8 +242,13 @@ def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
             modulus *= p
         lift = [c - modulus if 2 * c > modulus else c for c in lift]
         cand = primitive_part(lift)
-        if _exact_quotient(a, cand) is not None and _exact_quotient(b, cand) is not None:
-            return UnivariatePoly._from_ints(cand, cand[-1])
+        if ((qa := _exact_quotient(a, cand)) is not None
+                and (qb := _exact_quotient(b, cand)) is not None):
+            # f = (ca/den f)·a = (ca·lc/den f)·qa·h, and likewise g.
+            lc = cand[-1]
+            return (UnivariatePoly._from_ints(cand, lc),
+                    UnivariatePoly._from_ints([ca * lc * v for v in qa], f.den),
+                    UnivariatePoly._from_ints([cb * lc * v for v in qb], g.den))
     raise UnisecantError(f"poly_gcd: no gcd found within {budget} primes "
                          f"(the coefficient bound's count plus UNLUCKY_PRIMES)")
 
@@ -417,21 +412,23 @@ def discriminant(f: UnivariatePoly) -> Fraction:
 
 
 def squarefree_part(f: UnivariatePoly) -> UnivariatePoly:
-    """f / gcd(f, f'), monic.  Its degree counts the distinct complex roots."""
+    """f / gcd(f, f'), monic: the cofactor ``poly_gcd`` returns, so no division
+    runs here.  Its degree counts the distinct complex roots."""
     if f.is_zero():
         raise DomainError("squarefree part of the zero polynomial")
     if f.degree == 0:
         return UnivariatePoly.one()
-    return (f // poly_gcd(f, f.derivative())).monic()
+    return poly_gcd(f, f.derivative())[1].monic()
 
 
 def yun_decomposition(f: UnivariatePoly) -> list[tuple[UnivariatePoly, int]]:
     """Squarefree decomposition f = lc * prod f_i^i (Yun's algorithm).
 
     Returns [(f_i, i)] with each f_i monic squarefree, pairwise coprime,
-    deg f_i >= 1.  Round i splits off f_i and no multiplicity exceeds deg f,
-    so the loop ends within deg f rounds; a factor left after that means a
-    wrong gcd, and raises UnisecantError instead of looping on.
+    deg f_i >= 1.  Round i takes f_i = gcd(c, d - c') and goes on with its
+    cofactors as c and d, from those of gcd(f, f'): no division runs here.
+    No multiplicity exceeds deg f, so the loop ends within deg f rounds; a
+    factor left after that means a wrong gcd, and raises UnisecantError.
     """
     if f.is_zero():
         raise DomainError("squarefree decomposition of the zero polynomial")
@@ -439,15 +436,11 @@ def yun_decomposition(f: UnivariatePoly) -> list[tuple[UnivariatePoly, int]]:
     if f.degree == 0:
         return []
     out = []
-    g = poly_gcd(f, f.derivative())
-    c = f // g
-    d = (f.derivative() // g) - c.derivative()
+    _, c, d = poly_gcd(f, f.derivative())
     for i in range(1, f.degree + 1):
-        p = poly_gcd(c, d)
+        p, c, d = poly_gcd(c, d - c.derivative())
         if p.degree > 0:
-            out.append((p.monic(), i))
-        c = c // p
-        d = (d // p) - c.derivative()
+            out.append((p, i))
         if c.degree == 0:
             return out
     raise UnisecantError(f"yun_decomposition: a factor is left after {f.degree} rounds")
@@ -489,8 +482,9 @@ def factor_over_q(f: UnivariatePoly) -> tuple[Fraction, list[tuple[UnivariatePol
 ROOT_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
-def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities, sorted ascending.
+def rational_roots(f: UnivariatePoly) -> tuple[list[tuple[Fraction, int]], UnivariatePoly]:
+    """(roots, rest): all rational roots with multiplicities, sorted ascending,
+    and what is left of f once they are divided out.
 
     Works on the primitive integer image F of f; the root 0 and its
     multiplicity are read off the valuation and divided out, leaving
@@ -505,7 +499,10 @@ def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
     b^n·F(a/b) = 0 (Gauss's lemma: b·x - a is primitive); the number of
     times it divides F is the multiplicity.  When G is the image itself,
     every rational root is simple (p divides no denominator, so a repeated
-    root would stay repeated mod p) and one division counts it.
+    root would stay repeated mod p) and one division counts it.  ``rest``
+    is F after those divisions, as a polynomial: primitive in Z[x], with no
+    rational root, and F = rest · prod (b·x - a)^m.  Its degree is 0 exactly
+    when f splits over Q.
 
     Completeness: a rational root a/b of G in lowest terms has a | G(0) and
     b | lc(G), so |a|, |b| <= B, and p does not divide b.  It therefore
@@ -528,7 +525,7 @@ def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
         found = _suited_prime(g, first_only=True)
         simple = found is not None
         if found is None:
-            g = primitive_part(list(squarefree_part(UnivariatePoly(image)).num))
+            g = primitive_part(list(squarefree_part(UnivariatePoly._from_ints(image)).num))
             found = _suited_prime(g)
         if found is None:
             raise UnisecantError("no prime in ROOT_PRIMES suits the rational-root search")
@@ -552,7 +549,7 @@ def rational_roots(f: UnivariatePoly) -> list[tuple[Fraction, int]]:
             if mult:
                 roots.append((x, mult))
     roots.sort(key=lambda t: t[0])
-    return roots
+    return roots, UnivariatePoly._from_ints(image)
 
 
 def _certified_irreducible(image: list[int]) -> bool:

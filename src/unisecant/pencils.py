@@ -349,7 +349,7 @@ def classify_singular_member(member: HomogeneousForm, point: ProjectivePoint | N
     if point is not None:
         germ = curve_germ(member, point)
         q, c = (UnivariatePoly([germ.num.get((i, n - i), 0) for i in range(n + 1)]) for n in (2, 3))
-        if germ.multiplicity() != 2 or (q.degree < 2 and c.degree < 3) or poly_gcd(q, c).degree:
+        if germ.multiplicity() != 2 or (q.degree < 2 and c.degree < 3) or poly_gcd(q, c)[0].degree:
             point = None  # not certified
     if point is None:
         points = rational_singular_points(member)
@@ -384,16 +384,10 @@ def member_singular_at(pencil: Pencil) -> PencilParameter:
         raise DomainError("base cubic is singular at the contact point")
     if all(x == 0 for x in grad_g):
         return PencilParameter(Fraction(1), Fraction(0), at_flex=True)
-    lam = None
-    for gg, gf in zip(grad_g, grad_f):
-        if gf != 0:
-            lam = gg / gf
-            break
-    if lam is None or any(gg != lam * gf for gg, gf in zip(grad_g, grad_f)):
+    if ProjectivePoint(*grad_g) != ProjectivePoint(*grad_f):
         raise UnisecantError("generator gradients are not proportional at the point")
-    if lam == 0:
-        raise UnisecantError("generator gradient vanished after normalization")
-    return PencilParameter(Fraction(1), -lam)
+    i = next(i for i, gf in enumerate(grad_f) if gf)
+    return PencilParameter(Fraction(1), -grad_g[i] / grad_f[i])
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +445,9 @@ class SingularMemberReport:
 def _split_over_q(f: UnivariatePoly) -> list[UnivariatePoly]:
     """The monic irreducible factors of a monic squarefree f over Q, in the
     order of ``factor_over_q``: by degree, then by ascending coefficients."""
-    linear = [UnivariatePoly([-r, 1]) for r, _ in reversed(rational_roots(f))]
-    rest = f
-    for p in linear:
-        rest //= p
+    roots, rest = rational_roots(f)
+    linear = [UnivariatePoly([-r, 1]) for r, _ in reversed(roots)]
+    rest = rest.monic()
     if rest.degree < 4:  # no rational root left, so irreducible
         return linear + ([rest] if rest.degree > 0 else [])
     _, factors = factor_over_q(rest)

@@ -184,7 +184,7 @@ def _shared_moves(f: BivariatePoly, mf: int, g: BivariatePoly, mg: int) -> list[
     """
     cone_f, vertical_f = _tangent_cone(f, mf)
     cone_g, vertical_g = _tangent_cone(g, mg)
-    h = poly_gcd(cone_f, cone_g)
+    h = poly_gcd(cone_f, cone_g)[0]
     slopes = []
     if h.degree > 0:
         _, factors = factor_over_q(h)
@@ -324,7 +324,7 @@ def _germ_intersection_resultant(fg: BivariatePoly, gg: BivariatePoly) -> int:
         g0 = UnivariatePoly._from_ints([col[0] for col in g2.columns()])
         if f0.is_zero() or g0.is_zero():
             continue
-        h = poly_gcd(f0, g0)
+        h = poly_gcd(f0, g0)[0]
         if not _is_monomial_in_y(h):
             continue
         res = resultant_y(f2, g2)
@@ -576,6 +576,8 @@ class CurveFamily:
     coeffs: dict[tuple[int, int, int], UnivariatePoly]
 
     def __post_init__(self):
+        if self.degree < 0:
+            raise DomainError(f"negative degree {self.degree}")
         for expo in self.coeffs:
             if sum(expo) != self.degree or min(expo) < 0:
                 raise DomainError(f"bad exponent triple {expo} for degree {self.degree}")

@@ -307,6 +307,19 @@ class TestVerificationAndErrors:
         assert code == 2 and out == ""
         assert bound in err
 
+    # The same faults as the form serialization's, which also exit 2.
+    @pytest.mark.parametrize("family", [
+        {"degree": 3, "coeffs": [[2, 2, 0, ["1"]], [3, 0, 0, ["0", "1"]]]},
+        {"degree": -1, "coeffs": []},
+        {"degree": 3, "coeffs": [[4, -1, 0, ["1"]], [3, 0, 0, ["0", "1"]]]},
+    ], ids=["exponents-off-degree", "negative-degree", "negative-exponent"])
+    def test_malformed_family_exit_2(self, capsys, tmp_path, family):
+        bad = tmp_path / "bad_family.json"
+        bad.write_text(json.dumps(family))
+        code, out, err = run_cli(capsys, "check-family", "--family", os.fspath(bad), "--t0", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed family file")
+
     # A curve X0 X2^2 - 4 X1^3 + X0^3, then 2 X0^3, and a family t X0^3, then
     # 5 X0^3: keeping the last value would change the curve or drop t.
     @pytest.mark.parametrize("argv, content", [

@@ -632,6 +632,18 @@ def _random_lines_and_conic(rng):
             return lines, conic
 
 
+class TestLiftFiber:
+    def test_complete_only_when_the_slice_gcd_splits_over_q(self):
+        identity = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        # Over X0 = 1 (chart X1 = 1): f has z = 1 and the pair z = ±√2, g has z = ±1.
+        f = H.linear(-1, 0, 1) * H(2, {(0, 0, 2): 1, (0, 2, 0): -2})
+        g = H.linear(-1, 0, 1) * H.linear(0, 1, 1)
+        assert elim._lift_fiber([f], identity, F(1)) == ([ProjectivePoint(1, 1, 1)], False)
+        assert elim._lift_fiber([g], identity, F(1)) == (
+            [ProjectivePoint(1, 1, -1), ProjectivePoint(1, 1, 1)], True)
+        assert elim._lift_fiber([f, g], identity, F(1)) == ([ProjectivePoint(1, 1, 1)], True)
+
+
 class TestSingularLocusCheck:
     """Irrational fibers are decided over Q by the check resultants."""
 

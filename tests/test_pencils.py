@@ -412,6 +412,13 @@ class TestMemberSingularAt:
         param = member_singular_at(pen)
         assert param.at_flex and param == PencilParameter(F(1), F(0))
 
+    def test_generator_gradients_not_proportional_raise(self):
+        # At (0:0:1), X1 X2^2 has the gradient (0, 1, 0) and X0 X2^2 (1, 0, 0).
+        g = HomogeneousForm(3, {(0, 1, 2): 1})
+        f = HomogeneousForm(3, {(1, 0, 2): 1})
+        with pytest.raises(UnisecantError, match="not proportional"):
+            member_singular_at(Pencil(g, f, ProjectivePoint(0, 0, 1)))
+
 
 class TestNonflexAccounting:
     @pytest.fixture(scope="module")
@@ -552,7 +559,7 @@ _linear = _rationals.map(lambda r: UnivariatePoly([-r, 1]))
 _rootless = st.one_of(
     st.lists(_rationals, min_size=2, max_size=2),
     st.lists(_rationals, min_size=3, max_size=3),
-).map(lambda cs: UnivariatePoly(cs + [1])).filter(lambda p: not rational_roots(p))
+).map(lambda cs: UnivariatePoly(cs + [1])).filter(lambda p: not rational_roots(p)[0])
 _eisenstein_quartic = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
                                 st.integers(-3, 3)).map(
     lambda t: UnivariatePoly([2 * (2 * t[0] + 1), 2 * t[1], 2 * t[2], 2 * t[3], 1]))

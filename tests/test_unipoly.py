@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from unisecant.errors import DomainError, UnisecantError
@@ -26,7 +26,9 @@ from unisecant.exactalg import (
     squarefree_part,
     yun_decomposition,
 )
-from unisecant.exactalg import unipoly
+from unisecant.exactalg import modp, unipoly
+from unisecant.exactalg.rationals import primitive_part
+from unisecant.exactalg.unipoly import _exact_quotient
 from conftest import count_calls
 
 P = UnivariatePoly
@@ -184,10 +186,11 @@ class TestSquarefree:
         assert squarefree_part(P((1, 0, 1))) == P((1, 0, 1))
 
     def test_gcd_that_does_not_divide_raises(self, monkeypatch):
-        # A named error, not an assert: python -O would strip an assert and
-        # return a wrong quotient.
-        monkeypatch.setattr(unipoly, "poly_gcd", lambda f, g: P((1, 1)))
-        with pytest.raises(UnisecantError, match="does not divide"):
+        # A wrong modular image never becomes a quotient: x + 1, the image
+        # at every prime, does not divide x^2 + 1, so no candidate is
+        # accepted and the prime budget runs out with a named error.
+        monkeypatch.setattr(modp, "gcd", lambda a, b, p: [1, 1])
+        with pytest.raises(UnisecantError, match="no gcd found within"):
             squarefree_part(P((1, 0, 1)))
 
     def test_yun_stops_after_deg_f_rounds_on_a_wrong_gcd(self, monkeypatch):
@@ -200,7 +203,7 @@ class TestSquarefree:
             calls.append(None)
             if len(calls) > 100:
                 raise RuntimeError("yun_decomposition did not stop")
-            return true_gcd(f, g) if len(calls) == 1 else P((1,))
+            return true_gcd(f, g) if len(calls) == 1 else (P((1,)), f, g)
 
         monkeypatch.setattr(unipoly, "poly_gcd", wrong_gcd)
         f = P((-1, 1)) ** 3 * P((2, 1))
@@ -215,14 +218,14 @@ class TestSquarefree:
 
     def test_rational_roots_with_multiplicity(self):
         f = P((-1, 1)) ** 2 * P((2, 1)) * P((1, 0, 1))
-        assert rational_roots(f) == [(F(-2), 1), (F(1), 2)]
+        assert rational_roots(f) == ([(F(-2), 1), (F(1), 2)], P((1, 0, 1)))
 
 
 class TestGcdAndExtension:
     def test_gcd_common_factor(self):
         f = P((-1, 1)) * P((1, 1))
         g = P((-1, 1)) * P((3, 1))
-        assert poly_gcd(f, g) == P((-1, 1))
+        assert poly_gcd(f, g) == (P((-1, 1)), P((1, 1)), P((3, 1)))
 
 
 X = sympy.Symbol("x")
@@ -238,6 +241,11 @@ def from_sympy(poly: sympy.Poly) -> P:
     return P([F(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
 
 
+def sympy_cofactors(f: P, g: P) -> tuple[P, P, P]:
+    """sympy's monic gcd over QQ and the two cofactors."""
+    return tuple(from_sympy(q) for q in sympy.cofactors(to_sympy(f), to_sympy(g)))
+
+
 nonzero_poly = st.lists(rational, min_size=1, max_size=5).map(P).filter(
     lambda p: not p.is_zero())
 big_poly = st.lists(st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**4)),
@@ -248,7 +256,7 @@ class TestSympyDifferential:
     @given(nonzero_poly, nonzero_poly, nonzero_poly)
     def test_gcd_matches_sympy(self, a, b, c):
         f, g = a * c, b * c
-        assert poly_gcd(f, g) == from_sympy(sympy.gcd(to_sympy(f), to_sympy(g))).monic()
+        assert poly_gcd(f, g) == sympy_cofactors(f, g)
 
     @given(nonzero_poly, nonzero_poly, st.integers(1, 3))
     def test_squarefree_part_matches_sympy(self, a, b, e):
@@ -258,7 +266,20 @@ class TestSympyDifferential:
     @given(big_poly, big_poly, big_poly)
     def test_gcd_matches_sympy_at_eliminant_size(self, a, b, c):
         f, g = a * c, b * c
-        assert poly_gcd(f, g) == from_sympy(sympy.gcd(to_sympy(f), to_sympy(g))).monic()
+        assert poly_gcd(f, g) == sympy_cofactors(f, g)
+
+    # Mostly coprime pairs, with zero and constant polynomials among them:
+    # the early exits of poly_gcd, each also given as an example.
+    @given(st.lists(rational, max_size=7).map(P), st.lists(rational, max_size=7).map(P))
+    @example(P(()), P(()))
+    @example(P(()), P((2, 4)))
+    @example(P((F(1, 2), 3)), P(()))
+    @example(P((3,)), P((1, 2, 3)))
+    @example(P((0, 1)), P((1, 1)))
+    def test_cofactors_on_zero_constant_and_coprime_inputs(self, f, g):
+        h, cf, cg = poly_gcd(f, g)
+        assert h * cf == f and h * cg == g
+        assert (h, cf, cg) == sympy_cofactors(f, g)
 
 
 # The primes poly_gcd draws first.  Inputs that agree modulo the first
@@ -271,12 +292,12 @@ class TestModularGcd:
     def test_unlucky_first_prime_coprime(self):
         # x and x + p have the gcd x mod p but are coprime over Q.
         p = GCD_PRIMES[0]
-        assert poly_gcd(P((0, 1)), P((p, 1))) == P((1,))
+        assert poly_gcd(P((0, 1)), P((p, 1)))[0] == P((1,))
 
     def test_unlucky_first_prime_with_common_factor(self):
         p = GCD_PRIMES[0]
         c = P((-1, 1)) * P((2, 3))
-        assert poly_gcd(c * P((0, 1)), c * P((p, 1))) == c.monic()
+        assert poly_gcd(c * P((0, 1)), c * P((p, 1)))[0] == c.monic()
 
     def test_unlucky_prime_after_a_lucky_one_is_passed_over(self):
         # The lift of x + B needs two primes.  Mod the second, x and x + q
@@ -284,7 +305,7 @@ class TestModularGcd:
         # completes the lift.
         q = GCD_PRIMES[1]
         c = P((2**100 + 7, 1))
-        assert poly_gcd(c * P((0, 1)), c * P((q, 1))) == c
+        assert poly_gcd(c * P((0, 1)), c * P((q, 1)))[0] == c
 
     @pytest.mark.parametrize("lc", [GCD_PRIMES[0], GCD_PRIMES[0] * GCD_PRIMES[1],
                                     GCD_PRIMES[0] ** 2 * GCD_PRIMES[1] * GCD_PRIMES[2]],
@@ -292,9 +313,9 @@ class TestModularGcd:
     def test_leading_coefficients_divisible_by_the_first_primes(self, lc):
         # Mod those primes the common factor lc*x + 1 drops to a constant.
         c = P((1, lc))
-        assert poly_gcd(c * P((2, 1)), c * P((3, 1))) == c.monic()
-        assert poly_gcd(c * P((2, 1)), P((3, 1))) == P((1,))
-        assert poly_gcd(c * c * P((5, 7)), c * P((0, 0, 1, GCD_PRIMES[1]))) == c.monic()
+        assert poly_gcd(c * P((2, 1)), c * P((3, 1)))[0] == c.monic()
+        assert poly_gcd(c * P((2, 1)), P((3, 1)))[0] == P((1,))
+        assert poly_gcd(c * c * P((5, 7)), c * P((0, 0, 1, GCD_PRIMES[1])))[0] == c.monic()
 
     @given(st.lists(st.tuples(st.sampled_from(GCD_PRIMES + [1]), st.integers(-9, 9)),
                     min_size=1, max_size=3),
@@ -304,7 +325,7 @@ class TestModularGcd:
         for lc, root in factors:
             c = c * P((root, lc))
         f, g = a * c, b * c
-        assert poly_gcd(f, g) == from_sympy(sympy.gcd(to_sympy(f), to_sympy(g))).monic()
+        assert poly_gcd(f, g) == sympy_cofactors(f, g)
 
     # 40 primes; in the inputs below one side has coefficients 0 and 1, so
     # the budget is 1 prime for the coefficient bound plus UNLUCKY_PRIMES.
@@ -370,7 +391,22 @@ class TestRationalRoots:
         f = with_roots(P((scale,)), roots) * P((0, 1)) ** zero_mult
         for q, m in irrationals:
             f = f * q**m
-        assert rational_roots(f) == sympy_rational_roots(f)
+        assert rational_roots(f)[0] == sympy_rational_roots(f)
+
+    @given(st.lists(st.tuples(root, st.integers(1, 3)), max_size=4),
+           st.lists(st.tuples(irrational, st.integers(1, 2)), max_size=2),
+           st.integers(0, 3), rational.filter(lambda c: c != 0))
+    def test_rest_is_the_image_without_its_rational_roots(self, roots, irrationals, zero_mult,
+                                                          scale):
+        f = with_roots(P((scale,)), roots) * P((0, 1)) ** zero_mult
+        for q, m in irrationals:
+            f = f * q**m
+        found, rest = rational_roots(f)
+        product = rest
+        for r, m in found:
+            product = product * P((-r.numerator, r.denominator)) ** m
+        assert (product.num, product.den) == (tuple(primitive_part(list(f.num))), 1)
+        assert rational_roots(rest)[0] == []
 
     @given(st.lists(st.integers(-10**12, 10**12), min_size=2, max_size=21).map(P).filter(
                lambda p: p.degree > 0),
@@ -378,7 +414,7 @@ class TestRationalRoots:
            st.sampled_from(FIRST_PRIMES))
     def test_matches_sympy_at_degree_25(self, g, roots, lc):
         f = with_roots(g * P((1, lc)), roots)
-        assert rational_roots(f) == sympy_rational_roots(f)
+        assert rational_roots(f)[0] == sympy_rational_roots(f)
 
     def test_exhausted_prime_list_raises(self, monkeypatch):
         monkeypatch.setattr(unipoly, "ROOT_PRIMES", (11, 13))
@@ -397,7 +433,7 @@ class TestRationalRoots:
 
         monkeypatch.setattr(unipoly, "ROOT_PRIMES", Recording(unipoly.ROOT_PRIMES))
         f = P((-1, 1)) ** 2 * P((2, 1))
-        assert rational_roots(f) == [(F(-2), 1), (F(1), 2)] == sympy_rational_roots(f)
+        assert rational_roots(f)[0] == [(F(-2), 1), (F(1), 2)] == sympy_rational_roots(f)
         # 11 shows the double root 1 mod 11; the squarefree part is suited by 11.
         assert tried == [11, 11]
 
@@ -406,15 +442,15 @@ class TestRationalRoots:
         # exact division counts each, with no failing division after it.
         divisions = count_calls(monkeypatch, "_exact_quotient", unipoly)
         f = P((-1, 1)) * P((2, 1)) * P((-3, 2)) * P((1, 0, 1))
-        assert rational_roots(f) == [(F(-2), 1), (F(1), 1), (F(3, 2), 1)]
+        assert rational_roots(f) == ([(F(-2), 1), (F(1), 1), (F(3, 2), 1)], P((1, 0, 1)))
         assert len(divisions) == 3
 
     def test_double_root_of_the_image_counts_two_through_the_squarefree_part(
             self, monkeypatch):
         sqf = count_calls(monkeypatch, "squarefree_part", unipoly)
         f = P((-3, 2)) ** 2 * P((5, 1)) * P((1, 0, 1)) * P((-1, 1)) ** 3
-        roots = rational_roots(f)
-        assert len(sqf) == 1
+        roots, rest = rational_roots(f)
+        assert len(sqf) == 1 and rest == P((1, 0, 1))
         assert roots == [(F(-5), 1), (F(1), 3), (F(3, 2), 2)] == sympy_rational_roots(f)
 
 
@@ -492,18 +528,18 @@ class TestIntegerRepresentation:
         value = to_sympy(f).eval(sympy.Rational(x.numerator, x.denominator))
         assert f.evaluate(x) == F(int(value.p), int(value.q))
 
-    @given(any_poly, nonzero_poly)
+    @given(nonzero_poly, nonzero_poly)
     def test_exact_quotient_and_monic_match_sympy(self, f, g):
-        q = (f * g) // g
-        assert_canonical(q)
-        assert q == f
-        sq, sr = sympy.div(to_sympy(f), to_sympy(g))
+        # The one division in Z[x], on primitive integer images: by Gauss's
+        # lemma g divides f over Q iff b divides a in Z[x].
+        a, b = (primitive_part(list(p.num)) for p in (f, g))
+        assert _exact_quotient(primitive_part(list((f * g).num)), b) == a
+        q = _exact_quotient(a, b)
+        sq, sr = sympy.div(to_sympy(P(a)), to_sympy(P(b)))
         if sr.is_zero:
-            assert_canonical(f // g)
-            assert f // g == from_sympy(sq)
+            assert all(type(v) is int for v in q) and P(q) == from_sympy(sq)
         else:
-            with pytest.raises(UnisecantError, match="does not divide"):
-                f // g
+            assert q is None
         assert g.monic() == from_sympy(to_sympy(g).monic())
         assert_canonical(g.monic())
 
