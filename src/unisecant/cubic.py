@@ -30,10 +30,11 @@ from .exactalg import (
     Mat3,
     ProjectivePoint,
     hessian,
+    integer_image,
     is_smooth_form,
     mat3,
+    mat3_adjugate,
     mat3_det,
-    mat3_inv,
     mat3_mul,
     mat3_transpose,
     mat3_vec,
@@ -98,9 +99,15 @@ class WeierstrassData:
         return weierstrass_normal_form(self.alpha, self.beta)
 
     def to_normal_point(self, p: ProjectivePoint) -> ProjectivePoint:
-        """Coordinates of an original-plane point on the normalized curve."""
-        inv = mat3_inv(mat3_transpose(self.transform))
-        return ProjectivePoint(*mat3_vec(inv, p.coords))
+        """Coordinates of an original-plane point on the normalized curve.
+
+        The adjugate of transform^T is det · (transform^T)^-1, and a
+        projective point ignores the scalar; on the integer images of the
+        transform and of p it runs on ``int``.
+        """
+        t, _ = integer_image(x for row in self.transform for x in row)
+        adj = mat3_adjugate(mat3_transpose((t[0:3], t[3:6], t[6:9])))
+        return ProjectivePoint(*mat3_vec(adj, integer_image(p.coords)[0]))
 
     def is_smooth(self) -> bool:
         return self.alpha**3 + 27 * self.beta**2 != 0
@@ -318,6 +325,18 @@ def point_order(w: WeierstrassData, p: AffineECPoint, bound: int) -> int | None:
             return n
         acc = ec_add(w, acc, p)
     return None
+
+
+def has_order_nine(w: WeierstrassData, p: AffineECPoint) -> bool:
+    """True iff P has exact order 9: [3]P != O and [9]P = O, in four additions.
+
+    2P, 3P = 2P + P, 6P = 3P + 3P and 9P = 6P + 3P.  [9]P = O means the
+    order divides 9, and [3]P != O rules out 1 and 3.
+    """
+    triple = ec_add(w, ec_add(w, p, p), p)
+    if triple.infinity:
+        return False
+    return ec_add(w, ec_add(w, triple, triple), triple).infinity
 
 
 # ---------------------------------------------------------------------------

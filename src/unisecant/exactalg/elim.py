@@ -34,6 +34,7 @@ certifies, reducible ones among them.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -136,10 +137,11 @@ def discriminant_along_pencil(g: HomogeneousForm, f: HomogeneousForm) -> Univari
     for k = 0..3, from four Hessians: J_0 = Hess f, J_3 = Hess g, and
     H+- = Hess(f +- g) = J_0 +- J_1 + J_2 +- J_3 give
     J_2 = (H+ + H-)/2 - J_0 and J_1 = (H+ - H-)/2 - J_3.  So S(u) = sum u^k S_k
-    and det S(u) has degree <= 12.  One common denominator D makes every
-    D*S_k integer, and 13 integer determinants at integer nodes give
-    det(D*S(u)) = D^6 det S(u) by interpolation: no division, no coordinate
-    change.
+    and det S(u) has degree <= 12.  The lcm D of the denominators of the 24
+    quadrics that make up the rows of S_0..S_3 makes every D*S_k integer, and
+    its entries are read off their integer numerators, with no ``Fraction``.
+    13 integer determinants at integer nodes give det(D*S(u)) = D^6 det S(u)
+    by interpolation: no division, no coordinate change.
     """
     if any(h.degree != 3 for h in (g, f)):
         raise DomainError("discriminant_along_pencil expects two cubics")
@@ -147,11 +149,13 @@ def discriminant_along_pencil(g: HomogeneousForm, f: HomogeneousForm) -> Univari
     half = Fraction(1, 2)
     jacobians = [j0, (plus - minus).scale(half) - j3, (plus + minus).scale(half) - j0, j3]
     zero = (HomogeneousForm.zero(2),) * 3
-    parts = [_sylvester_rows(grads, j)
+    # forms[k][i] is row i of S_k as a quadric
+    forms = [(*grads, *j.gradient())
              for grads, j in zip((f.gradient(), g.gradient(), zero, zero), jacobians)]
-    ints, den = integer_image(x for rows in parts for row in rows for x in row)
+    den = math.lcm(*(q.den for s_k in forms for q in s_k))
     # entries[i][j] lists (D*S_k)[i][j] for k = 0..3
-    entries = [[ints[6 * i + j::36] for j in range(6)] for i in range(6)]
+    entries = [[[s_k[i].num.get(m, 0) * (den // s_k[i].den) for s_k in forms]
+                for m in _QUADRIC_MONOMIALS] for i in range(6)]
     values = [(u, bareiss_det_int([[((c3 * u + c2) * u + c1) * u + c0 for c0, c1, c2, c3 in row]
                                    for row in entries]))
               for u in islice(integer_nodes(), 13)]

@@ -74,28 +74,18 @@ def mat3_det(a: Mat3) -> Fraction:
     )
 
 
+def mat3_adjugate(a: Mat3) -> Mat3:
+    """The transposed cofactor matrix: a · adj(a) = det(a) · I over any ring."""
+    return tuple(tuple(a[(j + 1) % 3][(i + 1) % 3] * a[(j + 2) % 3][(i + 2) % 3]
+                       - a[(j + 1) % 3][(i + 2) % 3] * a[(j + 2) % 3][(i + 1) % 3]
+                       for j in range(3)) for i in range(3))
+
+
 def mat3_inv(a: Mat3) -> Mat3:
     d = mat3_det(a)
     if d == 0:
         raise DomainError("matrix is singular")
-    cof = [
-        [
-            a[1][1] * a[2][2] - a[1][2] * a[2][1],
-            -(a[1][0] * a[2][2] - a[1][2] * a[2][0]),
-            a[1][0] * a[2][1] - a[1][1] * a[2][0],
-        ],
-        [
-            -(a[0][1] * a[2][2] - a[0][2] * a[2][1]),
-            a[0][0] * a[2][2] - a[0][2] * a[2][0],
-            -(a[0][0] * a[2][1] - a[0][1] * a[2][0]),
-        ],
-        [
-            a[0][1] * a[1][2] - a[0][2] * a[1][1],
-            -(a[0][0] * a[1][2] - a[0][2] * a[1][0]),
-            a[0][0] * a[1][1] - a[0][1] * a[1][0],
-        ],
-    ]
-    return tuple(tuple(cof[j][i] / d for j in range(3)) for i in range(3))
+    return tuple(tuple(x / d for x in row) for row in mat3_adjugate(a))
 
 
 def bareiss_det_int(m: list[list[int]]) -> int:

@@ -298,12 +298,16 @@ def _is_prime(n: int) -> bool:
 
 
 def _exact_quotient(a: list[int], c: list[int]) -> list[int] | None:
-    """a / c in Z[x] (ascending coefficients, c nonzero), or None if c does not divide a.
+    """a / c in Z[x], or None if c does not divide a.
 
-    Long division from the top that stops at the first inexact step, so a
-    wrong divisor usually costs one or two integer divisions.  Each quotient
+    Both are ascending coefficient lists without trailing zeros: a may be
+    the zero polynomial [] (its quotient is []), c must be nonzero.  Long
+    division from the top that stops at the first inexact step, so a wrong
+    divisor usually costs one or two integer divisions.  Each quotient
     digit t takes t·c[n-k] off the k-th coefficient below the current one.
     """
+    if not a:
+        return []
     if c[0] and a[0] % c[0]:
         return None
     r, lc, n = list(a), c[-1], len(c) - 1
@@ -502,7 +506,8 @@ def rational_roots(f: UnivariatePoly) -> tuple[list[tuple[Fraction, int]], Univa
     root would stay repeated mod p) and one division counts it.  ``rest``
     is F after those divisions, as a polynomial: primitive in Z[x], with no
     rational root, and F = rest · prod (b·x - a)^m.  Its degree is 0 exactly
-    when f splits over Q.
+    when f splits over Q.  A linear G = a1·x + a0 needs no prime: its root
+    is -a0/a1 and ``rest`` is the sign of a1.
 
     Completeness: a rational root a/b of G in lowest terms has a | G(0) and
     b | lc(G), so |a|, |b| <= B, and p does not divide b.  It therefore
@@ -520,7 +525,10 @@ def rational_roots(f: UnivariatePoly) -> tuple[list[tuple[Fraction, int]], Univa
     v = f.valuation()
     image = primitive_part(list(f.num))[v:]
     roots = [(Fraction(0), v)] if v else []
-    if len(image) > 1:
+    if len(image) == 2:  # a1·x + a0 with gcd(a0, a1) = 1: the root -a0/a1, rest ±1
+        roots.append((Fraction(-image[0], image[1]), 1))
+        image = [1 if image[1] > 0 else -1]
+    elif len(image) > 1:
         g = image
         found = _suited_prime(g, first_only=True)
         simple = found is not None

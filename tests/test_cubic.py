@@ -28,6 +28,7 @@ from unisecant.cubic import (
     ec_scalar_mul,
     flexes,
     general_weierstrass_cubic,
+    has_order_nine,
     hessian,
     is_flex,
     is_smooth_cubic,
@@ -36,6 +37,7 @@ from unisecant.cubic import (
     kubert_z9_curve,
     normalized_curve_with_point,
     point_order,
+    tate_normal_cubic,
     weierstrass_at_flex,
     weierstrass_normal_form,
 )
@@ -324,6 +326,33 @@ class TestTorsionFamilies:
         form, p = kubert_z6_curve(1)
         w, ec = normalized_curve_with_point(form, p)
         assert point_order(w, ec, 12) == 6
+
+    def test_four_additions_decide_order_nine_as_point_order_does(self):
+        # The multiples [n]P, n < 12, of the marked point on Kubert curves
+        # with P of order 9 (two parameters), 6, 7, 8, 10 and 12 reach every
+        # torsion order 1-10 and 12; add the 2-torsion point of y^2 = 4x^3 - 4x
+        # and the rank-1 point (1, 2) of y^2 = 4x^3 - 4x + 4 with its multiples.
+        t = F(2)
+        m = (3 * t - 3 * t * t - 1) / (t - 1)
+        f, d = m / (1 - t), m + t
+        d10 = t * t / (t - (t - 1) ** 2)
+        curves = [kubert_z9_curve(2), kubert_z9_curve(3), kubert_z6_curve(1),
+                  tate_normal_cubic(t**3 - t**2, t**2 - t),
+                  tate_normal_cubic((2 * t - 1) * (t - 1), (2 * t - 1) * (t - 1) / t),
+                  tate_normal_cubic((t * d10 - t) * d10, t * d10 - t),
+                  tate_normal_cubic((f * d - f) * d, f * d - f)]
+        cases = []
+        for form, p in curves:
+            w, ec = normalized_curve_with_point(form, p)
+            cases += [(w, ec_scalar_mul(w, n, ec)) for n in range(12)]
+        w2 = weierstrass_at_flex(weierstrass_normal_form(-4, 0), ProjectivePoint(0, 0, 1))
+        w_rank = weierstrass_at_flex(weierstrass_normal_form(-4, 4), ProjectivePoint(0, 0, 1))
+        cases.append((w2, AffineECPoint(0, 0)))
+        cases += [(w_rank, ec_scalar_mul(w_rank, n, AffineECPoint(1, 2))) for n in (1, 2, 9)]
+        orders = [point_order(w, p, 12) for w, p in cases]
+        assert set(orders) == {None, *range(1, 11), 12}
+        for (w, p), order in zip(cases, orders):
+            assert has_order_nine(w, p) == (order == 9), (p, order)
 
     def test_realized_minimal_levels(self):
         # A point of group order n first carries a contact divisor at level

@@ -460,8 +460,13 @@ class TestNonflexAccounting:
 
     def test_wrong_order_rejected(self):
         form6, p6 = kubert_z6_curve(1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="got order 6"):
             nonflex_fiber_accounting(form6, p6)
+
+    def test_non_torsion_point_rejected(self):
+        # (1, 2) on y^2 = 4x^3 - 4x + 4 has infinite order.
+        with pytest.raises(DomainError, match="got order infinite"):
+            nonflex_fiber_accounting(weierstrass_normal_form(-4, 4), P(1, 1, 2))
 
 
 class TestUnisecantCount:

@@ -1,4 +1,4 @@
-"""Rational scaffolding: the fraction-free nullspace against sympy's rref."""
+"""Rational scaffolding: the fraction-free nullspace against sympy's rref, the 3x3 adjugate."""
 
 from fractions import Fraction as F
 
@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from unisecant.exactalg import integer_image, nullspace, rank
+from unisecant.exactalg import integer_image, mat3, mat3_adjugate, nullspace, rank
 
 entry = st.one_of(st.just(F(0)), st.builds(F, st.integers(-9, 9), st.integers(1, 6)))
 
@@ -66,3 +66,13 @@ class TestIntegerImage:
         ints, den = integer_image(values)
         assert den > 0 and [F(n, den) for n in ints] == values
         assert sympy.gcd_list([den, *ints]) == 1
+
+
+class TestAdjugate:
+    @given(st.lists(entry, min_size=9, max_size=9))
+    def test_matches_sympy(self, xs):
+        # Singular matrices included: the adjugate needs no inverse.
+        adj = sympy.Matrix(3, 3, [sympy.Rational(x.numerator, x.denominator)
+                                  for x in xs]).adjugate()
+        assert mat3_adjugate(mat3([xs[0:3], xs[3:6], xs[6:9]])) == tuple(
+            tuple(F(int(adj[i, j].p), int(adj[i, j].q)) for j in range(3)) for i in range(3))

@@ -417,9 +417,26 @@ class TestRationalRoots:
         assert rational_roots(f)[0] == sympy_rational_roots(f)
 
     def test_exhausted_prime_list_raises(self, monkeypatch):
+        # Quadratic: a linear image needs no prime, so it cannot exhaust the list.
         monkeypatch.setattr(unipoly, "ROOT_PRIMES", (11, 13))
         with pytest.raises(UnisecantError, match="no prime"):
-            rational_roots(P((-1, 143)))
+            rational_roots(P((-1, 0, 143)))
+
+    @given(st.integers(-10**30, 10**30).filter(bool), st.integers(1, 10**30),
+           st.sampled_from([1, -1, math.prod(unipoly.ROOT_PRIMES)]),
+           rational.filter(bool), st.integers(0, 2))
+    @example(1, 1, math.prod(unipoly.ROOT_PRIMES), F(1), 0)
+    def test_linear_input_needs_no_prime(self, a0, a1, lead, scale, zero_mult):
+        # A leading coefficient divisible by every prime of ROOT_PRIMES would
+        # leave no suited prime; the linear image is solved without one.
+        f = P((a0, a1 * lead)).scale(scale) * P((0, 1)) ** zero_mult
+        roots, rest = rational_roots(f)
+        assert roots == sympy_rational_roots(f)
+        assert rest in (P((1,)), P((-1,)))
+        product = rest
+        for r, m in roots:
+            product = product * P((-r.numerator, r.denominator)) ** m
+        assert product.num == tuple(primitive_part(list(f.num)))
 
     def test_repeated_root_switches_to_the_squarefree_part_at_the_first_prime(
             self, monkeypatch):
@@ -542,6 +559,11 @@ class TestIntegerRepresentation:
             assert q is None
         assert g.monic() == from_sympy(to_sympy(g).monic())
         assert_canonical(g.monic())
+
+    @pytest.mark.parametrize("c", [[1, 1], [0, 1], [5], [-3, 0, 2]])
+    def test_exact_quotient_of_zero_is_zero(self, c):
+        # The zero dividend has no constant term to test against c[0].
+        assert _exact_quotient([], c) == []
 
     @given(any_poly, rational.filter(lambda c: c != 0))
     def test_equal_values_have_equal_images(self, f, c):
