@@ -20,7 +20,7 @@ order is recomputed by scalar multiplication with some rational flex as the
 origin); any failure aborts the run.
 
 A handler imports the geometry it uses when its subcommand is dispatched,
-so ``nk`` and ``torsion`` start without ``exactalg`` and sympy.
+so ``nk``, ``torsion`` and ``bounds`` start without ``exactalg`` and sympy.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError, InputError, UnisecantError
 from .kontsevich import nk_table
-from .torsion import contact_count, enumerate_contact_classes, level_census
+from .torsion import (ambient_genus_bound, contact_count, enumerate_contact_classes,
+                      finiteness_certificate, genus_bound, level_census)
 
 if TYPE_CHECKING:
     from .exactalg import HomogeneousForm, IntersectionData, ProjectivePoint
@@ -286,12 +287,9 @@ def _cmd_unisecant(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from .exactalg import rational_to_string
-    from .singular import ambient_genus_bound, finiteness_certificate, genus_bound
-
-    out = {
-        "contact_bound": rational_to_string(genus_bound(args.deg_c, args.deg_a)),
-        "ambient_bound": rational_to_string(ambient_genus_bound(args.deg_a)),
+    out = {  # str(Fraction) is "n" or "n/d" in lowest terms, as rational_to_string
+        "contact_bound": str(genus_bound(args.deg_c, args.deg_a)),
+        "ambient_bound": str(ambient_genus_bound(args.deg_a)),
     }
     if args.certificate:
         try:  # a wrong number of parts or a non-integer part

@@ -284,6 +284,12 @@ def ec_add(w: WeierstrassData, p: AffineECPoint, q: AffineECPoint) -> AffineECPo
     """
     _require_on_curve(w, p)
     _require_on_curve(w, q)
+    return _add(w, p, q)
+
+
+def _add(w: WeierstrassData, p: AffineECPoint, q: AffineECPoint) -> AffineECPoint:
+    """``ec_add`` unchecked: sums of points on the curve stay on it, so each
+    public entry checks its input once and chains its additions through this."""
     if p.infinity:
         return q
     if q.infinity:
@@ -303,13 +309,13 @@ def ec_scalar_mul(w: WeierstrassData, n: int, p: AffineECPoint) -> AffineECPoint
     """n-fold sum by double-and-add; negative n negates."""
     _require_on_curve(w, p)
     if n < 0:
-        return ec_scalar_mul(w, -n, p.negate())
+        n, p = -n, p.negate()
     acc = AffineECPoint.origin()
     base = p
     while n:
         if n & 1:
-            acc = ec_add(w, acc, base)
-        base = ec_add(w, base, base)
+            acc = _add(w, acc, base)
+        base = _add(w, base, base)
         n >>= 1
     return acc
 
@@ -323,7 +329,7 @@ def point_order(w: WeierstrassData, p: AffineECPoint, bound: int) -> int | None:
     for n in range(1, bound + 1):
         if acc.infinity:
             return n
-        acc = ec_add(w, acc, p)
+        acc = _add(w, acc, p)
     return None
 
 
@@ -333,10 +339,11 @@ def has_order_nine(w: WeierstrassData, p: AffineECPoint) -> bool:
     2P, 3P = 2P + P, 6P = 3P + 3P and 9P = 6P + 3P.  [9]P = O means the
     order divides 9, and [3]P != O rules out 1 and 3.
     """
-    triple = ec_add(w, ec_add(w, p, p), p)
+    _require_on_curve(w, p)
+    triple = _add(w, _add(w, p, p), p)
     if triple.infinity:
         return False
-    return ec_add(w, ec_add(w, triple, triple), triple).infinity
+    return _add(w, _add(w, triple, triple), triple).infinity
 
 
 # ---------------------------------------------------------------------------

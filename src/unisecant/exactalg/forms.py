@@ -18,6 +18,7 @@ Serialization is bit-exact: coefficients in canonical monomial order
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import accumulate
 
@@ -29,9 +30,11 @@ from .rationals import (
     mat3_det,
     rational_from_string,
     rational_to_string,
+    unpack,
 )
 
 Triple = tuple[int, int, int]
+_IDENTITY = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 class HomogeneousForm(IntegerImage):
@@ -165,34 +168,37 @@ class HomogeneousForm(IntegerImage):
         right group action: substitute(f, M @ N) = substitute(substitute(f, N), M).
 
         Runs on ``int``: f(m x) = (num f)(D m x) / (den * D^degree) for the
-        common denominator D of m's entries.  By Horner's rule, with L_j the
-        image of X_j: f = sum_a X0^a G_a(X1, X2) in L0 outside and each G_a in
-        L1 inside, over the powers of L2; each step multiplies by one linear
-        form, O(d^4) products for degree d against O(d^6) monomial by monomial.
+        common denominator D of m's entries, by Kronecker substitution (von
+        zur Gathen & Gerhard, *Modern Computer Algebra*, 8.4; Harvey, J.
+        Symbolic Comput. 44, 2009).  The result g has known degree d, so it
+        is fixed by g(1, X1, X2), whose monomial X1^b X2^c (b + c <= d) is
+        sent to slot b + (d+1) c by X1 -> 2^k, X2 -> 2^(k(d+1)).  Each image
+        L_j of X_j is then one int, and g is sum num[e] L0^a L1^b L2^c over
+        the terms of f, with the powers of each L_j taken once: the cost
+        grows with the number of terms, and CPython's big-integer product
+        does the polynomial arithmetic.  Each coefficient of g is at most
+        sum |num| * (max_j ||L_j||_1)^d in absolute value, so with k one bit
+        above that bound's length the balanced digits (``unpack``) are the
+        coefficients.
         """
         if [len(row) for row in m] != [3, 3, 3]:
             raise DomainError("expected a 3x3 matrix")
-        flat, dm = integer_image(x for row in m for x in row)
-        if dm == 1 and flat == [1, 0, 0, 0, 1, 0, 0, 0, 1]:
+        if [tuple(row) for row in m] == _IDENTITY:
             return self  # forms are immutable
+        flat, dm = integer_image(x for row in m for x in row)
         if mat3_det([flat[0:3], flat[3:6], flat[6:9]]) == 0:
             raise DomainError("substitution matrix is singular")
-        d, w = self.degree, self.degree + 1  # X0^a X1^b X2^c is keyed a * w + b
-        l0, l1, l2 = ([(s, v) for s, v in zip((w, 1, 0), flat[j::3]) if v] for j in range(3))
-        powers2 = list(accumulate([l2] * d, _times_linear, initial={0: 1}))
-        out: dict[int, int] = {}
-        for a in range(d, -1, -1):
-            out = _times_linear(out, l0)
-            inner: dict[int, int] = {}
-            for b in range(d - a, -1, -1):
-                inner = _times_linear(inner, l1)
-                k = self.num.get((a, b, d - a - b))
-                if k:
-                    for e, v in powers2[d - a - b].items():
-                        inner[e] = inner.get(e, 0) + k * v
-            for e, v in inner.items():
-                out[e] = out.get(e, 0) + v
-        num = {(e // w, e % w, d - e // w - e % w): v for e, v in out.items()}
+        d, w = self.degree, self.degree + 1
+        norm = max(abs(flat[j]) + abs(flat[j + 3]) + abs(flat[j + 6]) for j in range(3))
+        k = max((sum(map(abs, self.num.values())) * norm**d).bit_length(), 1) + 1
+        images = (flat[j] + (flat[j + 3] << k) + (flat[j + 6] << k * w) for j in range(3))
+        p0, p1, p2 = (list(accumulate([x] * d, operator.mul, initial=1)) for x in images)
+        total = sum(v * p0[a] * p1[b] * p2[c] for (a, b, c), v in self.num.items())
+        num = {}
+        for slot, v in enumerate(unpack(total, k)):
+            if v:
+                c, b = divmod(slot, w)
+                num[(d - b - c, b, c)] = v
         return HomogeneousForm._from_ints(d, num, self.den * dm ** d)
 
     def to_json_dict(self) -> dict:
@@ -216,15 +222,6 @@ class HomogeneousForm(IntegerImage):
             return cls(degree, coeffs)
         except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise InputError(f"malformed form serialization: {exc}") from exc
-
-
-def _times_linear(p: dict[int, int], line: list[tuple[int, int]]) -> dict[int, int]:
-    """p times a linear form given as (key shift, coefficient) pairs."""
-    out: dict[int, int] = {}
-    for k, v in p.items():
-        for s, c in line:
-            out[k + s] = out.get(k + s, 0) + v * c
-    return out
 
 
 def hessian(f: HomogeneousForm) -> HomogeneousForm:

@@ -7,8 +7,10 @@ the linear algebra runs on ``int``; ``IntegerImage`` is that storage for
 the sparse polynomial types.  This module adds the serialization
 convention ("num/den" in lowest terms, plain "num" for integers), small
 dense 3x3 matrix helpers for projective coordinate changes, a fraction-free
-Bareiss determinant, and a fraction-free nullspace solver used by the
-contact-system machinery.
+Bareiss determinant, a fraction-free nullspace solver used by the
+contact-system machinery, and Kronecker packing (``pack``/``unpack``):
+integer coefficient lists as one ``int``, so that CPython's big-integer
+product does the work of a polynomial product.
 """
 
 from __future__ import annotations
@@ -79,13 +81,6 @@ def mat3_adjugate(a: Mat3) -> Mat3:
     return tuple(tuple(a[(j + 1) % 3][(i + 1) % 3] * a[(j + 2) % 3][(i + 2) % 3]
                        - a[(j + 1) % 3][(i + 2) % 3] * a[(j + 2) % 3][(i + 1) % 3]
                        for j in range(3)) for i in range(3))
-
-
-def mat3_inv(a: Mat3) -> Mat3:
-    d = mat3_det(a)
-    if d == 0:
-        raise DomainError("matrix is singular")
-    return tuple(tuple(x / d for x in row) for row in mat3_adjugate(a))
 
 
 def bareiss_det_int(m: list[list[int]]) -> int:
@@ -213,3 +208,31 @@ def primitive_part(ints: list[int]) -> list[int]:
     """The integer list divided by the gcd of its entries (as it is when that is 0 or 1)."""
     g = math.gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
+
+
+def pack(coeffs, k: int) -> int:
+    """The int sum coeffs[i] 2^(k i): a coefficient list evaluated at x = 2^k."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << k) + c
+    return v
+
+
+def unpack(v: int, k: int) -> list[int]:
+    """The balanced base-2^k digits of v, lowest first, without trailing zeros.
+
+    v = sum d_i 2^(k i) with -2^(k-1) <= d_i < 2^(k-1).  This inverts
+    ``pack`` (Kronecker substitution: von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, 8.4) whenever every coefficient packed lies in that
+    range; a caller takes k from a bound on its coefficients.  k >= 2: the
+    digits -1 and 0 of k = 1 reach no positive int.
+    """
+    if k < 2:
+        raise DomainError("balanced digits need k >= 2")
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while v:
+        d = ((v + half) & mask) - half
+        out.append(d)
+        v = (v - d) >> k
+    return out

@@ -13,10 +13,9 @@ companion curve
 
     D . F = Dtilde . F_r + sum mu_j delta_j,
 
-weak-type (required multiplicity) checks along a resolution tree, the
-derivative test for equisingular one-parameter families, and the genus
-bound / self-intersection certificates that turn unisecant-finiteness
-claims into checkable inequalities on concrete curve data.
+weak-type (required multiplicity) checks along a resolution tree, and the
+derivative test for equisingular one-parameter families.  The genus bounds
+and the finiteness certificate, plain arithmetic, live in ``torsion``.
 
 All singular points handled here must be rational; an irrational singular
 point raises an explicit unsupported-field error rather than producing a
@@ -46,10 +45,11 @@ from .exactalg import (
     factor_over_q,
     form_factorization,
     is_reduced_form,
+    pack,
     plane_intersection,
     poly_gcd,
     rational_singular_points,
-    resultant_y,
+    resultant,
 )
 
 MAX_RESOLUTION_DEPTH = 64
@@ -314,23 +314,40 @@ def _germ_intersection_resultant(fg: BivariatePoly, gg: BivariatePoly) -> int:
     mass escapes to y-infinity), and the origin is the only common zero on
     the line x = 0.  Then the order of the resultant at x = 0 is exactly
     the local intersection number.
+
+    The order is read from one integer resultant, not from the whole
+    eliminant (``resultant_y``, nodes and interpolation).  With constant
+    leading y-coefficients, res_y(F, G) at x = 2^k is the resultant of F
+    and G with each y-coefficient packed at x = 2^k (``pack``; F and G are
+    the integer images ``num``, of y-degrees m and n).  The product of the
+    Sylvester row sums, B = (sum_j ||F_j||_1)^n (sum_j ||G_j||_1)^m, bounds
+    every coefficient r_i of res_y(F, G), so with k the length of B,
+    |r_i| < 2^k.  If r_i is the lowest nonzero one, the value is
+    2^(ki) (r_i + 2^k s) with v_2(r_i) < k: it is not 0, and
+    v_2(value) // k = i.  A value of 0 therefore means res_y = 0, a shared
+    component.
     """
     for change in _origin_changes():
         f2 = fg.linear_change(*change)
         g2 = gg.linear_change(*change)
         if f2.degree_y() != f2.total_degree() or g2.degree_y() != g2.total_degree():
             continue
-        f0 = UnivariatePoly._from_ints([col[0] for col in f2.columns()])
-        g0 = UnivariatePoly._from_ints([col[0] for col in g2.columns()])
+        fcols, gcols = f2.columns(), g2.columns()
+        f0 = UnivariatePoly._from_ints([col[0] for col in fcols])
+        g0 = UnivariatePoly._from_ints([col[0] for col in gcols])
         if f0.is_zero() or g0.is_zero():
             continue
         h = poly_gcd(f0, g0)[0]
         if not _is_monomial_in_y(h):
             continue
-        res = resultant_y(f2, g2)
-        if res.is_zero():
+        bound = (sum(map(abs, f2.num.values())) ** (len(gcols) - 1)
+                 * sum(map(abs, g2.num.values())) ** (len(fcols) - 1))
+        k = bound.bit_length()
+        value = resultant(UnivariatePoly._from_ints([pack(col, k) for col in fcols]),
+                          UnivariatePoly._from_ints([pack(col, k) for col in gcols])).numerator
+        if value == 0:
             raise CommonComponentError("germs share a component")
-        return res.valuation()
+        return ((value & -value).bit_length() - 1) // k
     raise UnisecantError("no good position found for the local intersection")
 
 
@@ -643,37 +660,3 @@ def family_derivative_check(fam: CurveFamily, t0, *, samples: int = 5) -> bool:
     required = [(pr.point, mu_minus_one(pr.tree))
                 for pr in profile.points if pr.tree is not None]
     return weak_type_check(deriv, required, profile)
-
-
-# ---------------------------------------------------------------------------
-# Bounds and certificates
-# ---------------------------------------------------------------------------
-
-def genus_bound(deg_c: int, deg_a: int) -> Fraction:
-    """Genus threshold (deg_c - 3) deg_a / 2 + 1 for unisecant finiteness
-    in the plane (canonical class -3 times a line).
-
-    Curves of genus strictly below the bound meeting a smooth degree-deg_c
-    curve at a single moving point form a finite set; for deg_c = 3 the
-    bound is 1, i.e. exactly the rational curves qualify.
-    """
-    if deg_c < 1 or deg_a < 1:
-        raise DomainError("degrees must be >= 1")
-    return Fraction(deg_c - 3) * deg_a / 2 + 1
-
-
-def ambient_genus_bound(deg_a: int) -> Fraction:
-    """The coarser plane bound -3 deg_a / 2 + 1 (no auxiliary curve)."""
-    if deg_a < 1:
-        raise DomainError("degree must be >= 1")
-    return 1 - Fraction(3 * deg_a, 2)
-
-
-def finiteness_certificate(a_sq: int, sum_mu: int, a_dot_c: int) -> bool:
-    """Evaluate A^2 >= sum mu(mu-1) + A.C on concrete curve data.
-
-    A False verdict certifies that no equisingular family with these
-    invariants can meet the fixed curve at a single moving point — the
-    inequality every such family must satisfy fails.
-    """
-    return a_sq >= sum_mu + a_dot_c

@@ -17,11 +17,16 @@ degree-k unisecant curve that is not a lower-degree curve in disguise;
 their count has the closed form 9k^2 * prod_{p | k} (1 - p^-2) by Moebius
 inversion, and every closed form here is cross-checkable against brute
 force over the grid.
+
+The genus bounds and the self-intersection certificate, which turn
+unisecant-finiteness claims into checkable inequalities, are plain
+arithmetic too and live here, so ``unisec bounds`` starts without sympy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
@@ -149,3 +154,37 @@ def level_census(k: int) -> dict[int, int]:
     for _, lvl in enumerate_contact_classes(k):
         census[lvl] = census.get(lvl, 0) + 1
     return dict(sorted(census.items()))
+
+
+# ---------------------------------------------------------------------------
+# Bounds and certificates
+# ---------------------------------------------------------------------------
+
+def genus_bound(deg_c: int, deg_a: int) -> Fraction:
+    """Genus threshold (deg_c - 3) deg_a / 2 + 1 for unisecant finiteness
+    in the plane (canonical class -3 times a line).
+
+    Curves of genus strictly below the bound meeting a smooth degree-deg_c
+    curve at a single moving point form a finite set; for deg_c = 3 the
+    bound is 1, i.e. exactly the rational curves qualify.
+    """
+    if deg_c < 1 or deg_a < 1:
+        raise DomainError("degrees must be >= 1")
+    return Fraction(deg_c - 3) * deg_a / 2 + 1
+
+
+def ambient_genus_bound(deg_a: int) -> Fraction:
+    """The coarser plane bound -3 deg_a / 2 + 1 (no auxiliary curve)."""
+    if deg_a < 1:
+        raise DomainError("degree must be >= 1")
+    return 1 - Fraction(3 * deg_a, 2)
+
+
+def finiteness_certificate(a_sq: int, sum_mu: int, a_dot_c: int) -> bool:
+    """Evaluate A^2 >= sum mu(mu-1) + A.C on concrete curve data.
+
+    A False verdict certifies that no equisingular family with these
+    invariants can meet the fixed curve at a single moving point — the
+    inequality every such family must satisfy fails.
+    """
+    return a_sq >= sum_mu + a_dot_c

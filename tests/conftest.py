@@ -4,7 +4,8 @@ import os
 import pytest
 from hypothesis import settings
 
-from unisecant.exactalg import HomogeneousForm
+from unisecant.exactalg import (HomogeneousForm, ProjectivePoint, mat3_adjugate, mat3_transpose,
+                                 mat3_vec)
 
 # Property tests must be reproducible run to run.  HYPOTHESIS_PROFILE=ci
 # runs five times the default number of examples of every property test,
@@ -33,6 +34,16 @@ def count_calls(monkeypatch, name: str, *modules) -> list:
 
         monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def moved_point(m, coords) -> ProjectivePoint:
+    """Where ``substitute(f, m)`` carries a point of f: the q with m^T q ~ coords.
+
+    A projective point ignores a nonzero scalar, so the adjugate of m^T
+    (det m times its inverse) stands in for the inverse; m must be
+    invertible.
+    """
+    return ProjectivePoint(*mat3_vec(mat3_adjugate(mat3_transpose(m)), coords))
 
 
 def load_form(name: str) -> HomogeneousForm:

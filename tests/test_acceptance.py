@@ -23,6 +23,8 @@ from unisecant.torsion import (
     primitive_contact_count,
     primitive_contact_count_bruteforce,
     _divisors,
+    finiteness_certificate,
+    genus_bound,
 )
 from unisecant.cubic import (
     AffineECPoint,
@@ -42,8 +44,6 @@ from unisecant.singular import (
     bezout_check,
     blowup_intersection_identity,
     family_derivative_check,
-    finiteness_certificate,
-    genus_bound,
     geometric_genus,
 )
 from unisecant.pencils import (

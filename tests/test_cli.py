@@ -61,8 +61,9 @@ class TestTorsion:
 
 
 class TestColdStart:
-    # Run in a fresh interpreter: the counts print what the README shows
-    # without loading the exact-algebra layer or sympy.
+    # Run in a fresh interpreter: the counts print what the README shows,
+    # and the bounds their fractions, without loading the exact-algebra
+    # layer or sympy.
     SCRIPT = ("import json, sys\n"
               "from unisecant.cli import main\n"
               "code = main(sys.argv[1:])\n"
@@ -75,7 +76,10 @@ class TestColdStart:
         (["nk", "--max", "4"], {"entries": [["1", "1"], ["2", "1"], ["3", "12"], ["4", "620"]]}),
         (["torsion", "--k", "2"], {"k": "2", "total": "36", "by_level": {"1": "9", "2": "27"}}),
         (["torsion", "--k", "3"], {"k": "3", "total": "81", "by_level": {"1": "9", "3": "72"}}),
-    ], ids=["nk", "torsion-2", "torsion-3"])
+        (["bounds", "--deg-c", "4", "--deg-a", "3", "--certificate", "9,2,9"],
+         {"contact_bound": "5/2", "ambient_bound": "-7/2", "certificate": {
+             "a_sq": "9", "sum_mu": "2", "a_dot_c": "9", "inequality_holds": False}}),
+    ], ids=["nk", "torsion-2", "torsion-3", "bounds"])
     def test_counts_start_without_sympy(self, capsys, argv, expected):
         src = os.path.dirname(os.path.dirname(os.path.abspath(unisecant.__file__)))
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], capture_output=True,

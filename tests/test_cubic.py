@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import count_calls
+from conftest import count_calls, moved_point
 from unisecant import cubic as cubic_mod
 from unisecant.errors import DomainError
 from unisecant.exactalg import (
@@ -15,10 +15,7 @@ from unisecant.exactalg import (
     ProjectivePoint,
     mat3,
     mat3_det,
-    mat3_inv,
     mat3_mul,
-    mat3_transpose,
-    mat3_vec,
     squarefree_part,
 )
 from unisecant.cubic import (
@@ -97,7 +94,7 @@ def _flex_case(alpha, beta, entries, general, point):
         corner = tuple(3 if k == i else 0 for k in range(3))
         f = f - H.monomial(corner, f.evaluate(p.coords) / p.coords[i] ** 3)
     moved = f.substitute(m)
-    return moved, ProjectivePoint(*mat3_vec(mat3_inv(mat3_transpose(m)), p.coords))
+    return moved, moved_point(m, p.coords)
 
 
 small = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
@@ -215,7 +212,7 @@ class TestWeierstrassClosedForm:
         m = mat3([entries[0:3], entries[3:6], entries[6:9]])
         assume(mat3_det(m) != 0 and is_smooth_cubic(form))
         moved = form.substitute(m)
-        flex = ProjectivePoint(*mat3_vec(mat3_inv(mat3_transpose(m)), (0, 0, 1)))
+        flex = moved_point(m, (0, 0, 1))
         w = weierstrass_at_flex(moved, flex)
         assert (w.alpha, w.beta, w.transform) == _four_substitutions(moved, flex)
 
@@ -291,6 +288,27 @@ class TestGroupLaw:
     def test_off_curve_rejected(self, w):
         with pytest.raises(DomainError):
             ec_add(w, AffineECPoint(1, 1), AffineECPoint.origin())
+
+    @pytest.mark.parametrize("entry", [
+        lambda w, p: ec_add(w, AffineECPoint.origin(), p),
+        lambda w, p: ec_scalar_mul(w, -2, p),
+        lambda w, p: point_order(w, p, 5),
+        lambda w, p: has_order_nine(w, p),
+    ], ids=["ec_add", "ec_scalar_mul", "point_order", "has_order_nine"])
+    def test_each_entry_rejects_an_off_curve_point(self, w, entry):
+        with pytest.raises(DomainError, match="is not on y"):
+            entry(w, AffineECPoint(1, 1))
+
+    def test_each_entry_checks_its_input_once(self, w_rank, monkeypatch):
+        p = AffineECPoint(1, 2)
+        calls = count_calls(monkeypatch, "on_curve", cubic_mod)
+        for entry in (lambda: has_order_nine(w_rank, p), lambda: point_order(w_rank, p, 12),
+                      lambda: ec_scalar_mul(w_rank, 13, p)):
+            calls.clear()
+            entry()
+            assert len(calls) == 1
+        ec_add(w_rank, p, p)
+        assert len(calls) == 3
 
     def test_associativity_randomized(self, w_rank):
         rng = random.Random(31)

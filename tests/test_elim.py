@@ -29,8 +29,8 @@ from unisecant.exactalg import (
     is_smooth_form,
     macaulay_resultant_quadrics,
     mat3,
+    mat3_adjugate,
     mat3_det,
-    mat3_inv,
     mat3_transpose,
     mat3_vec,
     plane_intersection,
@@ -40,7 +40,7 @@ from unisecant.exactalg import (
 )
 from unisecant.cubic import flexes, weierstrass_normal_form
 
-from conftest import count_calls, load_form
+from conftest import count_calls, load_form, moved_point
 
 H = HomogeneousForm
 
@@ -613,7 +613,8 @@ def _random_lines_and_conic(rng):
             m = mat3([[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
             if mat3_det(m) == 0:
                 continue
-            conic = H(2, {(1, 0, 1): 1, (0, 2, 0): -1}).substitute(mat3_transpose(mat3_inv(m)))
+            conic = H(2, {(1, 0, 1): 1, (0, 2, 0): -1}).substitute(
+                mat3_transpose(mat3_adjugate(m))).scale(1 / mat3_det(m) ** 2)
             sym = _hessian(conic)
             lines = []
             for _ in range(n):
@@ -680,7 +681,7 @@ class TestSingularLocusCheck:
         # In these coordinates the eliminant has an irreducible factor of
         # degree >= 2, so one check resultant runs and clears it.
         m = mat3([[1, 0, -1], [1, -2, -2], [2, 1, -1]])
-        node = ProjectivePoint(*mat3_vec(mat3_inv(mat3_transpose(m)), (0, 0, 1)))
+        node = moved_point(m, (0, 0, 1))
         calls = count_calls(monkeypatch, "resultant_y", elim)
         assert rational_singular_points(nodal_cubic.substitute(m)) == [node]
         assert len(calls) == 2

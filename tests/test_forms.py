@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from unisecant.errors import DomainError
@@ -192,6 +192,79 @@ class TestSubstitutionDifferential:
         m = mat3([[F(1, 2), F(1, 3), 0], [1, F(2, 3), 0], [0, F(5, 7), 1]])
         with pytest.raises(DomainError, match="singular"):
             H(3, {(1, 1, 1): F(1, 2)}).substitute(m)
+
+
+def _expand(f, m):
+    """f(M x) monomial by monomial, the oracle for ``substitute``.
+
+    Each term q X0^a X1^b X2^c is multiplied out as q times a product of
+    d linear forms L_j = sum_i m[i][j] X_i, one factor at a time, on
+    ``Fraction`` dicts; no packing and no shared powers.
+    """
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    out: dict = {}
+    for expo, q in f.coeffs.items():
+        term = {(0, 0, 0): q}
+        for j, e in enumerate(expo):
+            for _ in range(e):
+                nxt: dict = {}
+                for key, x in term.items():
+                    for i in range(3):
+                        if m[i][j]:
+                            k = tuple(u + v for u, v in zip(key, unit[i]))
+                            nxt[k] = nxt.get(k, 0) + x * m[i][j]
+                term = nxt
+        for key, x in term.items():
+            out[key] = out.get(key, 0) + x
+    return H(f.degree, {key: x for key, x in out.items() if x})
+
+
+@st.composite
+def _kronecker_cases(draw):
+    """A form of degree 0-9 (one term, sparse or dense; numerators up to 2^64) and
+    an invertible matrix: general with rational entries, or a scaled signed
+    permutation, under which a one-term form meets the coefficient bound."""
+    d = draw(st.integers(0, 9))
+    monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    size = draw(st.sampled_from([1, 2, 3, len(monos)]))
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=size, unique=True))
+    coeff = st.one_of(st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
+                      st.builds(F, st.integers(-2**64, 2**64), st.integers(1, 2**64)))
+    f = H(d, {e: draw(coeff) for e in chosen})
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.builds(F, st.integers(-7, 7), st.integers(1, 6)),
+                                min_size=9, max_size=9))
+        m = mat3([entries[0:3], entries[3:6], entries[6:9]])
+        assume(mat3_det(m) != 0)
+    else:
+        perm = draw(st.permutations(range(3)))
+        scale = draw(st.builds(F, st.integers(1, 2**20), st.integers(1, 4)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=3, max_size=3))
+        m = mat3([[scale * signs[i] if j == perm[i] else 0 for j in range(3)]
+                  for i in range(3)])
+    return f, m
+
+
+class TestKroneckerSubstitution:
+    """``substitute`` packs each image of X_j into one int; checked against ``_expand``."""
+
+    @given(_kronecker_cases())
+    def test_matches_the_monomial_expansion(self, case):
+        f, m = case
+        assert f.substitute(m) == _expand(f, m)
+
+    def test_bound_attained_by_a_monomial(self):
+        # One term and a scaled permutation: the one coefficient of the
+        # result equals the bound sum |num| * max ||L_j||_1^d exactly.
+        f = H(3, {(1, 1, 1): 5})
+        m = mat3([[0, 3, 0], [0, 0, -3], [3, 0, 0]])
+        assert f.substitute(m) == H(3, {(1, 1, 1): -135})
+        assert f.substitute(m) == _expand(f, m)
+
+    def test_sparse_high_degree_form(self):
+        f = H(12, {(12, 0, 0): 1, (0, 0, 12): F(-1, 7)})
+        m = mat3([[1, 2, 0], [0, 1, -1], [F(1, 3), 0, 1]])
+        assert f.substitute(m) == _expand(f, m) == _sympy_substitute(f, m)
 
 
 XS = sympy.symbols("X0 X1 X2")

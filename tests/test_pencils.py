@@ -24,9 +24,6 @@ from unisecant.exactalg import (
     mat3,
     mat3_det,
     mat3_identity,
-    mat3_inv,
-    mat3_transpose,
-    mat3_vec,
     nullspace,
     rational_roots,
     squarefree_part,
@@ -64,7 +61,7 @@ from unisecant.pencils import (
     unisecant_count_k3,
 )
 from unisecant.singular import curve_germ
-from conftest import count_calls, fixture_path, load_form
+from conftest import count_calls, fixture_path, load_form, moved_point
 
 H = HomogeneousForm
 P = ProjectivePoint
@@ -197,7 +194,7 @@ class TestFlexPencil:
 
 def _moved(form, point, m):
     """The form after the change m, with the point moved along."""
-    return form.substitute(m), P(*mat3_vec(mat3_inv(mat3_transpose(m)), point.coords))
+    return form.substitute(m), moved_point(m, point.coords)
 
 
 def _basis_by_monomial_germs(curve, p, k):

@@ -1,12 +1,15 @@
-"""Rational scaffolding: the fraction-free nullspace against sympy's rref, the 3x3 adjugate."""
+"""Rational scaffolding: the fraction-free nullspace against sympy's rref, the 3x3 adjugate,
+Kronecker packing."""
 
 from fractions import Fraction as F
 
+import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from unisecant.exactalg import integer_image, mat3, mat3_adjugate, nullspace, rank
+from unisecant.errors import DomainError
+from unisecant.exactalg import integer_image, mat3, mat3_adjugate, nullspace, pack, rank, unpack
 
 entry = st.one_of(st.just(F(0)), st.builds(F, st.integers(-9, 9), st.integers(1, 6)))
 
@@ -76,3 +79,29 @@ class TestAdjugate:
                                   for x in xs]).adjugate()
         assert mat3_adjugate(mat3([xs[0:3], xs[3:6], xs[6:9]])) == tuple(
             tuple(F(int(adj[i, j].p), int(adj[i, j].q)) for j in range(3)) for i in range(3))
+
+
+class TestKroneckerPacking:
+    @given(st.integers(2, 70).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(-2**(k - 1), 2**(k - 1) - 1), max_size=12))))
+    def test_unpack_inverts_pack_inside_the_balanced_range(self, case):
+        k, coeffs = case
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        assert unpack(pack(coeffs, k), k) == coeffs
+
+    @given(st.integers(-2**200, 2**200), st.integers(2, 40))
+    def test_digits_are_balanced_and_sum_back(self, v, k):
+        digits = unpack(v, k)
+        assert all(-2**(k - 1) <= d < 2**(k - 1) for d in digits)
+        assert not digits or digits[-1] != 0
+        assert sum(d << (k * i) for i, d in enumerate(digits)) == v
+
+    def test_a_digit_outside_the_range_is_not_recovered(self):
+        # 2^(k-1) is one past the largest balanced digit: it reads back as a carry.
+        assert unpack(pack([4, 1], 3), 3) == [-4, 2]
+        assert unpack(pack([3, 1], 3), 3) == [3, 1]
+
+    def test_one_bit_digits_rejected(self):
+        with pytest.raises(DomainError, match="k >= 2"):
+            unpack(1, 1)

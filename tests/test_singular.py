@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from unisecant.errors import (
     CommonComponentError,
@@ -10,23 +12,23 @@ from unisecant.errors import (
     DomainError,
     UnsupportedFieldError,
 )
-from unisecant.exactalg import HomogeneousForm, ProjectivePoint, UnivariatePoly, mat3
+from unisecant import singular
+from unisecant.exactalg import (BivariatePoly, HomogeneousForm, ProjectivePoint, UnivariatePoly,
+                                 mat3, poly_gcd, resultant_y)
 from unisecant.singular import (
     CurveFamily,
     SingularityProfile,
-    ambient_genus_bound,
     blowup_intersection_identity,
     companion_multiplicities,
     curve_germ,
     family_derivative_check,
-    finiteness_certificate,
-    genus_bound,
     geometric_genus,
     local_intersection,
     multiplicity_sequence,
     mu_minus_one,
     weak_type_check,
 )
+from unisecant.torsion import ambient_genus_bound, finiteness_certificate, genus_bound
 
 H = HomogeneousForm
 P = ProjectivePoint
@@ -165,6 +167,93 @@ class TestLocalIntersection:
         f = H(2, {(0, 0, 2): 1, (1, 0, 1): -1, (1, 1, 0): 1})
         g = H(2, {(0, 0, 2): 1, (1, 0, 1): -1, (1, 1, 0): 2})
         assert local_intersection(f, g, P(1, 0, 0)) == 1
+
+
+def _good_position(f: BivariatePoly, g: BivariatePoly) -> bool:
+    """deg_y = total degree for both, and only y = 0 in common on the line x = 0."""
+    if f.degree_y() != f.total_degree() or g.degree_y() != g.total_degree():
+        return False
+    f0, g0 = (UnivariatePoly._from_ints([col[0] for col in h.columns()]) for h in (f, g))
+    h = poly_gcd(f0, g0)[0]
+    return all(c == 0 for c in h.coeffs[:-1])
+
+
+@st.composite
+def _germ(draw, degree):
+    """A germ through the origin with a nonzero y^degree term, rational coefficients."""
+    coeff = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+    terms = {(i, j): draw(coeff) for i in range(degree + 1) for j in range(degree + 1 - i)
+             if (i, j) != (0, 0) and draw(st.booleans())}
+    terms[(0, degree)] = draw(st.sampled_from([-3, -1, 1, 2, F(1, 2)]))
+    return BivariatePoly(terms)
+
+
+class TestPackedGermOrder:
+    """ord_x res_y read from one resultant at x = 2^k, against ``resultant_y``."""
+
+    @given(st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda d: st.tuples(_germ(d[0]), _germ(d[1]))))
+    def test_matches_the_valuation_of_resultant_y(self, germs):
+        f, g = germs
+        assume(_good_position(f, g))
+        res = resultant_y(f, g)
+        if res.is_zero():
+            with pytest.raises(CommonComponentError):
+                singular._germ_intersection_resultant(f, g)
+        else:
+            assert singular._germ_intersection_resultant(f, g) == res.valuation()
+
+    @given(st.integers(5, 8).flatmap(lambda k: st.tuples(
+        st.just(k), st.integers(k + 1, 9),
+        st.lists(st.integers(-5, 5), min_size=9, max_size=9),
+        st.sampled_from([-3, -1, 1, 2, 5]), st.lists(st.integers(-5, 5), max_size=3),
+        st.sampled_from([(1, 2), (-1, 3), (2, -2), (F(1, 2), 1)]))))
+    def test_tangent_pairs_of_high_contact(self, case):
+        # y - p(x) + a y^d and y - q(x) + b y^d with q - p = x^k r(x), r(0) != 0:
+        # the branch y = p(x) + O(x^d) of the first meets the second to order k,
+        # and a != b leaves only y = 0 in common on x = 0.
+        k, d, p, r0, rest, (a, b) = case
+        p_terms = {(i, 0): -c for i, c in enumerate(p, start=1) if i <= d}
+        f = BivariatePoly({(0, 1): 1, (0, d): a, **p_terms})
+        q_terms = dict(p_terms)
+        for i, c in enumerate([r0, *rest]):
+            if k + i <= d:
+                q_terms[(k + i, 0)] = q_terms.get((k + i, 0), 0) - c
+        g = BivariatePoly({(0, 1): 1, (0, d): b, **q_terms})
+        assert _good_position(f, g)
+        assert singular._germ_intersection_resultant(f, g) == k
+        assert resultant_y(f, g).valuation() == k
+
+    @given(st.integers(-4, 4), st.integers(1, 4),
+           st.sampled_from([(1, 2), (-1, 3), (2, F(1, 2))]))
+    def test_shared_component_raises(self, c, e, ab):
+        # f = h u and g = h v share h = y + c x; u(0, y) = 1 + a y^e and
+        # v(0, y) = 1 + b y^e are coprime, so the pair is in good position.
+        a, b = ab
+        h = BivariatePoly({(0, 1): 1, (1, 0): c})
+        u = BivariatePoly({(0, 0): 1, (0, e): a, (1, 0): 3})
+        v = BivariatePoly({(0, 0): 1, (0, e): b, (e, 0): -2})
+        f, g = (BivariatePoly._from_ints(_times(h.num, w.num), h.den * w.den) for w in (u, v))
+        assert _good_position(f, g)
+        with pytest.raises(CommonComponentError):
+            singular._germ_intersection_resultant(f, g)
+
+    @pytest.mark.parametrize("t", range(1, 40, 3))
+    def test_lowest_coefficient_a_power_of_two(self, t):
+        # res_y(y, y + 2^t x) = 2^t x against the bound 2^t + 1 of length
+        # k = t + 1: the coefficient's v_2 = t is one below k, the most the
+        # reading allows.
+        f, g = BivariatePoly({(0, 1): 1}), BivariatePoly({(0, 1): 1, (1, 0): 2**t})
+        assert singular._germ_intersection_resultant(f, g) == 1
+
+
+def _times(p: dict, q: dict) -> dict:
+    """The product of two bivariate coefficient maps."""
+    out: dict = {}
+    for (i1, j1), v1 in p.items():
+        for (i2, j2), v2 in q.items():
+            out[(i1 + i2, j1 + j2)] = out.get((i1 + i2, j1 + j2), 0) + v1 * v2
+    return out
 
 
 class TestIrrationalTangents:
