@@ -31,7 +31,6 @@ from .exactalg import (
     ProjectivePoint,
     hessian,
     integer_image,
-    is_smooth_form,
     mat3,
     mat3_adjugate,
     mat3_det,
@@ -40,14 +39,15 @@ from .exactalg import (
     mat3_vec,
     plane_intersection,
     rational_to_string,
+    ternary_discriminant,
 )
 
 
 def is_smooth_cubic(f: HomogeneousForm) -> bool:
-    """True iff the cubic curve {f = 0} is nonsingular over C."""
+    """True iff the cubic curve {f = 0} is nonsingular over C: ``ternary_discriminant`` != 0."""
     if f.is_zero() or f.degree != 3:
         raise DomainError("expected a nonzero cubic form")
-    return is_smooth_form(f)
+    return ternary_discriminant(f) != 0
 
 
 def flexes(f: HomogeneousForm) -> IntersectionData:

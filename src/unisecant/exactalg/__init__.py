@@ -28,7 +28,6 @@ from .rationals import (
 )
 from .unipoly import (
     UnivariatePoly,
-    discriminant,
     factor_over_q,
     integer_nodes,
     interpolate,
@@ -46,58 +45,9 @@ from .elim import (
     discriminant_along_pencil,
     form_factorization,
     is_reduced_form,
-    is_smooth_form,
     macaulay_resultant_quadrics,
     plane_intersection,
     rational_singular_points,
     ternary_discriminant,
     unimodular_matrices,
 )
-
-__all__ = [
-    "Mat3",
-    "bareiss_det_int",
-    "det_fractions",
-    "integer_image",
-    "mat3",
-    "mat3_adjugate",
-    "mat3_det",
-    "mat3_identity",
-    "mat3_mul",
-    "mat3_transpose",
-    "mat3_vec",
-    "nullspace",
-    "pack",
-    "primitive_part",
-    "rank",
-    "rational_from_string",
-    "rational_to_string",
-    "unpack",
-    "UnivariatePoly",
-    "discriminant",
-    "factor_over_q",
-    "integer_nodes",
-    "interpolate",
-    "poly_gcd",
-    "rational_roots",
-    "resultant",
-    "squarefree_part",
-    "yun_decomposition",
-    "HomogeneousForm",
-    "ProjectivePoint",
-    "euler_combination",
-    "hessian",
-    "BivariatePoly",
-    "resultant_y",
-    "FiberData",
-    "IntersectionData",
-    "discriminant_along_pencil",
-    "form_factorization",
-    "is_reduced_form",
-    "is_smooth_form",
-    "macaulay_resultant_quadrics",
-    "plane_intersection",
-    "rational_singular_points",
-    "ternary_discriminant",
-    "unimodular_matrices",
-]

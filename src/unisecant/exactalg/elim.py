@@ -29,7 +29,9 @@ A curve is proved irreducible over Q without factoring it when a
 full-degree line slice of it, after a unimodular change, has factor
 degrees modulo small primes that no proper factor could have
 (``form_factorization``); sympy factors only the curves no slice
-certifies, reducible ones among them.
+certifies, reducible ones among them, and tells whether two curves share
+a component (``forms_share_component``), both through ``unipoly``'s
+integer bridge: this module imports no sympy.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import islice
-
-import sympy
 
 from ..errors import CommonComponentError, DomainError, UnisecantError, UnsupportedFieldError
 from .forms import HomogeneousForm, ProjectivePoint, hessian
@@ -55,7 +55,8 @@ from .unipoly import (
     poly_gcd,
     rational_roots,
     squarefree_part,
-    to_sympy_poly,
+    sympy_factor_list,
+    sympy_gcd_degree,
 )
 from .bipoly import BivariatePoly, resultant_y
 
@@ -67,14 +68,16 @@ _QUADRIC_MONOMIALS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0,
 
 
 def unimodular_matrices():
-    """Deterministic stream of _MAX_ATTEMPTS unimodular 3x3 integer matrices.
+    """Deterministic stream of _MAX_ATTEMPTS distinct unimodular 3x3 integer matrices.
 
     The identity comes first; every retry loop over coordinate changes draws
-    from this stream, so each is bounded by the same budget.
+    from this stream, so each is bounded by the same budget.  A draw equal
+    to one already given is drawn again, so no retry repeats a change.
     """
+    seen = {mat3_identity()}
     yield mat3_identity()
     rng = random.Random(_MATRIX_SEED)
-    for _ in range(_MAX_ATTEMPTS - 1):
+    while len(seen) < _MAX_ATTEMPTS:
         m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         for _ in range(rng.randint(2, 4)):
             i = rng.randrange(3)
@@ -84,7 +87,10 @@ def unimodular_matrices():
             lam = rng.choice([-3, -2, -1, 1, 2, 3])
             for k in range(3):
                 m[i][k] += lam * m[j][k]
-        yield mat3(m)
+        m = mat3(m)
+        if m not in seen:
+            seen.add(m)
+            yield m
 
 
 def _sylvester_rows(quadrics, jacobian: HomogeneousForm) -> list[list[Fraction]]:
@@ -160,11 +166,6 @@ def discriminant_along_pencil(g: HomogeneousForm, f: HomogeneousForm) -> Univari
                                    for row in entries]))
               for u in islice(integer_nodes(), 13)]
     return interpolate(values).scale(Fraction(-1, 512 * den**6))
-
-
-def is_smooth_form(f: HomogeneousForm) -> bool:
-    """True iff the cubic {f = 0} is nonsingular over the complex numbers."""
-    return ternary_discriminant(f) != 0
 
 
 @dataclass
@@ -292,17 +293,15 @@ def plane_intersection(f: HomogeneousForm, g: HomogeneousForm, *,
 def forms_share_component(f: HomogeneousForm, g: HomogeneousForm) -> bool:
     """True iff the two curves have a common component (nontrivial gcd).
 
-    Either X0 divides both forms, or the gcd over ZZ of their integer
-    images on the chart X0 = 1 is nonconstant: a common factor not
-    divisible by X0 keeps its degree on the chart, and homogenization is
-    multiplicative, so a nonconstant common factor there lifts back.
+    Either X0 divides both forms, or the gcd over Z of their integer
+    images on the chart X0 = 1 (``sympy_gcd_degree``) is nonconstant: a
+    common factor not divisible by X0 keeps its degree on the chart, and
+    homogenization is multiplicative, so a nonconstant common factor there
+    lifts back.
     """
     if all(e[0] for e in f.num) and all(e[0] for e in g.num):
         return True
-    xs = sympy.symbols("X1 X2")
-    h = sympy.gcd(*(sympy.Poly.from_dict({e[1:]: v for e, v in q.num.items()}, *xs,
-                                         domain=sympy.ZZ) for q in (f, g)))
-    return h.total_degree() >= 1
+    return sympy_gcd_degree(*({e[1:]: v for e, v in q.num.items()} for q in (f, g)), 2) >= 1
 
 
 def form_factorization(f: HomogeneousForm) -> list[tuple[HomogeneousForm, int]]:
@@ -320,24 +319,17 @@ def form_factorization(f: HomogeneousForm) -> list[tuple[HomogeneousForm, int]]:
     restrict to one of the slice into the degrees deg g and deg h, and the
     change is invertible over Z.  A curve that no slice certifies (a
     reducible one, or one whose slices split modulo every prime) is
-    factored by sympy's multivariate ``factor_list``.
+    factored by sympy's multivariate ``factor_list`` on its integer image
+    (``sympy_factor_list``).
     """
     if f.is_zero():
         raise DomainError("cannot factor the zero form")
     if f.degree >= 1 and _slice_certifies_irreducible(f):
         g = f.primitive()
         return [(g if g.num[max(g.num)] > 0 else -g, 1)]
-    _, factors = sympy.factor_list(to_sympy_poly(f.coeffs, sympy.symbols("X0 X1 X2")))
-    out = []
-    for poly, mult in factors:
-        coeffs: dict[tuple[int, int, int], Fraction] = {}
-        for expo, coeff in poly.terms():
-            coeff = sympy.Rational(coeff)
-            coeffs[tuple(int(e) for e in expo)] = Fraction(int(coeff.p), int(coeff.q))
-        deg = max(sum(e) for e in coeffs)
-        out.append((HomogeneousForm(deg, coeffs), int(mult)))
-    out.sort(key=lambda t: (t[0].degree, sorted(t[0].coeffs.items())))
-    return out
+    return sorted(((HomogeneousForm._from_ints(sum(next(iter(num))), num, 1), mult)
+                   for num, mult in sympy_factor_list(f.num, 3)),
+                  key=lambda t: (t[0].degree, sorted(t[0].coeffs.items())))
 
 
 def _slice_certifies_irreducible(f: HomogeneousForm) -> bool:

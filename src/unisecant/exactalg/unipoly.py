@@ -7,21 +7,25 @@ Z[x], ``_exact_quotient``, is exact or refused, and the quotients callers
 need come out of the routines that already compute them (``poly_gcd``
 returns its cofactors, ``rational_roots`` what is left after its roots).
 The elimination workhorse: resultants (the subresultant PRS on the integer
-images), discriminants, gcds (small-prime modular, checked by trial
-division in Z[x]), squarefree parts, Yun squarefree decomposition, rational
-roots (p-adic lifting), and a certificate of irreducibility over Q from the
-factor degrees modulo small primes, found without factoring.  Root
-multiplicity data from these routines is what turns "count distinct complex
-roots" questions into exact degree arithmetic, with no root isolation
-anywhere.
+images), gcds (small-prime modular, checked by trial division in Z[x]),
+squarefree parts, Yun squarefree decomposition, rational roots (p-adic
+lifting), and a certificate of irreducibility over Q from the factor
+degrees modulo small primes, found without factoring.  Root multiplicity
+data from these routines is what turns "count distinct complex roots"
+questions into exact degree arithmetic, with no root isolation anywhere.
 
-Only irreducible factorization over Q (``factor_over_q``) is delegated to
-sympy (Zassenhaus); everything else, the irreducibility certificate
-included, is self-contained.  The arithmetic in F_p[x] (remainder, gcd,
-product modulo f, Horner evaluation, the distinct-degree pattern) lives in
-``modp``; this module keeps the algorithms over Q and every choice of
-primes (``ROOT_PRIMES``, ``_gcd_primes``, ``UNLUCKY_PRIMES``), the CRT
-lift, rational reconstruction and the one exact quotient in Z[x].
+Sympy is reached from this module only, through ``sympy_factor_list`` and
+``sympy_gcd_degree``: integer polynomials in, integers out.  It answers
+the irreducible factors over Q of a univariate polynomial
+(``factor_over_q``) and of a ternary form no slice certifies irreducible
+(``elim.form_factorization``), and whether two forms share a component
+(``elim.forms_share_component``); everything else, the irreducibility
+certificate included, is self-contained.  The arithmetic in F_p[x]
+(remainder, gcd, product modulo f, Horner evaluation, the distinct-degree
+pattern) lives in ``modp``; this module keeps the algorithms over Q and
+every choice of primes (``ROOT_PRIMES``, ``_gcd_primes``,
+``UNLUCKY_PRIMES``), the CRT lift, rational reconstruction and the one
+exact quotient in Z[x].
 """
 
 from __future__ import annotations
@@ -406,15 +410,6 @@ def _resultant_int(a: list[int], b: list[int]) -> int:
     return sign * scale * (b[0]**d // h**(d - 1))
 
 
-def discriminant(f: UnivariatePoly) -> Fraction:
-    """disc(f) = (-1)^(d(d-1)/2) res(f, f') / lc(f); zero iff f has a repeated root."""
-    d = f.degree
-    if d < 1:
-        raise DomainError("discriminant requires degree >= 1")
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.lc()
-
-
 def squarefree_part(f: UnivariatePoly) -> UnivariatePoly:
     """f / gcd(f, f'), monic: the cofactor ``poly_gcd`` returns, so no division
     runs here.  Its degree counts the distinct complex roots."""
@@ -450,33 +445,42 @@ def yun_decomposition(f: UnivariatePoly) -> list[tuple[UnivariatePoly, int]]:
     raise UnisecantError(f"yun_decomposition: a factor is left after {f.degree} rounds")
 
 
-def to_sympy_poly(coeffs: dict[tuple[int, ...], Fraction], gens) -> sympy.Poly:
-    """The sympy polynomial over QQ with the given {exponents: coefficient} map."""
-    return sympy.Poly.from_dict(
-        {e: sympy.QQ(c.numerator, c.denominator) for e, c in coeffs.items() if c != 0},
-        *gens, domain=sympy.QQ)
+def _sympy_poly(num: dict[tuple[int, ...], int], nvars: int) -> sympy.Poly:
+    """The sympy polynomial over ZZ with the {exponents: integer coefficient} map."""
+    return sympy.Poly.from_dict(num, *sympy.symbols(f"x:{nvars}"), domain=sympy.ZZ)
 
 
-def factor_over_q(f: UnivariatePoly) -> tuple[Fraction, list[tuple[UnivariatePoly, int]]]:
-    """Irreducible factorization over Q (sympy backend).
+def sympy_factor_list(num: dict[tuple[int, ...], int], nvars: int
+                      ) -> list[tuple[dict[tuple[int, ...], int], int]]:
+    """The irreducible factors over Z of an integer polynomial, with multiplicities.
 
-    Returns (constant, [(monic irreducible factor, multiplicity), ...]) with
-    deterministic ordering (by degree, then coefficient tuple).
+    ``num`` maps exponent tuples of length ``nvars`` to ints.  Each factor
+    comes back in the same form, primitive with a positive leading
+    coefficient (sympy's normalization); the content and sign are dropped.
     """
+    _, factors = sympy.factor_list(_sympy_poly(num, nvars))
+    return [({e: int(c) for e, c in poly.as_dict(native=True).items()}, int(mult))
+            for poly, mult in factors]
+
+
+def sympy_gcd_degree(f_num: dict[tuple[int, ...], int], g_num: dict[tuple[int, ...], int],
+                     nvars: int) -> int:
+    """The total degree of the gcd over Z of two integer polynomials, given as
+    for ``sympy_factor_list``."""
+    return sympy.gcd(_sympy_poly(f_num, nvars), _sympy_poly(g_num, nvars)).total_degree()
+
+
+def factor_over_q(f: UnivariatePoly) -> list[tuple[UnivariatePoly, int]]:
+    """Irreducible factorization over Q: [(monic irreducible factor, multiplicity), ...]
+    sorted by degree, then coefficients, from ``sympy_factor_list`` of the integer image."""
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
-    poly = to_sympy_poly({(i,): c for i, c in enumerate(f.coeffs)}, [sympy.Symbol("x")])
-    const, factors = sympy.factor_list(poly)
-    const = sympy.Rational(const)
-    c = Fraction(int(const.p), int(const.q))
     result = []
-    for poly, mult in factors:
-        cs = [Fraction(int(q.p), int(q.q)) for q in poly.all_coeffs()[::-1]]
-        p = UnivariatePoly(cs)
-        c *= p.lc() ** int(mult)
-        result.append((p.monic(), int(mult)))
+    for num, mult in sympy_factor_list({(i,): v for i, v in enumerate(f.num) if v}, 1):
+        coeffs = [num.get((i,), 0) for i in range(max(num)[0] + 1)]
+        result.append((UnivariatePoly._from_ints(coeffs, coeffs[-1]), mult))
     result.sort(key=lambda t: (t[0].degree, t[0].coeffs))
-    return c, result
+    return result
 
 
 # Primes rational_roots tries, in order.  The list is finite so that the

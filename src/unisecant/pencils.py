@@ -451,7 +451,7 @@ def _split_over_q(f: UnivariatePoly) -> list[UnivariatePoly]:
     rest = rest.monic()
     if rest.degree < 4:  # no rational root left, so irreducible
         return linear + ([rest] if rest.degree > 0 else [])
-    _, factors = factor_over_q(rest)
+    factors = factor_over_q(rest)
     if any(mult != 1 for _, mult in factors):
         raise UnisecantError("factor_over_q found a repeated factor of a squarefree polynomial")
     return linear + [p for p, _ in factors]
@@ -653,19 +653,12 @@ def contact_conic_check(curve: HomogeneousForm, p: ProjectivePoint) -> str:
         raise DomainError("point does not carry a 6-fold contact divisor")
     if system.dimension != 1:
         raise UnisecantError("contact conic system has unexpected dimension")
-    q = system.basis[0]
-    r = rank(_conic_matrix(q), 3)
+    # The rank of a conic is the rank of its (constant) second partials.
+    r = rank([[d.partial_derivative(j).coefficient((0, 0, 0)) for j in range(3)]
+              for d in system.basis[0].gradient()], 3)
     if r == 3:
         return IRREDUCIBLE_CONIC
     if r == 2:
         raise UnisecantError("rank-2 contact conic: two distinct lines cannot both osculate")
     return DOUBLE_LINE
 
-
-def _conic_matrix(q: HomogeneousForm):
-    half = Fraction(1, 2)
-    return [
-        [q.coefficient((2, 0, 0)), half * q.coefficient((1, 1, 0)), half * q.coefficient((1, 0, 1))],
-        [half * q.coefficient((1, 1, 0)), q.coefficient((0, 2, 0)), half * q.coefficient((0, 1, 1))],
-        [half * q.coefficient((1, 0, 1)), half * q.coefficient((0, 1, 1)), q.coefficient((0, 0, 2))],
-    ]

@@ -171,7 +171,7 @@ def _roots_with_irrational_guard(p: UnivariatePoly) -> list[Fraction]:
     skipped; an irrational repeated root could hide a singular infinitely
     near point and raises.
     """
-    _, factors = factor_over_q(p)
+    factors = factor_over_q(p)
     if any(fac.degree > 1 and mult >= 2 for fac, mult in factors):
         raise UnsupportedFieldError("repeated irrational tangent direction in the resolution")
     return [-fac.coeffs[0] / fac.coeffs[1] for fac, _ in factors if fac.degree == 1]
@@ -187,7 +187,7 @@ def _shared_moves(f: BivariatePoly, mf: int, g: BivariatePoly, mg: int) -> list[
     h = poly_gcd(cone_f, cone_g)[0]
     slopes = []
     if h.degree > 0:
-        _, factors = factor_over_q(h)
+        factors = factor_over_q(h)
         if any(fac.degree > 1 for fac, _ in factors):
             raise UnsupportedFieldError("irrational common tangent direction")
         slopes = sorted(-fac.coeffs[0] for fac, _ in factors)
@@ -302,10 +302,6 @@ def _origin_changes():
             yield (a, b, c, d)
 
 
-def _is_monomial_in_y(h: UnivariatePoly) -> bool:
-    return h.degree >= 0 and all(c == 0 for c in h.coeffs[:-1])
-
-
 def _germ_intersection_resultant(fg: BivariatePoly, gg: BivariatePoly) -> int:
     """I(f, g) at the origin as ord_x res_y(f, g) in good position.
 
@@ -337,8 +333,7 @@ def _germ_intersection_resultant(fg: BivariatePoly, gg: BivariatePoly) -> int:
         g0 = UnivariatePoly._from_ints([col[0] for col in gcols])
         if f0.is_zero() or g0.is_zero():
             continue
-        h = poly_gcd(f0, g0)[0]
-        if not _is_monomial_in_y(h):
+        if any(poly_gcd(f0, g0)[0].num[:-1]):  # the gcd is not a power of y
             continue
         bound = (sum(map(abs, f2.num.values())) ** (len(gcols) - 1)
                  * sum(map(abs, g2.num.values())) ** (len(fcols) - 1))

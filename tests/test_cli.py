@@ -233,7 +233,7 @@ class TestVerificationAndErrors:
     def test_jinv_decides_smoothness_once(self, capsys, monkeypatch):
         # Smoothness is tested once, by the loader's flexes; the
         # normalizations read it off the normal form.
-        calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod)
+        calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod, cubic_mod)
         code, _, err = run_cli(capsys, "jinv", "--cubic", fixture_path("z9_d2.json"))
         assert code == 0, err
         assert len(calls) == 1

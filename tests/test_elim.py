@@ -26,7 +26,6 @@ from unisecant.exactalg import (
     form_factorization,
     hessian,
     is_reduced_form,
-    is_smooth_form,
     macaulay_resultant_quadrics,
     mat3,
     mat3_adjugate,
@@ -255,9 +254,9 @@ class TestMacaulay:
             ternary_discriminant(form)
 
     def test_smoothness_calls(self, fermat, nodal_cubic, cuspidal_cubic):
-        assert is_smooth_form(fermat)
-        assert not is_smooth_form(nodal_cubic)
-        assert not is_smooth_form(cuspidal_cubic)
+        assert ternary_discriminant(fermat) != 0
+        assert ternary_discriminant(nodal_cubic) == 0
+        assert ternary_discriminant(cuspidal_cubic) == 0
 
 
 class TestBivariateResultant:
@@ -444,16 +443,31 @@ def form_pair(draw):
     return f, g
 
 
+def _qq_poly(f: HomogeneousForm) -> sympy.Poly:
+    """f as a sympy Poly over QQ in X0, X1, X2, from its Fraction coefficients."""
+    return sympy.Poly.from_dict(
+        {e: sympy.QQ(c.numerator, c.denominator) for e, c in f.coeffs.items()},
+        *sympy.symbols("X0 X1 X2"), domain=sympy.QQ)
+
+
 def _share_component_over_qq(f, g) -> bool:
-    xs = sympy.symbols("X0 X1 X2")
-    h = sympy.gcd(unipoly.to_sympy_poly(f.coeffs, xs), unipoly.to_sympy_poly(g.coeffs, xs))
-    return h.total_degree() >= 1
+    return sympy.gcd(_qq_poly(f), _qq_poly(g)).total_degree() >= 1
 
 
 class TestCommonComponent:
     @given(form_pair())
     def test_matches_the_trivariate_gcd(self, pair):
         assert elim.forms_share_component(*pair) == _share_component_over_qq(*pair)
+
+    @given(small_form(1, 2), small_form(), small_form(), st.sampled_from([1, -2, F(3, 5)]))
+    def test_planted_factor_is_shared(self, h, a, b, c):
+        f, g = h * a, (h * b).scale(c)
+        assert elim.forms_share_component(f, g) and _share_component_over_qq(f, g)
+
+    @given(small_form(1), small_form(1))
+    def test_coprime_pairs_share_nothing(self, a, b):
+        assume(not _share_component_over_qq(a, b))
+        assert not elim.forms_share_component(a, b)
 
     def test_x0_in_one_form_only(self):
         f = H(2, {(1, 1, 0): 1})                     # X0 X1
@@ -471,6 +485,16 @@ class TestCommonComponent:
         calls = count_calls(monkeypatch, "gcd", sympy)
         elim.forms_share_component(H(2, {(0, 2, 0): 1, (1, 0, 1): 1}), H(1, {(0, 1, 0): 1}))
         assert len(calls) == 1
+
+
+class TestUnimodularMatrices:
+    def test_all_distinct_with_the_identity_first(self):
+        # A repeated change would make a retry loop re-try one that failed.
+        assert len(set(elim.unimodular_matrices())) == 64
+        changes = list(elim.unimodular_matrices())
+        assert changes[0] == mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert all(mat3_det(m) == 1 and all(x.denominator == 1 for row in m for x in row)
+                   for m in changes)
 
 
 class TestPlaneIntersection:
@@ -707,7 +731,7 @@ def _factor_route(gt, c0, c1, m, eliminant):
     back = mat3_transpose(m)
     checks = elim._check_resultants(c0, c1, gt[2])
     seen, points = [], []
-    for factor, _ in unipoly.factor_over_q(eliminant)[1]:
+    for factor, _ in unipoly.factor_over_q(eliminant):
         if factor.degree == 1:
             fiber, complete = elim._lift_fiber(gt, back, -factor.coeffs[0] / factor.coeffs[1])
             if not complete:
@@ -797,8 +821,8 @@ FORM_FIXTURES = ["cuspidal_cubic.json", "fermat.json", "genus_d12_64bit.json",
 
 
 def _sympy_factorization(f: HomogeneousForm) -> list:
-    """form_factorization by sympy's multivariate factor_list alone: the reference."""
-    _, factors = sympy.factor_list(unipoly.to_sympy_poly(f.coeffs, sympy.symbols("X0 X1 X2")))
+    """form_factorization by sympy's multivariate factor_list over QQ alone: the reference."""
+    _, factors = sympy.factor_list(_qq_poly(f))
     out = []
     for poly, mult in factors:
         coeffs = {e: F(int(c.p), int(c.q)) for e, c in poly.terms()}
@@ -880,6 +904,16 @@ class TestFactorization:
         assert len(calls) == 1
         # An ordinary quadruple point: 3 - 6.
         assert singular.geometric_genus(f) == -3
+
+    @given(st.lists(small_form(1, 2), min_size=2, max_size=3),
+           st.sampled_from([1, -1, F(-4, 9)]))
+    def test_products_match_the_qq_route(self, factors, c):
+        # A product of forms of positive degree is reducible, so no slice
+        # certifies it and sympy factors it.
+        f = H(0, {(0, 0, 0): c})
+        for q in factors:
+            f = f * q
+        assert form_factorization(f) == _sympy_factorization(f)
 
     def test_nonzero_constant_has_no_factor(self):
         assert form_factorization(H(0, {(0, 0, 0): F(-5, 3)})) == []

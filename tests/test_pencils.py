@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import unisecant.cubic as cubic_mod
 import unisecant.exactalg.elim as elim_mod
 import unisecant.pencils as pencils_mod
 from unisecant.cli import main
@@ -442,7 +443,7 @@ class TestNonflexAccounting:
     def test_smoothness_decided_once(self, monkeypatch):
         # One test in flexes (contact_system relies on it); the pencil
         # discriminant is one Macaulay quotient and evaluates no member.
-        calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod)
+        calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod, cubic_mod)
         nonflex_fiber_accounting(*kubert_z9_curve(2))
         assert len(calls) == 1
 
@@ -491,7 +492,7 @@ class TestUnisecantCount:
             unisecant_count_k3(nodal_cubic)
 
     def test_smoothness_decided_once(self, fermat, monkeypatch):
-        calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod)
+        calls = count_calls(monkeypatch, "ternary_discriminant", elim_mod, cubic_mod)
         unisecant_count_k3(fermat)
         assert len(calls) == 1
 
@@ -577,7 +578,7 @@ class TestYunFactorSplit:
         f = UnivariatePoly([1])
         for p in linear + rootless + quartic:
             f = f * p
-        assert pencils_mod._split_over_q(f) == [p for p, _ in factor_over_q(f)[1]]
+        assert pencils_mod._split_over_q(f) == [p for p, _ in factor_over_q(f)]
 
     def test_z9_d2_pencil_needs_no_factor_over_q(self, capsys, monkeypatch):
         # The Yun factors are (linear, 9) and (cubic with one rational root, 1).
@@ -597,7 +598,7 @@ class TestYunFactorSplit:
 
     def test_repeated_factor_from_factor_over_q_raises(self, monkeypatch):
         quartic = UnivariatePoly([2, 0, 0, 0, 1])
-        monkeypatch.setattr(pencils_mod, "factor_over_q", lambda f: (F(1), [(f, 2)]))
+        monkeypatch.setattr(pencils_mod, "factor_over_q", lambda f: [(f, 2)])
         with pytest.raises(UnisecantError, match="repeated factor"):
             pencils_mod._split_over_q(quartic)
 
@@ -652,7 +653,7 @@ def _reference_report(pencil):
 
     records = []
     for factor, mult in yun_decomposition(disc.affine):
-        for irr, _ in factor_over_q(factor)[1]:
+        for irr, _ in factor_over_q(factor):
             if irr.degree == 1:
                 records.append(record(PencilParameter(-irr.coeffs[0], F(1)), mult))
             else:

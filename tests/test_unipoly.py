@@ -1,4 +1,4 @@
-"""Univariate layer: resultants, discriminants, squarefree machinery.
+"""Univariate layer: resultants, squarefree machinery, factorization.
 
 The resultant oracle is the Sylvester determinant built independently in
 sympy (sympy.resultant itself normalizes signs differently in corner
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from unisecant.errors import DomainError, UnisecantError
 from unisecant.exactalg import (
     UnivariatePoly,
-    discriminant,
     factor_over_q,
     interpolate,
     poly_gcd,
@@ -145,35 +144,6 @@ class TestResultant:
         assert resultant(P((3, -2, 1)), P((1, 5))) == 86 and len(dets) == 1
 
 
-class TestDiscriminant:
-    @pytest.mark.parametrize("b,c", [(3, 1), (0, -2), (F(1, 2), F(-1, 3))])
-    def test_quadratic(self, b, c):
-        assert discriminant(P((c, b, 1))) == F(b) ** 2 - 4 * F(c)
-
-    @pytest.mark.parametrize("p,q", [(2, -5), (-1, 1), (F(1, 3), F(2, 7))])
-    def test_depressed_cubic(self, p, q):
-        assert discriminant(P((q, p, 0, 1))) == -4 * F(p) ** 3 - 27 * F(q) ** 2
-
-    def test_repeated_root(self):
-        assert discriminant(P((1, -2, 1))) == 0
-
-    def test_constant_rejected(self):
-        with pytest.raises(DomainError):
-            discriminant(P((5,)))
-
-    @given(st.lists(rational, min_size=2, max_size=9).map(P))
-    def test_zero_iff_not_squarefree(self, f):
-        if f.degree < 1:
-            return
-        sf = squarefree_part(f)
-        assert (discriminant(f) == 0) == (sf != f.monic())
-
-    @given(st.integers(1, 7).flatmap(integer_image_poly))
-    def test_matches_sympy(self, f):
-        expected = sympy.discriminant(to_sympy(f))
-        assert discriminant(f) == F(int(expected.p), int(expected.q))
-
-
 class TestSquarefree:
     def test_repeated_linear(self):
         f = P((-1, 1)) ** 2 * P((2, 1))
@@ -288,6 +258,45 @@ class TestSympyDifferential:
 GCD_PRIMES = list(itertools.islice(unipoly._gcd_primes(), 3))
 
 
+@st.composite
+def factorable_poly(draw) -> P:
+    """c·prod p_i^m_i: a rational content c, 1-3 small rational factors of
+    degree 1-3, and multiplicities up to 3, so factors repeat."""
+    f = P((draw(rational.filter(bool)),))
+    for _ in range(draw(st.integers(1, 3))):
+        p = P(draw(st.lists(rational, min_size=2, max_size=4)))
+        if p.degree >= 1:
+            f = f * p ** draw(st.integers(1, 3))
+    return f
+
+
+class TestFactorOverQ:
+    """``factor_over_q`` factors the integer image over Z; the oracle is
+    sympy's factorization of the same polynomial over QQ."""
+
+    @given(factorable_poly())
+    @example(P((F(-3, 4),)))
+    @example(P((0, 0, F(6, 5))))
+    def test_matches_sympy_over_qq(self, f):
+        _, factors = sympy.factor_list(to_sympy(f))
+        expected = sorted(((from_sympy(q).monic(), int(m)) for q, m in factors),
+                          key=lambda t: (t[0].degree, t[0].coeffs))
+        assert factor_over_q(f) == expected
+
+    def test_factors_are_monic_and_multiply_back(self):
+        f = P((F(1, 2), -3)) ** 2 * P((2, 0, 1)) * P((F(-7, 3),))
+        factors = factor_over_q(f)
+        assert factors == [(P((F(-1, 6), 1)), 2), (P((2, 0, 1)), 1)]
+        product = P((1,))
+        for p, m in factors:
+            product = product * p ** m
+        assert product == f.monic()
+
+    def test_zero_rejected(self):
+        with pytest.raises(DomainError):
+            factor_over_q(P(()))
+
+
 class TestModularGcd:
     def test_unlucky_first_prime_coprime(self):
         # x and x + p have the gcd x mod p but are coprime over Q.
@@ -364,7 +373,7 @@ class TestModularGcd:
 
 def sympy_rational_roots(f: P) -> list:
     """Rational roots of f read off the linear factors of sympy's factorization."""
-    _, factors = factor_over_q(f)
+    factors = factor_over_q(f)
     return sorted((-p.coeffs[0], m) for p, m in factors if p.degree == 1)
 
 
