@@ -115,8 +115,7 @@ def load_curve_file(path: str) -> tuple[HomogeneousForm, IntersectionData | None
     for p, order in torsion_claims:
         found = []
         for flex in flex_data.points:
-            w, ec_pt = normalized_curve_with_point(form, p, flex)
-            found.append(point_order(w, ec_pt, order))
+            found.append(point_order(*normalized_curve_with_point(form, p, flex), order))
             if found[-1] == order:
                 break
         else:
@@ -331,8 +330,7 @@ def _cmd_conic(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from .cubic import (AffineECPoint, ec_add, ec_scalar_mul, weierstrass_at_flex,
-                        weierstrass_normal_form)
+    from .cubic import ec_add, ec_scalar_mul, weierstrass_at_flex, weierstrass_normal_form
     from .exactalg import (HomogeneousForm, ProjectivePoint, UnivariatePoly, euler_combination,
                            mat3, mat3_det, mat3_identity, mat3_mul, resultant)
 
@@ -385,7 +383,7 @@ def _cmd_selftest(args) -> int:
 
     w = weierstrass_at_flex(weierstrass_normal_form(-4, 4),
                             ProjectivePoint(0, 0, 1))
-    base = AffineECPoint(1, 2)
+    base = ProjectivePoint(1, 1, 2)
     pts = [ec_scalar_mul(w, n, base) for n in range(-3, 4)]
     ok = True
     for _ in range(args.rounds):

@@ -7,7 +7,8 @@ rational flex to the Weierstrass shape
 
 (flex at (0:0:1), inflection line X0 = 0), the j-invariant
 j = 1728 alpha^3 / (alpha^3 + 27 beta^2), and the chord-tangent group law
-on the affine model y^2 = 4x^3 + alpha x + beta with the flex as origin.
+on the normal form's own points: a finite point is (1 : x : y) on
+y^2 = 4x^3 + alpha x + beta, and the flex (0 : 0 : 1) is the origin.
 The coefficient 4 is part of the contract: the smoothness criterion
 alpha^3 + 27 beta^2 != 0 and the j formula are stated for exactly this
 normalization.
@@ -213,70 +214,21 @@ def j_invariant(w: WeierstrassData) -> Fraction:
     return 1728 * w.alpha**3 / denom
 
 
-class AffineECPoint:
-    """A rational point of y^2 = 4x^3 + alpha x + beta, or the flex origin."""
-
-    __slots__ = ("x", "y", "infinity")
-
-    def __init__(self, x=None, y=None, *, infinity: bool = False):
-        if infinity:
-            object.__setattr__(self, "x", None)
-            object.__setattr__(self, "y", None)
-            object.__setattr__(self, "infinity", True)
-        else:
-            object.__setattr__(self, "x", Fraction(x))
-            object.__setattr__(self, "y", Fraction(y))
-            object.__setattr__(self, "infinity", False)
-
-    def __setattr__(self, *args):
-        raise AttributeError("AffineECPoint is immutable")
-
-    @classmethod
-    def origin(cls) -> "AffineECPoint":
-        return cls(infinity=True)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AffineECPoint):
-            return NotImplemented
-        if self.infinity or other.infinity:
-            return self.infinity and other.infinity
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.infinity))
-
-    def __repr__(self) -> str:
-        if self.infinity:
-            return "O"
-        return f"({self.x}, {self.y})"
-
-    def negate(self) -> "AffineECPoint":
-        if self.infinity:
-            return self
-        return AffineECPoint(self.x, -self.y)
-
-    @classmethod
-    def from_projective(cls, p: ProjectivePoint) -> "AffineECPoint":
-        if p.coords[0] == 0:
-            if p.coords[1] != 0:
-                raise DomainError(f"{p} is not on a Weierstrass cubic's affine-or-origin locus")
-            return cls.origin()
-        return cls(p.coords[1] / p.coords[0], p.coords[2] / p.coords[0])
+ORIGIN = ProjectivePoint(0, 0, 1)  # the flex, identity of the group law
 
 
-def on_curve(w: WeierstrassData, p: AffineECPoint) -> bool:
-    if p.infinity:
-        return True
-    return p.y**2 == 4 * p.x**3 + w.alpha * p.x + w.beta
+def on_curve(w: WeierstrassData, p: ProjectivePoint) -> bool:
+    """p lies on the normal form; ``ORIGIN`` is its only point with X0 = 0."""
+    return w.normal_form().evaluate(p.coords) == 0
 
 
-def _require_on_curve(w: WeierstrassData, p: AffineECPoint) -> None:
+def _require_on_curve(w: WeierstrassData, p: ProjectivePoint) -> None:
     if not on_curve(w, p):
         raise DomainError(f"point {p} is not on y^2 = 4x^3 + {w.alpha}x + {w.beta}")
 
 
-def ec_add(w: WeierstrassData, p: AffineECPoint, q: AffineECPoint) -> AffineECPoint:
-    """Chord-tangent addition with the flex at infinity as identity.
+def ec_add(w: WeierstrassData, p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
+    """Chord-tangent addition with the flex ``ORIGIN`` as identity.
 
     On y^2 = 4x^3 + alpha x + beta the chord y = m x + nu meets the curve
     where 4x^3 - m^2 x^2 + ... = 0, so x1 + x2 + x3 = m^2 / 4; the tangent
@@ -287,31 +239,31 @@ def ec_add(w: WeierstrassData, p: AffineECPoint, q: AffineECPoint) -> AffineECPo
     return _add(w, p, q)
 
 
-def _add(w: WeierstrassData, p: AffineECPoint, q: AffineECPoint) -> AffineECPoint:
+def _add(w: WeierstrassData, p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
     """``ec_add`` unchecked: sums of points on the curve stay on it, so each
     public entry checks its input once and chains its additions through this."""
-    if p.infinity:
+    if p == ORIGIN:
         return q
-    if q.infinity:
+    if q == ORIGIN:
         return p
-    if p.x == q.x:
-        if p.y == -q.y:
-            return AffineECPoint.origin()
-        m = (12 * p.x**2 + w.alpha) / (2 * p.y)
+    _, px, py = p.coords
+    _, qx, qy = q.coords
+    if px == qx:
+        if py == -qy:
+            return ORIGIN
+        m = (12 * px**2 + w.alpha) / (2 * py)
     else:
-        m = (q.y - p.y) / (q.x - p.x)
-    x3 = m * m / 4 - p.x - q.x
-    y3 = -(p.y + m * (x3 - p.x))
-    return AffineECPoint(x3, y3)
+        m = (qy - py) / (qx - px)
+    x3 = m * m / 4 - px - qx
+    return ProjectivePoint(1, x3, -(py + m * (x3 - px)))
 
 
-def ec_scalar_mul(w: WeierstrassData, n: int, p: AffineECPoint) -> AffineECPoint:
-    """n-fold sum by double-and-add; negative n negates."""
+def ec_scalar_mul(w: WeierstrassData, n: int, p: ProjectivePoint) -> ProjectivePoint:
+    """n-fold sum by double-and-add; negative n negates, (X0 : X1 : -X2)."""
     _require_on_curve(w, p)
     if n < 0:
-        n, p = -n, p.negate()
-    acc = AffineECPoint.origin()
-    base = p
+        n, p = -n, ProjectivePoint(p[0], p[1], -p[2])
+    acc, base = ORIGIN, p
     while n:
         if n & 1:
             acc = _add(w, acc, base)
@@ -320,30 +272,17 @@ def ec_scalar_mul(w: WeierstrassData, n: int, p: AffineECPoint) -> AffineECPoint
     return acc
 
 
-def point_order(w: WeierstrassData, p: AffineECPoint, bound: int) -> int | None:
+def point_order(w: WeierstrassData, p: ProjectivePoint, bound: int) -> int | None:
     """Smallest n >= 1 with [n]P = O, or None if it exceeds the bound."""
     if bound < 1:
         raise DomainError("bound must be >= 1")
     _require_on_curve(w, p)
     acc = p
     for n in range(1, bound + 1):
-        if acc.infinity:
+        if acc == ORIGIN:
             return n
         acc = _add(w, acc, p)
     return None
-
-
-def has_order_nine(w: WeierstrassData, p: AffineECPoint) -> bool:
-    """True iff P has exact order 9: [3]P != O and [9]P = O, in four additions.
-
-    2P, 3P = 2P + P, 6P = 3P + 3P and 9P = 6P + 3P.  [9]P = O means the
-    order divides 9, and [3]P != O rules out 1 and 3.
-    """
-    _require_on_curve(w, p)
-    triple = _add(w, _add(w, p, p), p)
-    if triple.infinity:
-        return False
-    return _add(w, _add(w, triple, triple), triple).infinity
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +334,13 @@ def kubert_z6_curve(c) -> tuple[HomogeneousForm, ProjectivePoint]:
 
 def normalized_curve_with_point(form: HomogeneousForm, p: ProjectivePoint,
                                 flex: ProjectivePoint | None = None,
-                                ) -> tuple[WeierstrassData, AffineECPoint]:
+                                ) -> tuple[WeierstrassData, ProjectivePoint]:
     """Normalize a smooth cubic at a rational flex and carry a marked point.
 
     If no flex is supplied, the rational flexes are computed and the first
     one (in canonical point order) is used; curves without a rational flex
-    raise an unsupported-field error.
+    raise an unsupported-field error.  The point is returned in the normal
+    form's coordinates, where the flex is ``ORIGIN``.
     """
     if flex is None:
         flex = first_rational_flex(flexes(form))
@@ -408,6 +348,5 @@ def normalized_curve_with_point(form: HomogeneousForm, p: ProjectivePoint,
     if form.evaluate(p.coords) != 0:
         raise DomainError(f"marked point {p} is not on the curve")
     q = w.to_normal_point(p)
-    ec = AffineECPoint.from_projective(q)
-    _require_on_curve(w, ec)
-    return w, ec
+    _require_on_curve(w, q)
+    return w, q

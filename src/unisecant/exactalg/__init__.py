@@ -37,7 +37,7 @@ from .unipoly import (
     squarefree_part,
     yun_decomposition,
 )
-from .forms import HomogeneousForm, ProjectivePoint, euler_combination, hessian
+from .forms import HomogeneousForm, ProjectivePoint, euler_combination, hessian, jacobian
 from .bipoly import BivariatePoly, resultant_y
 from .elim import (
     FiberData,

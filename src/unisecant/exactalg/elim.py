@@ -44,9 +44,9 @@ from functools import cached_property, reduce
 from itertools import islice
 
 from ..errors import CommonComponentError, DomainError, UnisecantError, UnsupportedFieldError
-from .forms import HomogeneousForm, ProjectivePoint, hessian
-from .rationals import (Mat3, bareiss_det_int, det_fractions, integer_image, mat3, mat3_det,
-                        mat3_identity, mat3_transpose, mat3_vec)
+from .forms import HomogeneousForm, ProjectivePoint, hessian, jacobian
+from .rationals import (Mat3, bareiss_det_int, det_fractions, integer_image, mat3, mat3_identity,
+                        mat3_transpose, mat3_vec)
 from .unipoly import (
     UnivariatePoly,
     _certified_irreducible,
@@ -93,10 +93,10 @@ def unimodular_matrices():
             yield m
 
 
-def _sylvester_rows(quadrics, jacobian: HomogeneousForm) -> list[list[Fraction]]:
-    """Coefficient rows of the three quadrics and the three partials of their Jacobian."""
+def _sylvester_rows(quadrics, j: HomogeneousForm) -> list[list[Fraction]]:
+    """Coefficient rows of the three quadrics and the three partials of their Jacobian j."""
     return [[q.coefficient(m) for m in _QUADRIC_MONOMIALS]
-            for q in (*quadrics, *jacobian.gradient())]
+            for q in (*quadrics, *j.gradient())]
 
 
 def macaulay_resultant_quadrics(q0: HomogeneousForm, q1: HomogeneousForm,
@@ -114,8 +114,7 @@ def macaulay_resultant_quadrics(q0: HomogeneousForm, q1: HomogeneousForm,
     qs = (q0, q1, q2)
     if any(q.degree != 2 for q in qs):
         raise DomainError("all three forms must be quadrics")
-    jacobian = mat3_det([q.gradient() for q in qs])
-    return -det_fractions(_sylvester_rows(qs, jacobian)) / 512
+    return -det_fractions(_sylvester_rows(qs, jacobian(*qs))) / 512
 
 
 def ternary_discriminant(f: HomogeneousForm) -> Fraction:

@@ -228,24 +228,40 @@ def hessian(f: HomogeneousForm) -> HomogeneousForm:
     """Determinant of the matrix of second partials; degree 3(d - 2).
 
     On ``int``, in one pass over num f: the three first partials, the six
-    distinct second partials from them (the matrix is symmetric), and the
-    determinant expanded by cofactors along row 0, nine ``_product`` calls
-    in all, over den f^3.
+    distinct second partials from them (the matrix is symmetric), and their
+    ``_det3``, over den f^3.
     """
     if f.degree < 2:
         raise DomainError("hessian requires degree >= 2")
     d0, d1, d2 = (_partial(f.num, i) for i in range(3))
     h00, h01, h02 = (_partial(d0, j) for j in range(3))
     h11, h12, h22 = _partial(d1, 1), _partial(d1, 2), _partial(d2, 2)
+    out = _det3(((h00, h01, h02), (h01, h11, h12), (h02, h12, h22)))
+    return HomogeneousForm._from_ints(3 * f.degree - 6, out, f.den**3)
+
+
+def jacobian(q0: HomogeneousForm, q1: HomogeneousForm, q2: HomogeneousForm) -> HomogeneousForm:
+    """det(dq_i/dX_j), the ``_det3`` of the three gradients; degree sum(deg q_i - 1)."""
+    qs = (q0, q1, q2)
+    if any(q.degree < 1 for q in qs):
+        raise DomainError("jacobian requires degrees >= 1")
+    out = _det3([[_partial(q.num, j) for j in range(3)] for q in qs])
+    return HomogeneousForm._from_ints(sum(q.degree for q in qs) - 3, out,
+                                      q0.den * q1.den * q2.den)
+
+
+def _det3(m) -> dict[Triple, int]:
+    """det of a 3x3 matrix of coefficient maps: row 0 times cofactors, nine ``_product`` calls."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m
     out: dict[Triple, int] = {}
-    for entry, (p, q, r, s) in ((h00, (h11, h22, h12, h12)), (h01, (h12, h02, h01, h22)),
-                                (h02, (h01, h12, h11, h02))):
-        minor = _product(p, q)  # the cofactor p*q - r*s of the row-0 entry
+    for entry, (p, q, r, s) in ((a0, (b1, c2, b2, c1)), (a1, (b2, c0, b0, c2)),
+                                (a2, (b0, c1, b1, c0))):
+        minor = _product(p, q)
         for e, v in _product(r, s).items():
             minor[e] = minor.get(e, 0) - v
         for e, v in _product(entry, minor).items():
             out[e] = out.get(e, 0) + v
-    return HomogeneousForm._from_ints(3 * f.degree - 6, out, f.den**3)
+    return out
 
 
 def _partial(num: dict[Triple, int], var: int) -> dict[Triple, int]:
@@ -284,7 +300,9 @@ class ProjectivePoint:
         pivot = next((c for c in cs if c != 0), None)
         if pivot is None:
             raise DomainError("(0 : 0 : 0) is not a projective point")
-        object.__setattr__(self, "coords", tuple(c / pivot for c in cs))
+        if pivot != 1:
+            cs = tuple(c / pivot for c in cs)
+        object.__setattr__(self, "coords", cs)
 
     def __setattr__(self, *args):
         raise AttributeError("ProjectivePoint is immutable")

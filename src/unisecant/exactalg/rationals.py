@@ -68,7 +68,7 @@ def mat3_vec(a: Mat3, v) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def mat3_det(a: Mat3) -> Fraction:
-    """Cofactor expansion; entries may be any ring elements (forms too)."""
+    """Cofactor expansion of a 3x3 matrix of numbers (``forms.jacobian`` for forms)."""
     return (
         a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
         - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])

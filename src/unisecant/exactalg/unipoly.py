@@ -95,11 +95,6 @@ class UnivariatePoly:
     def is_zero(self) -> bool:
         return not self.num
 
-    def lc(self) -> Fraction:
-        if not self.num:
-            raise DomainError("zero polynomial has no leading coefficient")
-        return Fraction(self.num[-1], self.den)
-
     def __getitem__(self, i: int) -> Fraction:
         if 0 <= i < len(self.num):
             return Fraction(self.num[i], self.den)

@@ -60,7 +60,6 @@ from .cubic import (
     WeierstrassData,
     first_rational_flex,
     flexes,
-    has_order_nine,
     is_smooth_cubic,
     j_invariant,
     normalized_curve_with_point,
@@ -573,19 +572,19 @@ def nonflex_fiber_accounting(curve: HomogeneousForm, p: ProjectivePoint
                              ) -> NonflexAccounting:
     """Pencil analysis at a rational point of order 9 (minimal level 3).
 
-    Certifies the order in four additions (``has_order_nine``: [3]P != O
-    and [9]P = O), builds the contact pencil, and reads off the
-    discriminant: a root of multiplicity 9 at the member singular at P (the
-    nine-fold blow-up fiber) plus three simple roots.  The member singular
-    at P keeps the classification its discriminant record already holds (a
-    node: P is its only singular point).  A refusal names the order of P;
-    a rational torsion point has order at most 12 (Mazur), so the search
-    stops there and reports any other point as of infinite order.
+    Certifies the order with ``point_order``, builds the contact pencil,
+    and reads off the discriminant: a root of multiplicity 9 at the member
+    singular at P (the nine-fold blow-up fiber) plus three simple roots.
+    The member singular at P keeps the classification its discriminant
+    record already holds (a node: P is its only singular point).  A refusal
+    names the order of P; a rational torsion point has order at most 12
+    (Mazur), so the search stops there and reports any other point as of
+    infinite order.
     """
-    w, ec_point = normalized_curve_with_point(curve, p)
-    if not has_order_nine(w, ec_point):
+    order = point_order(*normalized_curve_with_point(curve, p), 12)
+    if order != 9:
         raise DomainError("accounting requires a point of exact order 9, "
-                          f"got order {point_order(w, ec_point, 12) or 'infinite'}")
+                          f"got order {order or 'infinite'}")
     system = contact_system(curve, p, 3)
     if not system.is_contact_point():
         raise UnisecantError("order-9 point failed the contact-dimension test")

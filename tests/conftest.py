@@ -1,11 +1,13 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
 from unisecant.exactalg import (HomogeneousForm, ProjectivePoint, mat3_adjugate, mat3_transpose,
                                  mat3_vec)
+from unisecant.cubic import kubert_z6_curve, tate_normal_cubic
 
 # Property tests must be reproducible run to run.  HYPOTHESIS_PROFILE=ci
 # runs five times the default number of examples of every property test,
@@ -44,6 +46,23 @@ def moved_point(m, coords) -> ProjectivePoint:
     invertible.
     """
     return ProjectivePoint(*mat3_vec(mat3_adjugate(mat3_transpose(m)), coords))
+
+
+def tate_torsion_curves() -> dict:
+    """Tate normal curves whose marked point P = (0, 0) has order 6, 7, 8, 10 and 12.
+
+    Kubert's parametrizations at t = 2, keyed by the order; the tests that
+    use them certify the orders.
+    """
+    t = Fraction(2)
+    m = (3 * t - 3 * t * t - 1) / (t - 1)
+    f, d = m / (1 - t), m + t
+    d10 = t * t / (t - (t - 1) ** 2)
+    return {6: kubert_z6_curve(1),
+            7: tate_normal_cubic(t**3 - t**2, t**2 - t),
+            8: tate_normal_cubic((2 * t - 1) * (t - 1), (2 * t - 1) * (t - 1) / t),
+            10: tate_normal_cubic((t * d10 - t) * d10, t * d10 - t),
+            12: tate_normal_cubic((f * d - f) * d, f * d - f)}
 
 
 def load_form(name: str) -> HomogeneousForm:

@@ -27,7 +27,7 @@ from unisecant.torsion import (
     genus_bound,
 )
 from unisecant.cubic import (
-    AffineECPoint,
+    ORIGIN,
     ec_scalar_mul,
     flexes,
     hessian,
@@ -233,9 +233,9 @@ def test_acceptance_10_nonflex_fiber_accounting():
     t0 = time.perf_counter()
     form9, p9 = kubert_z9_curve(2)
     # Order certificate first: [9]P = O, [3]P != O.
-    w, ec = normalized_curve_with_point(form9, p9)
-    assert ec_scalar_mul(w, 9, ec) == AffineECPoint.origin()
-    assert ec_scalar_mul(w, 3, ec) != AffineECPoint.origin()
+    w, q = normalized_curve_with_point(form9, p9)
+    assert ec_scalar_mul(w, 9, q) == ORIGIN
+    assert ec_scalar_mul(w, 3, q) != ORIGIN
     acc = nonflex_fiber_accounting(form9, p9)
     assert acc.report.discriminant.affine.degree + \
         acc.report.discriminant.multiplicity_at_infinity() == 12
@@ -251,8 +251,7 @@ def test_acceptance_10_nonflex_fiber_accounting():
 def test_acceptance_11_contact_conics():
     t0 = time.perf_counter()
     form6, p6 = kubert_z6_curve(1)
-    w, ec = normalized_curve_with_point(form6, p6)
-    assert point_order(w, ec, 12) == 6
+    assert point_order(*normalized_curve_with_point(form6, p6), 12) == 6
     assert contact_conic_check(form6, p6) == IRREDUCIBLE_CONIC
     assert contact_conic_check(form6, FLEX) == DOUBLE_LINE
     report(11, 5, time.perf_counter() - t0,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import count_calls, moved_point
+from conftest import count_calls, moved_point, tate_torsion_curves
 from unisecant import cubic as cubic_mod
 from unisecant.errors import DomainError
 from unisecant.exactalg import (
@@ -19,13 +19,12 @@ from unisecant.exactalg import (
     squarefree_part,
 )
 from unisecant.cubic import (
-    AffineECPoint,
+    ORIGIN,
     WeierstrassData,
     ec_add,
     ec_scalar_mul,
     flexes,
     general_weierstrass_cubic,
-    has_order_nine,
     hessian,
     is_flex,
     is_smooth_cubic,
@@ -268,42 +267,44 @@ class TestGroupLaw:
         return weierstrass_at_flex(weierstrass_normal_form(-4, 4), ProjectivePoint(0, 0, 1))
 
     def test_identity(self, w):
-        p = AffineECPoint(0, 0)
-        assert ec_add(w, p, AffineECPoint.origin()) == p
+        p = ProjectivePoint(1, 0, 0)
+        assert ec_add(w, p, ORIGIN) == p
 
     def test_inverse(self, w_rank):
-        p = AffineECPoint(1, 2)
-        assert ec_add(w_rank, p, p.negate()) == AffineECPoint.origin()
+        assert ec_add(w_rank, ProjectivePoint(1, 1, 2), ProjectivePoint(1, 1, -2)) == ORIGIN
 
     def test_two_torsion(self, w):
-        p = AffineECPoint(0, 0)
-        assert ec_add(w, p, p) == AffineECPoint.origin()
-        assert ec_scalar_mul(w, 2, p) == AffineECPoint.origin()
+        p = ProjectivePoint(1, 0, 0)
+        assert ec_add(w, p, p) == ORIGIN
+        assert ec_scalar_mul(w, 2, p) == ORIGIN
 
     def test_scalar_zero_and_negative(self, w_rank):
-        p = AffineECPoint(1, 2)
-        assert ec_scalar_mul(w_rank, 0, p) == AffineECPoint.origin()
-        assert ec_scalar_mul(w_rank, -3, p) == ec_scalar_mul(w_rank, 3, p).negate()
+        p = ProjectivePoint(1, 1, 2)
+        assert ec_scalar_mul(w_rank, 0, p) == ORIGIN
+        q = ec_scalar_mul(w_rank, 3, p)
+        assert ec_scalar_mul(w_rank, -3, p) == ProjectivePoint(1, q[1], -q[2])
 
     def test_off_curve_rejected(self, w):
         with pytest.raises(DomainError):
-            ec_add(w, AffineECPoint(1, 1), AffineECPoint.origin())
+            ec_add(w, ProjectivePoint(1, 1, 1), ORIGIN)
 
     @pytest.mark.parametrize("entry", [
-        lambda w, p: ec_add(w, AffineECPoint.origin(), p),
+        lambda w, p: ec_add(w, ORIGIN, p),
         lambda w, p: ec_scalar_mul(w, -2, p),
         lambda w, p: point_order(w, p, 5),
-        lambda w, p: has_order_nine(w, p),
-    ], ids=["ec_add", "ec_scalar_mul", "point_order", "has_order_nine"])
+    ], ids=["ec_add", "ec_scalar_mul", "point_order"])
     def test_each_entry_rejects_an_off_curve_point(self, w, entry):
         with pytest.raises(DomainError, match="is not on y"):
-            entry(w, AffineECPoint(1, 1))
+            entry(w, ProjectivePoint(1, 1, 1))
+
+    def test_only_the_origin_lies_on_the_line_at_infinity(self, w):
+        with pytest.raises(DomainError, match="is not on y"):
+            ec_add(w, ProjectivePoint(0, 1, 0), ORIGIN)
 
     def test_each_entry_checks_its_input_once(self, w_rank, monkeypatch):
-        p = AffineECPoint(1, 2)
+        p = ProjectivePoint(1, 1, 2)
         calls = count_calls(monkeypatch, "on_curve", cubic_mod)
-        for entry in (lambda: has_order_nine(w_rank, p), lambda: point_order(w_rank, p, 12),
-                      lambda: ec_scalar_mul(w_rank, 13, p)):
+        for entry in (lambda: point_order(w_rank, p, 12), lambda: ec_scalar_mul(w_rank, 13, p)):
             calls.clear()
             entry()
             assert len(calls) == 1
@@ -312,65 +313,55 @@ class TestGroupLaw:
 
     def test_associativity_randomized(self, w_rank):
         rng = random.Random(31)
-        pts = [ec_scalar_mul(w_rank, n, AffineECPoint(1, 2)) for n in range(-4, 5)]
+        pts = [ec_scalar_mul(w_rank, n, ProjectivePoint(1, 1, 2)) for n in range(-4, 5)]
         for _ in range(60):
             a, b, c = rng.choice(pts), rng.choice(pts), rng.choice(pts)
             assert ec_add(w_rank, ec_add(w_rank, a, b), c) == \
                 ec_add(w_rank, a, ec_add(w_rank, b, c))
 
     def test_point_order_examples(self, w):
-        assert point_order(w, AffineECPoint.origin(), 5) == 1
-        assert point_order(w, AffineECPoint(0, 0), 5) == 2
+        assert point_order(w, ORIGIN, 5) == 1
+        assert point_order(w, ProjectivePoint(1, 0, 0), 5) == 2
 
     def test_order_exceeds_bound(self, w_rank):
-        assert point_order(w_rank, AffineECPoint(1, 2), 30) is None
+        assert point_order(w_rank, ProjectivePoint(1, 1, 2), 30) is None
 
 
 class TestTorsionFamilies:
     def test_z9_order_certificate(self):
         form, p = kubert_z9_curve(2)
         assert is_smooth_cubic(form)
-        w, ec = normalized_curve_with_point(form, p)
-        assert point_order(w, ec, 12) == 9
-        assert ec_scalar_mul(w, 9, ec) == AffineECPoint.origin()
-        assert ec_scalar_mul(w, 3, ec) != AffineECPoint.origin()
+        w, q = normalized_curve_with_point(form, p)
+        assert point_order(w, q, 12) == 9
+        assert ec_scalar_mul(w, 9, q) == ORIGIN
+        assert ec_scalar_mul(w, 3, q) != ORIGIN
 
     def test_z9_second_parameter(self):
         form, p = kubert_z9_curve(3)
-        w, ec = normalized_curve_with_point(form, p)
-        assert point_order(w, ec, 12) == 9
+        w, q = normalized_curve_with_point(form, p)
+        assert point_order(w, q, 12) == 9
 
     def test_z6_order_certificate(self):
         form, p = kubert_z6_curve(1)
-        w, ec = normalized_curve_with_point(form, p)
-        assert point_order(w, ec, 12) == 6
+        w, q = normalized_curve_with_point(form, p)
+        assert point_order(w, q, 12) == 6
 
-    def test_four_additions_decide_order_nine_as_point_order_does(self):
+    def test_multiples_reach_every_torsion_order(self):
         # The multiples [n]P, n < 12, of the marked point on Kubert curves
         # with P of order 9 (two parameters), 6, 7, 8, 10 and 12 reach every
         # torsion order 1-10 and 12; add the 2-torsion point of y^2 = 4x^3 - 4x
         # and the rank-1 point (1, 2) of y^2 = 4x^3 - 4x + 4 with its multiples.
-        t = F(2)
-        m = (3 * t - 3 * t * t - 1) / (t - 1)
-        f, d = m / (1 - t), m + t
-        d10 = t * t / (t - (t - 1) ** 2)
-        curves = [kubert_z9_curve(2), kubert_z9_curve(3), kubert_z6_curve(1),
-                  tate_normal_cubic(t**3 - t**2, t**2 - t),
-                  tate_normal_cubic((2 * t - 1) * (t - 1), (2 * t - 1) * (t - 1) / t),
-                  tate_normal_cubic((t * d10 - t) * d10, t * d10 - t),
-                  tate_normal_cubic((f * d - f) * d, f * d - f)]
+        curves = [kubert_z9_curve(2), kubert_z9_curve(3), *tate_torsion_curves().values()]
         cases = []
         for form, p in curves:
-            w, ec = normalized_curve_with_point(form, p)
-            cases += [(w, ec_scalar_mul(w, n, ec)) for n in range(12)]
+            w, q = normalized_curve_with_point(form, p)
+            cases += [(w, ec_scalar_mul(w, n, q)) for n in range(12)]
         w2 = weierstrass_at_flex(weierstrass_normal_form(-4, 0), ProjectivePoint(0, 0, 1))
         w_rank = weierstrass_at_flex(weierstrass_normal_form(-4, 4), ProjectivePoint(0, 0, 1))
-        cases.append((w2, AffineECPoint(0, 0)))
-        cases += [(w_rank, ec_scalar_mul(w_rank, n, AffineECPoint(1, 2))) for n in (1, 2, 9)]
+        cases.append((w2, ProjectivePoint(1, 0, 0)))
+        cases += [(w_rank, ec_scalar_mul(w_rank, n, ProjectivePoint(1, 1, 2))) for n in (1, 2, 9)]
         orders = [point_order(w, p, 12) for w, p in cases]
         assert set(orders) == {None, *range(1, 11), 12}
-        for (w, p), order in zip(cases, orders):
-            assert has_order_nine(w, p) == (order == 9), (p, order)
 
     def test_realized_minimal_levels(self):
         # A point of group order n first carries a contact divisor at level
@@ -379,21 +370,21 @@ class TestTorsionFamilies:
 
         def realized_level(w, p):
             for k in range(1, 10):
-                if ec_scalar_mul(w, 3 * k, p).infinity:
+                if ec_scalar_mul(w, 3 * k, p) == ORIGIN:
                     return k
             raise AssertionError("no level found")
 
         form9, p9 = kubert_z9_curve(2)
-        w9, ec9 = normalized_curve_with_point(form9, p9)
+        w9, q9 = normalized_curve_with_point(form9, p9)
         form6, p6 = kubert_z6_curve(1)
-        w6, ec6 = normalized_curve_with_point(form6, p6)
+        w6, q6 = normalized_curve_with_point(form6, p6)
         w2 = weierstrass_at_flex(weierstrass_normal_form(-4, 0), ProjectivePoint(0, 0, 1))
         cases = [
-            (w9, AffineECPoint.origin(), 1),
-            (w2, AffineECPoint(0, 0), 2),
-            (w9, ec_scalar_mul(w9, 3, ec9), 3),   # order-3 point
-            (w6, ec6, 6),
-            (w9, ec9, 9),
+            (w9, ORIGIN, 1),
+            (w2, ProjectivePoint(1, 0, 0), 2),
+            (w9, ec_scalar_mul(w9, 3, q9), 3),   # order-3 point
+            (w6, q6, 6),
+            (w9, q9, 9),
         ]
         for w, p, order in cases:
             assert point_order(w, p, 12) == order

@@ -16,6 +16,7 @@ from unisecant.exactalg import (
     ProjectivePoint,
     euler_combination,
     hessian,
+    jacobian,
     mat3,
     mat3_det,
     mat3_identity,
@@ -26,7 +27,7 @@ from unisecant.exactalg import (
 H = HomogeneousForm
 
 
-def form_strategy(max_degree=4):
+def form_strategy(max_degree=4, min_degree=1):
     def build(degree, entries):
         coeffs = {}
         for (a, b), c in entries:
@@ -34,7 +35,7 @@ def form_strategy(max_degree=4):
             b = b % (degree + 1 - a)
             coeffs[(a, b, degree - a - b)] = c
         return H(degree, coeffs)
-    return st.integers(1, max_degree).flatmap(
+    return st.integers(min_degree, max_degree).flatmap(
         lambda d: st.builds(
             build, st.just(d),
             st.lists(st.tuples(st.tuples(st.integers(0, d), st.integers(0, d)),
@@ -84,6 +85,16 @@ class TestPartials:
                   for i in range(3)]
         h = hessian(f)
         assert h == mat3_det(second) and h.degree == 3 * (f.degree - 2)
+
+    @given(form_strategy(5, min_degree=2))
+    def test_jacobian_of_the_gradient_is_the_hessian(self, f):
+        assert jacobian(*f.gradient()) == hessian(f)
+
+    @given(st.lists(form_strategy(2, min_degree=2), min_size=3, max_size=3))
+    def test_jacobian_of_quadrics_is_the_determinant_of_their_gradients(self, qs):
+        # The oracle is mat3_det's cofactor expansion run on forms.
+        j = jacobian(*qs)
+        assert j == mat3_det([q.gradient() for q in qs]) and j.degree == 3
 
     def test_hessian_of_a_cone_vanishes(self):
         # A form in two variables is a cone: its Hessian is zero in degree 3(d - 2).

@@ -62,7 +62,7 @@ from unisecant.pencils import (
     unisecant_count_k3,
 )
 from unisecant.singular import curve_germ
-from conftest import count_calls, fixture_path, load_form, moved_point
+from conftest import count_calls, fixture_path, load_form, moved_point, tate_torsion_curves
 
 H = HomogeneousForm
 P = ProjectivePoint
@@ -460,6 +460,11 @@ class TestNonflexAccounting:
         form6, p6 = kubert_z6_curve(1)
         with pytest.raises(DomainError, match="got order 6"):
             nonflex_fiber_accounting(form6, p6)
+
+    @pytest.mark.parametrize("order", [6, 7, 8, 10, 12])
+    def test_refusal_names_the_order(self, order):
+        with pytest.raises(DomainError, match=rf"got order {order}$"):
+            nonflex_fiber_accounting(*tate_torsion_curves()[order])
 
     def test_non_torsion_point_rejected(self):
         # (1, 2) on y^2 = 4x^3 - 4x + 4 has infinite order.
