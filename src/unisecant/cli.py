@@ -88,7 +88,7 @@ def load_curve_file(path: str) -> tuple[HomogeneousForm, IntersectionData | None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: JSON syntax, or an int above 4,300 digits
         raise InputError(f"cannot read curve file {path}: {exc}") from exc
     if not isinstance(data, dict) or "form" not in data:
         raise InputError(f"curve file {path} lacks a form")

@@ -30,7 +30,7 @@ from fractions import Fraction
 from ..errors import DomainError
 from .forms import HomogeneousForm
 from .rationals import IntegerImage, integer_image
-from .unipoly import UnivariatePoly, integer_nodes, interpolate, resultant
+from .unipoly import UnivariatePoly, _resultant_int, integer_nodes, interpolate
 
 
 class BivariatePoly(IntegerImage):
@@ -157,10 +157,11 @@ def resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
     F = df*f and G = dg*g (``num`` over ``den``): at each integer node
     x = a where neither leading y-coefficient vanishes (there the
     evaluation of res_y equals the resultant of the evaluations), the
-    y-coefficients are evaluated by integer Horner and the integer
-    resultant is taken; Newton interpolation through these values gives
-    res_y(F, G), and res_y(f, g) = res_y(F, G) / (df^n * dg^m) with
-    m = deg_y f, n = deg_y g.
+    y-coefficients are evaluated by integer Horner and one integer
+    resultant, ``_resultant_int``, is taken; Newton interpolation through
+    these values gives res_y(F, G), and res_y(f, g) = res_y(F, G) /
+    (df^n * dg^m) with m = deg_y f, n = deg_y g.  A side of y-degree 0
+    evaluates to a constant, which ``_resultant_int`` takes as well.
 
     Nodes are taken until one more than the degree bound
     min(n deg_x f + m deg_x g, n a + m b - m n), a and b the total degrees.
@@ -174,15 +175,10 @@ def resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
     if f.is_zero() or g.is_zero():
         raise DomainError("resultant with a zero polynomial")
     m, n = f.degree_y(), g.degree_y()
-    if m == 0:
-        # res_y(f, g) = f^deg_y(g)
-        return UnivariatePoly._from_ints(f.columns()[0], f.den) ** n
-    if n == 0:
-        return UnivariatePoly._from_ints(g.columns()[0], g.den) ** m
     fcols, gcols = f.columns(), g.columns()
     deg_bound = min(n * f.degree_x() + m * g.degree_x(),
                     n * f.total_degree() + m * g.total_degree() - m * n)
-    points: list[tuple[int, Fraction]] = []
+    points: list[tuple[int, int]] = []
     for x0 in integer_nodes():
         if len(points) > deg_bound:
             break
@@ -190,6 +186,5 @@ def resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
         gv = [_horner(col, x0) for col in gcols]
         if fv[-1] == 0 or gv[-1] == 0:
             continue
-        points.append((x0, resultant(UnivariatePoly._from_ints(fv),
-                                     UnivariatePoly._from_ints(gv))))
+        points.append((x0, _resultant_int(fv, gv)))
     return interpolate(points).scale(Fraction(1, f.den**n * g.den**m))

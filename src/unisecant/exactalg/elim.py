@@ -70,9 +70,10 @@ _QUADRIC_MONOMIALS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0,
 def unimodular_matrices():
     """Deterministic stream of _MAX_ATTEMPTS distinct unimodular 3x3 integer matrices.
 
-    The identity comes first; every retry loop over coordinate changes draws
-    from this stream, so each is bounded by the same budget.  A draw equal
-    to one already given is drawn again, so no retry repeats a change.
+    The identity comes first; every retry loop over projective coordinate
+    changes draws from this stream, so each is bounded by the same budget
+    (the germ shears of ``singular`` have a Bezout bound instead).  A draw
+    equal to one already given is drawn again, so no retry repeats a change.
     """
     seen = {mat3_identity()}
     yield mat3_identity()
@@ -93,10 +94,12 @@ def unimodular_matrices():
             yield m
 
 
-def _sylvester_rows(quadrics, j: HomogeneousForm) -> list[list[Fraction]]:
-    """Coefficient rows of the three quadrics and the three partials of their Jacobian j."""
-    return [[q.coefficient(m) for m in _QUADRIC_MONOMIALS]
-            for q in (*quadrics, *j.gradient())]
+def _sylvester_rows(*blocks) -> tuple[list[list[list[int]]], int]:
+    """D times the 6x6 Sylvester rows of each block of six quadrics, as ints, and
+    D, the lcm of all their denominators (columns: ``_QUADRIC_MONOMIALS``)."""
+    den = math.lcm(*(q.den for block in blocks for q in block))
+    return [[[q.num.get(m, 0) * (den // q.den) for m in _QUADRIC_MONOMIALS] for q in block]
+            for block in blocks], den
 
 
 def macaulay_resultant_quadrics(q0: HomogeneousForm, q1: HomogeneousForm,
@@ -109,12 +112,15 @@ def macaulay_resultant_quadrics(q0: HomogeneousForm, q1: HomogeneousForm,
     partials of the Jacobian determinant J = det(dq_i/dX_j), in the six
     quadric monomials (Salmon, *Modern Higher Algebra*; Cox–Little–O'Shea,
     *Using Algebraic Geometry*, ch. 3 §2).  No extraneous factor is divided
-    out, so the formula holds for all coefficients.
+    out, so the formula holds for all coefficients.  det S = det(D*S) / D^6
+    from the integer rows of ``_sylvester_rows``, by ``det_fractions``, which
+    ``order9_pencils`` requires to fire (``FIRES`` in ``perfbench/tracing.py``).
     """
     qs = (q0, q1, q2)
     if any(q.degree != 2 for q in qs):
         raise DomainError("all three forms must be quadrics")
-    return -det_fractions(_sylvester_rows(qs, jacobian(*qs))) / 512
+    (rows,), den = _sylvester_rows((*qs, *jacobian(*qs).gradient()))
+    return -det_fractions(rows) / (512 * den**6)
 
 
 def ternary_discriminant(f: HomogeneousForm) -> Fraction:
@@ -144,7 +150,8 @@ def discriminant_along_pencil(g: HomogeneousForm, f: HomogeneousForm) -> Univari
     J_2 = (H+ + H-)/2 - J_0 and J_1 = (H+ - H-)/2 - J_3.  So S(u) = sum u^k S_k
     and det S(u) has degree <= 12.  The lcm D of the denominators of the 24
     quadrics that make up the rows of S_0..S_3 makes every D*S_k integer, and
-    its entries are read off their integer numerators, with no ``Fraction``.
+    ``_sylvester_rows`` reads its entries off their integer numerators, with
+    no ``Fraction``, as it does for ``macaulay_resultant_quadrics``.
     13 integer determinants at integer nodes give det(D*S(u)) = D^6 det S(u)
     by interpolation: no division, no coordinate change.
     """
@@ -154,13 +161,10 @@ def discriminant_along_pencil(g: HomogeneousForm, f: HomogeneousForm) -> Univari
     half = Fraction(1, 2)
     jacobians = [j0, (plus - minus).scale(half) - j3, (plus + minus).scale(half) - j0, j3]
     zero = (HomogeneousForm.zero(2),) * 3
-    # forms[k][i] is row i of S_k as a quadric
-    forms = [(*grads, *j.gradient())
-             for grads, j in zip((f.gradient(), g.gradient(), zero, zero), jacobians)]
-    den = math.lcm(*(q.den for s_k in forms for q in s_k))
+    blocks, den = _sylvester_rows(*((*grads, *j.gradient()) for grads, j in
+                                    zip((f.gradient(), g.gradient(), zero, zero), jacobians)))
     # entries[i][j] lists (D*S_k)[i][j] for k = 0..3
-    entries = [[[s_k[i].num.get(m, 0) * (den // s_k[i].den) for s_k in forms]
-                for m in _QUADRIC_MONOMIALS] for i in range(6)]
+    entries = [list(zip(*(block[i] for block in blocks))) for i in range(6)]
     values = [(u, bareiss_det_int([[((c3 * u + c2) * u + c1) * u + c0 for c0, c1, c2, c3 in row]
                                    for row in entries]))
               for u in islice(integer_nodes(), 13)]

@@ -25,7 +25,10 @@ Mat3 = tuple[tuple[Fraction, ...], ...]
 
 
 def rational_from_string(s: str) -> Fraction:
-    """Parse "num/den" or "num" into a Fraction."""
+    """Parse "num/den", "num" or a decimal into a Fraction; no exponent, for
+    ``Fraction`` would expand "1e2000000" before any size bound could refuse it."""
+    if "e" in s.lower():
+        raise InputError(f"not a rational: {s!r} (exponent notation is refused)")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:

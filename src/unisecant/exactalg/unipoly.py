@@ -329,17 +329,9 @@ def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
 
     Zero iff f and g share a root over the algebraic closure.  Computed on
     the integer images F = df*f and G = dg*g, df and dg the common
-    denominators, so res(f, g) = res(F, G) / (df^n * dg^m); integer input
-    costs no Fraction arithmetic.  A nonzero constant c on either side gives
-    c^(degree of the other), the Sylvester determinant's value.  Otherwise
-    the subresultant PRS of ``_resultant_int`` is used, except for two
-    linear images, which take the 2x2 Sylvester determinant
-    (``bareiss_det_int``) for two reasons: there the PRS took 1.2 to 1.8
-    times as long at 40- and 100-bit coefficients (within noise at 8
-    bits; from degrees 2 and 3 up it is 1.2 to 13 times faster, timed on
-    one core of a 2-core x86 host), and the benchmark's ``bezout_pairs``
-    workload requires ``bareiss_det_int`` to fire (``FIRES`` in
-    ``perfbench/tracing.py``), and this is its only caller there.
+    denominators, so res(f, g) = res(F, G) / (df^n * dg^m) with
+    res(F, G) from ``_resultant_int``; integer input costs no Fraction
+    arithmetic.
     """
     if f.is_zero() and g.is_zero():
         raise DomainError("resultant of two zero polynomials is undefined")
@@ -347,22 +339,23 @@ def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
         # res(0, g) = 0 unless g is a nonzero constant (empty determinant).
         nz = g if f.is_zero() else f
         return Fraction(1) if nz.degree == 0 else Fraction(0)
-    m, n = f.degree, g.degree
-    if m == 0 or n == 0:
-        value = f.num[0]**n if m == 0 else g.num[0]**m
-    elif m == n == 1:
-        value = bareiss_det_int([[f.num[1], f.num[0]], [g.num[1], g.num[0]]])
-    else:
-        value = _resultant_int(list(f.num), list(g.num))
+    value = _resultant_int(list(f.num), list(g.num))
     if f.den == g.den == 1:
         return Fraction(value)
-    return Fraction(value, f.den**n * g.den**m)
+    return Fraction(value, f.den**g.degree * g.den**f.degree)
 
 
 def _resultant_int(a: list[int], b: list[int]) -> int:
-    """res(a, b) of integer polynomials of degree >= 1 (ascending coefficients).
+    """res(a, b) of nonzero integer polynomials (ascending coefficients, nonzero last).
 
-    The subresultant PRS (Collins 1967; Brown & Traub 1971; Cohen, *A
+    A constant c on either side gives c^(degree of the other), the
+    Sylvester determinant's value.  Two linear polynomials take the 2x2
+    Sylvester determinant (``bareiss_det_int``): there the PRS took 1.2 to
+    1.8 times as long at 40- and 100-bit coefficients (timed on one core of
+    a 2-core x86 host), and the benchmark's ``bezout_pairs`` workload
+    requires ``bareiss_det_int`` to fire (``FIRES`` in
+    ``perfbench/tracing.py``); this is its only caller there.  Otherwise
+    the subresultant PRS (Collins 1967; Brown & Traub 1971; Cohen, *A
     Course in Computational Algebraic Number Theory*, Alg. 3.3.7), O(n^2)
     integer operations against O(n^3) for the Sylvester determinant.  The
     contents ca and cb are divided out and ca^deg b * cb^deg a put back at
@@ -375,6 +368,10 @@ def _resultant_int(a: list[int], b: list[int]) -> int:
     means a common factor (resultant 0); a constant one ends the sequence
     with res = sign * lc(B)^deg A / h^(deg A - 1).
     """
+    if len(a) == 1 or len(b) == 1:
+        return a[0]**(len(b) - 1) if len(a) == 1 else b[0]**(len(a) - 1)
+    if len(a) == len(b) == 2:
+        return bareiss_det_int([[a[1], a[0]], [b[1], b[0]]])
     scale = math.gcd(*a)**(len(b) - 1) * math.gcd(*b)**(len(a) - 1)
     a, b = primitive_part(a), primitive_part(b)
     sign = 1

@@ -24,9 +24,9 @@ silently wrong count.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .errors import (
     CommonComponentError,
@@ -44,6 +44,7 @@ from .exactalg import (
     UnivariatePoly,
     factor_over_q,
     form_factorization,
+    integer_nodes,
     is_reduced_form,
     pack,
     plane_intersection,
@@ -53,7 +54,6 @@ from .exactalg import (
 )
 
 MAX_RESOLUTION_DEPTH = 64
-_ORIGIN_CHANGES = 48  # random changes _origin_changes draws after the two fixed ones
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +290,6 @@ def geometric_genus(f: HomogeneousForm | SingularityProfile,
 # Local intersection numbers
 # ---------------------------------------------------------------------------
 
-def _origin_changes():
-    yield (1, 0, 0, 1)
-    yield (0, 1, 1, 0)
-    rng = random.Random(97531)
-    count = 0
-    while count < _ORIGIN_CHANGES:
-        a, b, c, d = (rng.randint(-4, 4) for _ in range(4))
-        if a * d - b * c != 0:
-            count += 1
-            yield (a, b, c, d)
-
-
 def _germ_intersection_resultant(fg: BivariatePoly, gg: BivariatePoly) -> int:
     """I(f, g) at the origin as ord_x res_y(f, g) in good position.
 
@@ -309,7 +297,14 @@ def _germ_intersection_resultant(fg: BivariatePoly, gg: BivariatePoly) -> int:
     deg_y = total degree, so their leading y-coefficients are constants (no
     mass escapes to y-infinity), and the origin is the only common zero on
     the line x = 0.  Then the order of the resultant at x = 0 is exactly
-    the local intersection number.
+    the local intersection number (Fulton, *Algebraic Curves*, ch. 3).
+
+    The shears x -> x + t*y for t = 0, 1, -1, 2, ... (``integer_nodes``)
+    are tried d*e + d + e times, d and e the total degrees; running out
+    proves a shared component.  Without one, a bad t is a root of the top
+    forms f_d(t, 1) or g_e(t, 1), the y^d and y^e coefficients after the
+    shear (at most d + e of them), or the slope of the line x = t*y through
+    one of the at most d*e - 1 other common points (Bezout).
 
     The order is read from one integer resultant, not from the whole
     eliminant (``resultant_y``, nodes and interpolation).  With constant
@@ -323,16 +318,13 @@ def _germ_intersection_resultant(fg: BivariatePoly, gg: BivariatePoly) -> int:
     v_2(value) // k = i.  A value of 0 therefore means res_y = 0, a shared
     component.
     """
-    for change in _origin_changes():
-        f2 = fg.linear_change(*change)
-        g2 = gg.linear_change(*change)
-        if f2.degree_y() != f2.total_degree() or g2.degree_y() != g2.total_degree():
+    d, e = fg.total_degree(), gg.total_degree()
+    for t in islice(integer_nodes(), d * e + d + e):
+        f2, g2 = (h.linear_change(1, t, 0, 1) for h in (fg, gg))
+        if f2.degree_y() != d or g2.degree_y() != e:
             continue
         fcols, gcols = f2.columns(), g2.columns()
-        f0 = UnivariatePoly._from_ints([col[0] for col in fcols])
-        g0 = UnivariatePoly._from_ints([col[0] for col in gcols])
-        if f0.is_zero() or g0.is_zero():
-            continue
+        f0, g0 = (UnivariatePoly._from_ints([col[0] for col in cols]) for cols in (fcols, gcols))
         if any(poly_gcd(f0, g0)[0].num[:-1]):  # the gcd is not a power of y
             continue
         bound = (sum(map(abs, f2.num.values())) ** (len(gcols) - 1)
@@ -341,9 +333,9 @@ def _germ_intersection_resultant(fg: BivariatePoly, gg: BivariatePoly) -> int:
         value = resultant(UnivariatePoly._from_ints([pack(col, k) for col in fcols]),
                           UnivariatePoly._from_ints([pack(col, k) for col in gcols])).numerator
         if value == 0:
-            raise CommonComponentError("germs share a component")
+            break
         return ((value & -value).bit_length() - 1) // k
-    raise UnisecantError("no good position found for the local intersection")
+    raise CommonComponentError("germs share a component")
 
 
 def _germ_intersection_blowup(fg: BivariatePoly, gg: BivariatePoly,

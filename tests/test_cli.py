@@ -131,6 +131,27 @@ class TestCurveCommands:
         assert code == 0
         assert int(json.loads(out)["multiplicity"]) >= 1
 
+    def test_intersect_local_on_a_shared_cubic_exit_1(self, capsys, tmp_path):
+        # h X0 and h (X1^2 - X0 X2) share the smooth cubic h through (0 : 0 : 1).
+        h = [[3, 0, 0, 1], [0, 3, 0, 1], [1, 1, 1, 2], [2, 0, 1, 1], [0, 2, 1, -3],
+             [1, 0, 2, 1]]
+        paths = []
+        for name, factor in (("f", [[1, 0, 0, 1]]), ("g", [[0, 2, 0, 1], [1, 0, 1, -1]])):
+            coeffs: dict = {}
+            for a, b, c, u in h:
+                for d, e, f, v in factor:
+                    key = (a + d, b + e, c + f)
+                    coeffs[key] = coeffs.get(key, 0) + u * v
+            degree = 3 + sum(factor[0][:3])
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"form": {"degree": degree, "coeffs": [
+                [*key, str(v)] for key, v in coeffs.items() if v]}}))
+            paths.append(os.fspath(path))
+        code, out, err = run_cli(capsys, "intersect", "--f", paths[0], "--g", paths[1],
+                                 "--point", "0,0,1")
+        assert code == 1 and out == ""
+        assert err == "error: germs share a component\n"
+
     def test_intersect_bezout_report(self, capsys):
         code, out, _ = run_cli(
             capsys, "intersect", "--f", fixture_path("nodal_cubic.json"),
@@ -360,6 +381,44 @@ class TestVerificationAndErrors:
                                  fixture_path("nodal_cubic.json"), "--point", "0,0,0")
         assert code == 2 and out == ""
         assert err.startswith("error:")
+
+    # Exponent notation is refused before Fraction can expand it (a large
+    # exponent would allocate the integer before any size bound is checked),
+    # at every entry point that parses a rational.
+    @pytest.mark.parametrize("argv, content", [
+        (["genus", "--curve"], {"form": {"degree": 1, "coeffs": [[1, 0, 0, "1e3"]]}}),
+        (["flexes", "--cubic"], {"form": {"degree": 3, "coeffs": [
+            [3, 0, 0, "1"], [0, 3, 0, "1"], [0, 0, 3, "1"]]}, "flexes": [["1", "-1", "0E0"]]}),
+        (["check-family", "--t0", "0", "--family"], {"degree": 3, "coeffs": [
+            [0, 2, 1, ["1"]], [3, 0, 0, ["-1"]], [0, 0, 3, ["0", "2.5e1"]]]}),
+        (["resolve", "--point", "0,0,1", "--curve"], {"form": {"degree": 3, "coeffs": [
+            [1, 0, 2, "1"], [0, 3, 0, "-1"], [0, 2, 1, "-1e0"]]}}),
+    ], ids=["curve-coefficient", "flex-claim", "family-entry", "negative-exponent-coefficient"])
+    def test_exponent_in_a_file_exit_2(self, capsys, tmp_path, argv, content):
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, *argv, os.fspath(path))
+        assert code == 2 and out == ""
+        assert "exponent" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["resolve", "--curve", fixture_path("nodal_cubic.json"), "--point", "0,0,1e0"],
+        ["check-family", "--family", fixture_path("family_translated_cusp.json"),
+         "--t0", "1E2"],
+    ], ids=["point", "t0"])
+    def test_exponent_in_an_argument_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "exponent" in err
+
+    def test_integer_literal_above_the_digit_limit_exit_2(self, capsys, tmp_path):
+        # An unquoted JSON integer of 5,000 digits: json.load refuses it with a
+        # plain ValueError (the int conversion limit of 4,300 digits).
+        big = tmp_path / "big_literal.json"
+        big.write_text('{"form": {"degree": 1, "coeffs": [[1, 0, 0, 1' + "0" * 4999 + "]]}}")
+        code, out, err = run_cli(capsys, "genus", "--curve", os.fspath(big))
+        assert code == 2 and out == ""
+        assert "cannot read curve file" in err
 
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,8 +1,10 @@
 """Singularity engine: trees, genus, intersections, identity, families, bounds."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -29,6 +31,7 @@ from unisecant.singular import (
     weak_type_check,
 )
 from unisecant.torsion import ambient_genus_bound, finiteness_certificate, genus_bound
+from conftest import count_calls
 
 H = HomogeneousForm
 P = ProjectivePoint
@@ -245,6 +248,118 @@ class TestPackedGermOrder:
         # reading allows.
         f, g = BivariatePoly({(0, 1): 1}), BivariatePoly({(0, 1): 1, (1, 0): 2**t})
         assert singular._germ_intersection_resultant(f, g) == 1
+
+
+def _seeded_origin_changes():
+    """The seeded stream of origin-fixing changes (a, b, c, d) the resultant
+    path drew from before its shears (test oracle): the identity, the swap,
+    then 48 nonsingular draws with entries in -4..4."""
+    yield (1, 0, 0, 1)
+    yield (0, 1, 1, 0)
+    rng = random.Random(97531)
+    count = 0
+    while count < 48:
+        a, b, c, d = (rng.randint(-4, 4) for _ in range(4))
+        if a * d - b * c != 0:
+            count += 1
+            yield (a, b, c, d)
+
+
+def _seeded_stream_order(f: BivariatePoly, g: BivariatePoly) -> int | None:
+    """ord_x res_y at the first change of that stream that is in good position."""
+    for change in _seeded_origin_changes():
+        f2, g2 = f.linear_change(*change), g.linear_change(*change)
+        if _good_position(f2, g2):
+            return resultant_y(f2, g2).valuation()
+    return None
+
+
+def _share_component(f: BivariatePoly, g: BivariatePoly) -> bool:
+    x, y = sympy.symbols("x y")
+    fs, gs = (sum(sympy.Rational(c.numerator, c.denominator) * x**i * y**j
+                  for (i, j), c in h.coeffs.items()) for h in (f, g))
+    return sympy.Poly(sympy.gcd(fs, gs), x, y).total_degree() > 0
+
+
+@st.composite
+def _germs_off_good_position(draw):
+    """Two germs through the origin that the identity leaves out of good
+    position: f has no y^d term (its top form vanishes at (0, 1)), or both
+    pass through (0, 1), a second common point on x = 0."""
+    coeff = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
+    d, e = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    f, g = ({(i, j): draw(coeff) for i in range(k + 1) for j in range(k + 1 - i)
+             if (i, j) != (0, 0)} for k in (d, e))
+    if draw(st.booleans()):
+        f[(0, d)] = 0
+    else:
+        for h, k in ((f, d), (g, e)):
+            h[(0, 1)] = -sum(h[(0, j)] for j in range(2, k + 1))
+    return BivariatePoly(f), BivariatePoly(g)
+
+
+class TestGermShears:
+    """The resultant path moves the germs by the shears x -> x + t y, t = 0, 1,
+    -1, 2, ..., at most d e + d + e of them."""
+
+    @given(_germs_off_good_position())
+    def test_off_the_identity_matches_the_seeded_stream(self, germs):
+        f, g = germs
+        assume(not f.is_zero() and not g.is_zero() and not _good_position(f, g))
+        if _share_component(f, g):
+            with pytest.raises(CommonComponentError):
+                singular._germ_intersection_resultant(f, g)
+            return
+        order = singular._germ_intersection_resultant(f, g)
+        assert order == _seeded_stream_order(f, g)
+        try:
+            assert order == singular._germ_intersection_blowup(f, g)
+        except UnsupportedFieldError:
+            pass
+
+    @pytest.mark.parametrize("f, g, order", [
+        # A second common point (0, 1) on x = 0.
+        ({(0, 2): 1, (0, 1): -1, (1, 0): 1}, {(0, 2): 1, (0, 1): -1, (1, 0): 2}, 1),
+        # No y^2 term: the top form x^2 + x y of f vanishes at (0, 1).
+        ({(2, 0): 1, (1, 1): 1, (0, 1): 1}, {(0, 2): 1, (2, 0): -3, (0, 1): 1}, 2),
+        # y = x^2 against the cusp y^2 = x^3, whose top form -x^3 vanishes at (0, 1).
+        ({(0, 1): 1, (2, 0): -1}, {(0, 2): 1, (3, 0): -1}, 3),
+    ], ids=["second-point-on-x=0", "top-form-zero-at-(0,1)", "cusp-without-y^3"])
+    def test_examples_off_the_identity(self, f, g, order):
+        f, g = BivariatePoly(f), BivariatePoly(g)
+        assert not _good_position(f, g)
+        assert singular._germ_intersection_resultant(f, g) == order
+        assert _seeded_stream_order(f, g) == order
+        assert singular._germ_intersection_blowup(f, g) == order
+
+    def test_common_points_on_the_first_four_shears(self, monkeypatch):
+        # The conic f = x^2 - x y - 4 y^2 + 4 y and the cubic
+        # g = x (x + 3 y - 4)(y - 2) meet at the origin and at (0, 1), (1, 1),
+        # (-2, 2) (twice) and (4, 2): on the lines x = t y for t = 0, 1, -1
+        # and 2, and g's top form vanishes at t = 0.  So the fifth shear,
+        # t = -2, is the first in good position; a bound below 5 would miss it.
+        f = BivariatePoly({(2, 0): 1, (1, 1): -1, (0, 2): -4, (0, 1): 4})
+        g = BivariatePoly(_times(_times({(1, 0): 1}, {(1, 0): 1, (0, 1): 3, (0, 0): -4}),
+                                 {(0, 1): 1, (0, 0): -2}))
+        shears = count_calls(monkeypatch, "linear_change", BivariatePoly)
+        assert singular._germ_intersection_resultant(f, g) == 1
+        assert [args[2] for args in shears[::2]] == [0, 1, -1, 2, -2]
+        assert singular._germ_intersection_blowup(f, g) == 1
+
+    def test_shared_smooth_cubic_raises_common_component(self):
+        # f = h a and g = h b share the smooth cubic h through (0 : 0 : 1):
+        # h meets every line x = t y through the origin again, so no shear is
+        # in good position, and running out of shears proves the shared
+        # component.
+        h = H(3, {(3, 0, 0): 1, (0, 3, 0): 1, (1, 1, 1): 2, (2, 0, 1): 1, (0, 2, 1): -3,
+                  (1, 0, 2): 1})
+        f, g = h * H.linear(1, 0, 1), h * H(2, {(0, 2, 0): 1, (1, 0, 1): -1})
+        p = P(0, 0, 1)
+        assert h.evaluate(p.coords) == 0
+        with pytest.raises(CommonComponentError, match="share a component"):
+            singular._germ_intersection_resultant(curve_germ(f, p), curve_germ(g, p))
+        with pytest.raises(CommonComponentError, match="share a component"):
+            local_intersection(f, g, p)
 
 
 def _times(p: dict, q: dict) -> dict:

@@ -27,7 +27,7 @@ from unisecant.exactalg import (
 )
 from unisecant.exactalg import modp, unipoly
 from unisecant.exactalg.rationals import primitive_part
-from unisecant.exactalg.unipoly import _exact_quotient
+from unisecant.exactalg.unipoly import _exact_quotient, _resultant_int
 from conftest import count_calls
 
 P = UnivariatePoly
@@ -142,6 +142,20 @@ class TestResultant:
         assert dets == [[[-2, 3], [10, 1]]]
         # Size 3 runs the PRS.
         assert resultant(P((3, -2, 1)), P((1, 5))) == 86 and len(dets) == 1
+
+    @pytest.mark.parametrize("shape", ["constant", "linear", "odd_below", "sparse", "gap",
+                                       "common"])
+    @given(data=st.data())
+    def test_integer_kernel_matches_resultant(self, shape, data):
+        # ``_resultant_int`` on the integer lists themselves: constants,
+        # linear pairs and higher degrees alike.
+        a, b = (list(p.num) for p in data.draw(resultant_pair(shape)))
+        assert _resultant_int(a, b) == resultant(P(a), P(b))
+
+    def test_integer_kernel_on_two_constants(self):
+        assert _resultant_int([-3], [5]) == 1
+        assert _resultant_int([-3], [1, 0, 2]) == 9
+        assert _resultant_int([1, 0, 2], [-3]) == 9
 
 
 class TestSquarefree:
