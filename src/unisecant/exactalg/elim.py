@@ -29,9 +29,11 @@ A curve is proved irreducible over Q without factoring it when a
 full-degree line slice of it, after a unimodular change, has factor
 degrees modulo small primes that no proper factor could have
 (``form_factorization``); sympy factors only the curves no slice
-certifies, reducible ones among them, and tells whether two curves share
-a component (``forms_share_component``), both through ``unipoly``'s
-integer bridge: this module imports no sympy.
+certifies, reducible ones among them, and, only when the first
+projection of an intersection is unusable, tells whether two curves share
+a component (``forms_share_component``; a usable projection proves them
+coprime), both through ``unipoly``'s integer bridge: this module imports
+no sympy.
 """
 
 from __future__ import annotations
@@ -255,6 +257,16 @@ def plane_intersection(f: HomogeneousForm, g: HomogeneousForm, *,
     the rational intersection points, and per-fiber multiplicity data.
     Raises CommonComponentError when the curves share a component.
 
+    A usable projection proves the curves coprime, so sympy is asked
+    (``forms_share_component``) only when the first change, the identity,
+    gives none.  Proof: a common component is a curve, and every curve
+    meets the line X1 = 0 (Fulton, *Algebraic Curves*, ch. 5).  It meets it
+    at (0:0:1), where both curves then pass, or at some (1:0:z), a common
+    root of the (1:0) slices; either way ``_projection_eliminant`` returns
+    None, in every coordinate system.  (So a usable eliminant is never
+    zero: that would need a shared factor, Cox–Little–O'Shea, *Ideals,
+    Varieties, and Algorithms*, ch. 3 §6.)
+
     With ``want_squarefree_eliminant`` the retry loop additionally looks for
     a projection whose eliminant is squarefree; finding one certifies that
     the intersection points are pairwise distinct and transversal as scheme
@@ -264,18 +276,16 @@ def plane_intersection(f: HomogeneousForm, g: HomogeneousForm, *,
     """
     if f.is_zero() or g.is_zero():
         raise DomainError("cannot intersect with the zero curve")
-    if forms_share_component(f, g):
-        raise CommonComponentError("curves share a component")
     product = f.degree * g.degree
     best: IntersectionData | None = None
-    for m in unimodular_matrices():
+    for i, m in enumerate(unimodular_matrices()):
         ft = f.substitute(m)
         gt = g.substitute(m)
         elim = _projection_eliminant(ft, gt)
         if elim is None:
+            if i == 0 and forms_share_component(f, g):
+                raise CommonComponentError("curves share a component")
             continue
-        if elim.is_zero():
-            raise CommonComponentError("curves share a component")
         if elim.degree != product:
             continue
         back = mat3_transpose(m)
@@ -300,7 +310,8 @@ def forms_share_component(f: HomogeneousForm, g: HomogeneousForm) -> bool:
     images on the chart X0 = 1 (``sympy_gcd_degree``) is nonconstant: a
     common factor not divisible by X0 keeps its degree on the chart, and
     homogenization is multiplicative, so a nonconstant common factor there
-    lifts back.
+    lifts back.  ``plane_intersection`` asks it only of a pair whose first
+    projection is unusable; a usable one already proves the pair coprime.
     """
     if all(e[0] for e in f.num) and all(e[0] for e in g.num):
         return True

@@ -19,7 +19,9 @@ Sympy is reached from this module only, through ``sympy_factor_list`` and
 the irreducible factors over Q of a univariate polynomial
 (``factor_over_q``) and of a ternary form no slice certifies irreducible
 (``elim.form_factorization``), and whether two forms share a component
-(``elim.forms_share_component``); everything else, the irreducibility
+(``elim.forms_share_component``, reached only when ``plane_intersection``
+finds its first projection unusable: a usable one proves two curves
+coprime); everything else, the irreducibility
 certificate included, is self-contained.  The arithmetic in F_p[x]
 (remainder, gcd, product modulo f, Horner evaluation, the distinct-degree
 pattern) lives in ``modp``; this module keeps the algorithms over Q and

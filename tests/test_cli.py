@@ -476,3 +476,32 @@ class TestVerificationAndErrors:
                                  "--certificate", certificate)
         assert code == 2 and out == ""
         assert err == "error: --certificate expects A_SQ,SUM_MU,A_DOT_C\n"
+
+
+class TestFlexlessCurve:
+    """x^3 + 2y^3 + 3z^3 is smooth with no rational flex.  Its Hessian
+    1296 X0 X1 X2 passes through (0:0:1), so intersecting the two asks the
+    share test once, from the first, unusable projection."""
+
+    @pytest.fixture
+    def curve_file(self, tmp_path):
+        path = tmp_path / "flexless.json"
+        path.write_text(json.dumps({"form": {"degree": 3, "coeffs": [
+            [3, 0, 0, "1"], [0, 3, 0, "2"], [0, 0, 3, "3"]]}}))
+        return os.fspath(path)
+
+    @pytest.mark.parametrize("command", ["unisecant", "jinv"])
+    def test_normalizing_commands_refuse(self, capsys, monkeypatch, curve_file, command):
+        calls = count_calls(monkeypatch, "forms_share_component", elim_mod)
+        code, out, err = run_cli(capsys, command, "--cubic", curve_file)
+        assert code == 1 and out == ""
+        assert "curve has no rational flex to normalize at" in err
+        assert len(calls) == 1
+
+    def test_flexes_counts_nine_none_rational(self, capsys, monkeypatch, curve_file):
+        calls = count_calls(monkeypatch, "forms_share_component", elim_mod)
+        code, out, err = run_cli(capsys, "flexes", "--cubic", curve_file)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["count_with_multiplicity"] == "9" and report["rational_flexes"] == []
+        assert len(calls) == 1

@@ -14,6 +14,7 @@ from unisecant import singular
 from unisecant.errors import (
     CommonComponentError,
     DomainError,
+    UnisecantError,
     UnsupportedFieldError,
 )
 from unisecant.exactalg import bipoly, elim, unipoly
@@ -565,6 +566,101 @@ class TestPlaneIntersection:
         assert calls == [] and sympy_calls == []
         assert [(p, fb.multiplicity) for fb in data.fibers for p in fb.points] == [
             (ProjectivePoint(0, 0, 1), 2)]
+
+
+def _share_test_first(f, g):
+    """The earlier ``plane_intersection``: the sympy share test first, then the loop."""
+    if f.is_zero() or g.is_zero():
+        raise DomainError("cannot intersect with the zero curve")
+    if elim.forms_share_component(f, g):
+        raise CommonComponentError("curves share a component")
+    product = f.degree * g.degree
+    for m in elim.unimodular_matrices():
+        ft, gt = f.substitute(m), g.substitute(m)
+        eliminant = elim._projection_eliminant(ft, gt)
+        if eliminant is None:
+            continue
+        if eliminant.is_zero():
+            raise CommonComponentError("curves share a component")
+        if eliminant.degree != product:
+            continue
+        back = mat3_transpose(m)
+        fibers = [elim.FiberData(x0, mult, *elim._lift_fiber([ft, gt], back, x0))
+                  for x0, mult in unipoly.rational_roots(eliminant)[0]]
+        points = [p for fb in fibers for p in fb.points]
+        return elim.IntersectionData(m, eliminant, fibers,
+                                     product - sum(fb.multiplicity for fb in fibers), points)
+    raise UnisecantError("no good projection found for the intersection")
+
+
+def _outcome(intersect, f, g):
+    try:
+        return intersect(f, g)
+    except UnisecantError as exc:
+        return type(exc), str(exc)
+
+
+def _vanish_at(f: HomogeneousForm, point) -> HomogeneousForm:
+    """f minus f(point) X0^d: a form through ``point``, whose X0 coordinate is 1."""
+    return f - H.monomial((f.degree, 0, 0), f.evaluate(point))
+
+
+def _through_vertex(f: HomogeneousForm) -> HomogeneousForm:
+    """f without its X2^d term: a form through (0:0:1)."""
+    return H(f.degree, {e: c for e, c in f.coeffs.items() if e != (0, 0, f.degree)})
+
+
+@st.composite
+def intersection_pair(draw):
+    """A random pair, a planted common factor, one or both through (0:0:1), or a common
+    zero on X1 = 0."""
+    f, g = draw(small_form(1, 3)), draw(small_form(1, 3))
+    kind = draw(st.sampled_from(["random", "planted", "vertex", "x1_line"]))
+    if kind == "planted":
+        h = draw(small_form(1, 2))
+        f, g = h * f, h * g
+    elif kind == "vertex":
+        f = _through_vertex(f)
+        if draw(st.booleans()):
+            g = _through_vertex(g)
+    elif kind == "x1_line":
+        point = (1, 0, draw(st.integers(-2, 2)))
+        f, g = _vanish_at(f, point), _vanish_at(g, point)
+    assume(not f.is_zero() and not g.is_zero())
+    return f, g
+
+
+class TestShareTestOnlyWhenTheFirstProjectionIsUnusable:
+    """Every curve meets X1 = 0, so a shared component makes every projection
+    unusable: a usable first projection proves the pair coprime, and sympy is
+    asked only when the first one is unusable."""
+
+    def test_good_position_pair_asks_nothing(self, fermat, monkeypatch):
+        line = H(1, {(0, 1, 0): 1, (0, 0, 1): 1})
+        calls = count_calls(monkeypatch, "forms_share_component", elim)
+        gcds = count_calls(monkeypatch, "gcd", sympy)
+        assert plane_intersection(fermat, line).eliminant.degree == 3
+        assert calls == [] and gcds == []
+
+    def test_pair_through_the_projection_point_asks_once(self, fermat, monkeypatch):
+        hess = H(3, {(1, 1, 1): 216})     # 216 X0 X1 X2 passes through (0:0:1)
+        expected = _share_test_first(fermat, hess)
+        calls = count_calls(monkeypatch, "forms_share_component", elim)
+        assert plane_intersection(fermat, hess) == expected
+        assert calls == [(fermat, hess)]
+
+    @given(small_form(1, 2), small_form(1, 2), small_form(1, 2))
+    def test_planted_pair_raises_after_one_share_test(self, h, a, b):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_calls(mp, "forms_share_component", elim)
+            resultants = count_calls(mp, "resultant_y", elim)
+            with pytest.raises(CommonComponentError, match="curves share a component"):
+                plane_intersection(h * a, h * b)
+        assert len(calls) == 1 and resultants == []
+
+    @given(intersection_pair())
+    def test_matches_the_share_test_first_order(self, pair):
+        assert _outcome(plane_intersection, *pair) == _outcome(_share_test_first, *pair)
 
 
 class TestSingularLocus:
